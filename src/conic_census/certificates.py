@@ -110,13 +110,14 @@ def _parse_conic_line(tokens, lineno):
         )
     label = tokens[1]
     fields = tokens[2:]
+    vals = []
     for name, text in zip(RECORD_FIELDS, fields):
         try:
-            KElem.from_text(text)
+            vals.append(KElem.from_text(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(str(exc), line=lineno, field=name) from None
     try:
-        conic = Conic.from_fields(fields)
+        conic = Conic.from_coeffs(vals)
     except CensusError as exc:
         raise ParseError(str(exc), line=lineno) from None
     # canonical form is part of the format: the stored fields must be
@@ -184,7 +185,11 @@ def parse_certificate(text: str) -> ConicCertificate:
 
 def read_certificate(path) -> ConicCertificate:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_certificate(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"non-ASCII byte at offset {exc.start}") from None
+    return parse_certificate(text)
 
 
 def load_packaged(name) -> ConicCertificate:

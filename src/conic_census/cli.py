@@ -7,6 +7,7 @@ resource budget, 4 a malformed certificate, 64 a usage error.
 
 import argparse
 import json
+import os
 import sys
 
 from . import pipeline
@@ -35,9 +36,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def jobs_count(text):
+    """The --jobs value, clamped to between 1 and the number of CPUs."""
+    return max(1, min(int(text), os.cpu_count() or 1))
+
+
 def _add_common(p):
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for parallel stages")
+    p.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
+                   help="worker processes for parallel stages (at most the CPU count)")
     p.add_argument("--budget-pairs", type=int, metavar="N",
                    help="raise the Groebner S-pair budget")
     p.add_argument("--budget-terms", type=int, metavar="N",

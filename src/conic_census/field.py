@@ -19,8 +19,9 @@ Q < Q(s2) < Q(s2, s5) < K, solving y = a + b*gen coordinatewise at each
 level.  All values are immutable and hashable.
 """
 
+import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 Rat = Fraction
 
@@ -53,6 +54,11 @@ _SIGNS = tuple(
 )
 
 _SYM = ("", "i", "s2", "i*s2", "s5", "i*s5", "s10", "i*s10")
+
+# One coordinate of the text form: an integer or a fraction of integers, in
+# ASCII digits only, so no exponent, underscore, space or other script can
+# make a short token demand a huge integer.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class KElem:
@@ -87,11 +93,26 @@ class KElem:
 
     @staticmethod
     def from_text(text):
-        """Parse the 8-comma-joined rational form produced by :meth:`to_text`."""
+        """Parse the 8-comma-joined rational form produced by :meth:`to_text`.
+
+        Each part must match ``-?[0-9]+(/[0-9]+)?``; anything else raises
+        ValueError, a zero denominator ZeroDivisionError.
+        """
         parts = text.split(",")
         if len(parts) != _N:
             raise ValueError(f"expected 8 comma-separated rationals, got {len(parts)}")
-        return KElem.from_coords(Fraction(p.strip()) for p in parts)
+        nums = []
+        dens = []
+        for p in parts:
+            m = _RATIONAL.fullmatch(p)
+            if m is None:
+                raise ValueError(f"malformed rational {p!r}")
+            nums.append(int(m[1]))
+            dens.append(int(m[2] or 1))
+        if 0 in dens:
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
+        den = lcm(*dens)
+        return _make([n * (den // d) for n, d in zip(nums, dens)], den)
 
     # -- views -------------------------------------------------------------
 
@@ -103,7 +124,13 @@ class KElem:
     def to_text(self):
         """Canonical textual form: 8 reduced rationals joined by commas."""
         d = self.den
-        return ",".join(str(Fraction(n, d)) for n in self.num)
+        if d == 1:
+            return ",".join(map(str, self.num))
+        out = []
+        for n in self.num:
+            g = gcd(n, d)
+            out.append(str(n // d) if g == d else f"{n // g}/{d // g}")
+        return ",".join(out)
 
     @property
     def is_rational(self):
@@ -277,6 +304,55 @@ class KElem:
         return f"K({self})"
 
 
+def dot(xs, ys):
+    """sum(x * y for x, y in zip(xs, ys)), normalised once.
+
+    The products are accumulated as integer coordinates over the lcm of
+    their denominators, so the whole sum costs one gcd reduction instead of
+    one per product and per addition.  Pairs with a zero factor are skipped.
+    """
+    acc = None  # no product yet
+    den = 1
+    mul = _MUL
+    for x, y in zip(xs, ys):
+        ma = x.mask
+        mb = y.mask
+        if not ma or not mb:
+            continue
+        d = x.den * y.den
+        f = 1
+        if acc is None:
+            acc = [0] * _N
+            den = d
+        elif d != den:
+            g = gcd(den, d)
+            f = den // g  # lcm(den, d) // d
+            if d != g:
+                up = d // g  # lcm(den, d) // den
+                acc = [v * up for v in acc]
+                den *= up
+        a = x.num
+        b = y.num
+        if ma == 1:
+            n0 = a[0] * f
+            for k in _BITS[mb]:
+                acc[k] += n0 * b[k]
+        elif mb == 1:
+            m0 = b[0] * f
+            for j in _BITS[ma]:
+                acc[j] += a[j] * m0
+        else:
+            for j in _BITS[ma]:
+                nj = a[j] * f
+                j8 = j << 3
+                for k in _BITS[mb]:
+                    idx, s = mul[j8 | k]
+                    acc[idx] += s * nj * b[k]
+    if acc is None:
+        return ZERO
+    return _make(acc, den)
+
+
 def _make(nums, den):
     if den < 0:
         den = -den
@@ -289,6 +365,8 @@ def _make(nums, den):
     for j in range(_N):
         if nums[j]:
             mask |= 1 << j
+    if not mask:
+        return ZERO  # one shared zero instead of a fresh object per result
     return KElem(tuple(nums), den, mask)
 
 

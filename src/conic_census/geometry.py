@@ -1,12 +1,17 @@
 """Conics in P^3: canonical forms, residuals, intersection numbers.
 
-A conic is stored as (plane, quadric) in K[z0..z3], both homogeneous.  The
-canonical form makes equality testable: the plane is scaled so its first
-nonzero coefficient (in z0, z1, z2, z3 order) is 1, the quadric is reduced
-modulo the plane by eliminating that pivot variable and then made monic in
-degrevlex.  Two pairs cut out the same conic iff their canonical fields agree,
-because the plane of a plane conic is unique and the reduced quadric is unique
-up to the scalar that monic-ization fixes.
+A conic is a plane b0*z0 + ... + b3*z3 and a quadric sum a_ij*z_i*z_j
+(i <= j) in K[z0..z3].  One canonicaliser works on these 4 + 10 coefficients
+and defines equality: the plane is scaled so its first nonzero coefficient
+(in z0, z1, z2, z3 order) is 1, the quadric is reduced modulo the plane by
+substituting that pivot variable, and the result is made monic in degrevlex.
+Each step is skipped when it would change nothing (a plane already monic, a
+quadric with no pivot-variable terms, a leading coefficient already 1), so
+re-reading canonical records costs little.  Two pairs cut out the same conic
+iff their canonical fields agree, because the plane of a plane conic is
+unique and the reduced quadric is unique up to the scalar that monic-ization
+fixes.  Conics built from polynomials, from certificate records and by the
+group action all pass through it.
 
 Intersection numbers between members of the census follow the plane geometry:
 equal conics have self-intersection -2 (smooth rational curve on a K3),
@@ -17,7 +22,7 @@ decided by a resultant and a proportionality test).
 """
 
 from .errors import CommonComponent, DegenerateConic, NotOnSurface
-from .field import ONE as K1, ZERO as K0, KElem, kelem
+from .field import ONE as K1, ZERO as K0, KElem, dot, kelem
 from .linalg import mat_det, nullspace
 from .poly import DEGREVLEX, Poly, PolyRing, divide_exact
 
@@ -41,32 +46,96 @@ def _pair(i, j):
     return tuple(m)
 
 
-class Conic:
-    """An irreducible-or-not plane conic in canonical form."""
+# (i, j) of each quadric coefficient a_ij in record order, its monomial, and
+# _QIDX[i][j] = record position of a_min(i,j)max(i,j)
+_QUAD_PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
+_QUAD_MONOS = tuple(_pair(i, j) for i, j in _QUAD_PAIRS)
+_PLANE_MONOS = tuple(_unit(i) for i in range(4))
+_QIDX = tuple(
+    tuple(_QUAD_PAIRS.index((min(i, j), max(i, j))) for j in range(4)) for i in range(4)
+)
+# record positions of the quadric coefficients, largest monomial first
+_LEAD_ORDER = tuple(
+    sorted(range(10), key=lambda k: ZRING.key(_QUAD_MONOS[k]), reverse=True)
+)
 
-    __slots__ = ("plane", "quadric", "pivot", "key")
+
+def _canonical(b, a):
+    """(pivot, plane, quadric) in canonical form from 4 + 10 coefficients."""
+    pivot = next((i for i in range(4) if b[i]), None)
+    if pivot is None:
+        raise DegenerateConic("plane must be a nonzero linear form")
+    if not any(a):
+        raise DegenerateConic("quadric must be a nonzero quadratic form")
+    lead = b[pivot]
+    if lead != K1:
+        inv = lead.inverse()
+        b = [x * inv for x in b]
+    row = [a[k] for k in _QIDX[pivot]]  # coefficients of z_pivot * z_j
+    if any(row):
+        # z_pivot -> sum c_j z_j with c = -b off the pivot; writing
+        # t_j = row_j + row_pivot * c_j, a_jk gains c_k t_j + c_j t_k (j < k)
+        # and a_jj gains c_j t_j
+        c = [-x for x in b]
+        c[pivot] = K0
+        rp = row[pivot]
+        t = [dot((row[j], rp), (K1, c[j])) for j in range(4)]
+        red = []
+        for k, (i, j) in enumerate(_QUAD_PAIRS):
+            if i == pivot or j == pivot:
+                red.append(K0)
+            elif i == j:
+                red.append(dot((a[k], t[i]), (K1, c[i])))
+            else:
+                red.append(dot((a[k], t[i], t[j]), (K1, c[j], c[i])))
+        a = red
+    lead = next((a[k] for k in _LEAD_ORDER if a[k]), None)
+    if lead is None:
+        raise DegenerateConic("quadric vanishes on the plane")
+    if lead != K1:
+        inv = lead.inverse()
+        a = [x * inv for x in a]
+    return pivot, tuple(b), tuple(a)
+
+
+class Conic:
+    """An irreducible-or-not plane conic in canonical form.
+
+    coeffs holds the 14 canonical coefficients in record order a00..a33,
+    b0..b3, key their text form; plane and quadric are the same data as
+    polynomials.
+    """
+
+    __slots__ = ("plane", "quadric", "pivot", "coeffs", "key")
 
     def __init__(self, plane, quadric):
         if plane.ring.names != ZRING.names or quadric.ring.names != ZRING.names:
             raise ValueError("conic data must live in K[z0..z3]")
-        if not plane or plane.total_degree() != 1 or not plane.is_homogeneous():
+        if any(sum(m) != 1 for m in plane.terms):
             raise DegenerateConic("plane must be a nonzero linear form")
-        if not quadric or quadric.total_degree() != 2 or not quadric.is_homogeneous():
+        if any(sum(m) != 2 for m in quadric.terms):
             raise DegenerateConic("quadric must be a nonzero quadratic form")
-        plane = Poly(ZRING, plane.terms)
-        quadric = Poly(ZRING, quadric.terms)
-        pivot = min(i for i in range(4) if plane.coeff(_unit(i)))
-        plane = plane * plane.coeff(_unit(pivot)).inverse()
-        q = quadric.substitute(pivot, ZRING.var(pivot) - plane)
-        if not q:
-            raise DegenerateConic("quadric vanishes on the plane")
-        q = q.monic()
-        self.plane = plane
-        self.quadric = q
+        self._set(
+            [plane.coeff(m) for m in _PLANE_MONOS],
+            [quadric.coeff(m) for m in _QUAD_MONOS],
+        )
+
+    def _set(self, b, a):
+        pivot, b, a = _canonical(b, a)
         self.pivot = pivot
-        self.key = tuple(
-            q.coeff(_pair(i, j)).to_text() for i in range(4) for j in range(i, 4)
-        ) + tuple(plane.coeff(_unit(i)).to_text() for i in range(4))
+        self.plane = Poly(ZRING, {m: x for m, x in zip(_PLANE_MONOS, b) if x})
+        self.quadric = Poly(ZRING, {m: x for m, x in zip(_QUAD_MONOS, a) if x})
+        self.coeffs = a + b
+        self.key = tuple(x.to_text() for x in self.coeffs)
+
+    @classmethod
+    def from_coeffs(cls, coeffs):
+        """Canonical conic from 14 coefficients in record order a00..a33, b0..b3."""
+        if len(coeffs) != 14:
+            raise ValueError(f"expected 14 coefficients, got {len(coeffs)}")
+        c = cls.__new__(cls)
+        c._set(coeffs[10:], coeffs[:10])
+        return c
 
     def __eq__(self, other):
         return isinstance(other, Conic) and self.key == other.key
@@ -87,19 +156,7 @@ class Conic:
     def from_fields(cls, fields):
         if len(fields) != 14:
             raise ValueError(f"expected 14 fields, got {len(fields)}")
-        vals = [KElem.from_text(t) for t in fields]
-        qterms = {}
-        pos = 0
-        for i in range(4):
-            for j in range(i, 4):
-                if vals[pos]:
-                    qterms[_pair(i, j)] = vals[pos]
-                pos += 1
-        pterms = {}
-        for i in range(4):
-            if vals[10 + i]:
-                pterms[_unit(i)] = vals[10 + i]
-        return cls(Poly(ZRING, pterms), Poly(ZRING, qterms))
+        return cls.from_coeffs([KElem.from_text(t) for t in fields])
 
     # -- geometry ---------------------------------------------------------------
 
@@ -107,16 +164,11 @@ class Conic:
         """Symmetric 3x3 matrix of the reduced quadric in the non-pivot variables."""
         others = [i for i in range(4) if i != self.pivot]
         half = kelem(1) / kelem(2)
-        m = []
-        for i in others:
-            row = []
-            for j in others:
-                if i == j:
-                    row.append(self.quadric.coeff(_pair(i, i)))
-                else:
-                    row.append(self.quadric.coeff(_pair(min(i, j), max(i, j))) * half)
-            m.append(row)
-        return m
+        a = self.coeffs
+        return [
+            [a[_QIDX[i][j]] if i == j else a[_QIDX[i][j]] * half for j in others]
+            for i in others
+        ]
 
     def is_irreducible(self):
         """Smooth conic test: the 3x3 symmetric matrix is nondegenerate."""
@@ -140,7 +192,7 @@ class Conic:
         return divide_exact(sect, self.quadric)
 
     def plane_coeffs(self):
-        return [self.plane.coeff(_unit(i)) for i in range(4)]
+        return list(self.coeffs[10:])
 
     def point_on_plane_line(self, other):
         """Two independent points spanning the line plane(self) = plane(other) = 0."""

@@ -212,7 +212,7 @@ def s_polynomial(f, g):
     return a - b
 
 
-def buchberger(gens, order=None, budget=None, keep_trace=False):
+def buchberger(gens, order=None, budget=None):
     """Reduced Groebner basis of the ideal generated by gens.
 
     order defaults to the generators' ring order; budget defaults to
@@ -229,7 +229,7 @@ def buchberger(gens, order=None, budget=None, keep_trace=False):
             raise ValueError("generators live in different rings")
     polys = [Poly(ring, g.terms) for g in gens]
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     trace = GroebnerTrace()
     key = ring.key
 
@@ -282,11 +282,13 @@ def buchberger(gens, order=None, budget=None, keep_trace=False):
         total_terms = sum(len(e[3].terms) for e in G)
         trace.terms_max = max(trace.terms_max, total_terms)
         if len(G) > budget.max_basis:
+            trace.seconds = time.perf_counter() - t0
             raise ResourceBudgetExceeded(
                 f"basis size {len(G)} exceeded budget {budget.max_basis}",
                 stats=vars(trace),
             )
         if total_terms > budget.max_terms:
+            trace.seconds = time.perf_counter() - t0
             raise ResourceBudgetExceeded(
                 f"term count {total_terms} exceeded budget {budget.max_terms}",
                 stats=vars(trace),
@@ -304,6 +306,7 @@ def buchberger(gens, order=None, budget=None, keep_trace=False):
         del alive[(i, j)]
         trace.pairs_processed += 1
         if trace.pairs_processed > budget.max_pairs:
+            trace.seconds = time.perf_counter() - t0
             raise ResourceBudgetExceeded(
                 f"pair count exceeded budget {budget.max_pairs}",
                 stats=vars(trace),
@@ -316,7 +319,7 @@ def buchberger(gens, order=None, budget=None, keep_trace=False):
             trace.zero_reductions += 1
 
     basis = _reduce_basis([e[3] for e in G], ring)
-    trace.seconds = time.time() - t0
+    trace.seconds = time.perf_counter() - t0
     return GroebnerBasis(ring, basis, trace)
 
 

@@ -2,34 +2,52 @@
 
 Elements are exact 4x4 matrices over K.  The group is generated by BFS
 closure with exact deduplication, so the element list is deterministic for a
-fixed generator list.  Conics are moved by substituting M*z into their
-equations; the moved conic is the preimage of the original under z -> M*z,
-which composes contravariantly (act(M*N) = act(N) then act(M)).  Orbits and
-stabilizers only ever compare canonical conic keys, so the convention drops
-out of every reported result.
+fixed generator list.  A matrix M moves a conic to its preimage under
+z -> M*z, computed on coefficients: the plane row vector b goes to b*M and
+the quadric z^T U z (U upper triangular, U_ij = a_ij) to z^T M^T U M z, whose
+coefficient on z_k*z_l is W_kl + W_lk for W = M^T U M (W_kk on z_k^2).  This
+is substitution of M*z into both equations, so it composes contravariantly
+(act(M*N) = act(N) then act(M)); the result goes through the one conic
+canonicaliser in geometry.  Orbits and stabilizers only ever compare
+canonical conic keys, so the convention drops out of every reported result.
 """
 
-from .errors import ResourceBudgetExceeded
-from .field import KElem, ONE as K1, kelem
+from itertools import chain
+
+from .errors import ResourceBudgetExceeded, SingularMatrix
+from .field import ZERO as K0, KElem, dot, kelem
 from .geometry import Conic
-from .linalg import mat_inv, mat_mul
-from .poly import substitute_linear
+from .linalg import mat_det, mat_inv, mat_mul
 
 
 class GroupMatrix:
-    """An exact invertible 4x4 matrix over K, hashable by its entries."""
+    """An exact invertible 4x4 matrix over K, hashable by its entries.
 
-    __slots__ = ("rows", "key")
+    invertible caches the determinant test: None until require_invertible()
+    first runs, then its outcome.  A product of two matrices known to be
+    invertible is known to be invertible, since det(MN) = det(M) det(N).
+    """
+
+    __slots__ = ("rows", "key", "invertible")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(kelem(x) for x in r) for r in rows)
-        if len(self.rows) != 4 or any(len(r) != 4 for r in self.rows):
+        rows = [[kelem(x) for x in r] for r in rows]
+        if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("need a 4x4 matrix")
-        self.key = tuple(x for r in self.rows for x in r)
+        self._set(rows)
+
+    def _set(self, rows):
+        # rows: 4 lists of 4 KElems
+        self.rows = tuple(map(tuple, rows))
+        self.key = tuple(chain.from_iterable(rows))
+        self.invertible = None
 
     def __mul__(self, other):
-        return GroupMatrix(mat_mul([list(r) for r in self.rows],
-                                   [list(r) for r in other.rows]))
+        p = GroupMatrix.__new__(GroupMatrix)
+        p._set(mat_mul(self.rows, other.rows))
+        if self.invertible and other.invertible:
+            p.invertible = True
+        return p
 
     def __eq__(self, other):
         return isinstance(other, GroupMatrix) and self.key == other.key
@@ -39,6 +57,13 @@ class GroupMatrix:
 
     def __repr__(self):
         return f"GroupMatrix({[[str(x) for x in r] for r in self.rows]})"
+
+    def require_invertible(self):
+        """Raise SingularMatrix if det = 0; the determinant is taken once."""
+        if self.invertible is None:
+            self.invertible = bool(mat_det(self.rows))
+        if not self.invertible:
+            raise SingularMatrix("group matrix is singular")
 
     def inverse(self):
         return GroupMatrix(mat_inv([list(r) for r in self.rows]))
@@ -66,11 +91,17 @@ class GroupMatrix:
 
 
 def generate_group(gens, max_size=100000):
-    """BFS closure of the generators; deterministic element order."""
+    """BFS closure of the generators; deterministic element order.
+
+    Raises SingularMatrix if a generator is singular; every element is then
+    known to be invertible.
+    """
     gens = list(gens)
+    frontier = [GroupMatrix.identity()]
+    for m in frontier + gens:
+        m.require_invertible()
     seen = {}
     order = []
-    frontier = [GroupMatrix.identity()]
     for m in frontier:
         seen[m.key] = m
         order.append(m)
@@ -104,11 +135,24 @@ def projective_classes(elements):
 
 
 def act_on_conic(m, conic):
-    rows = [list(r) for r in m.rows]
-    return Conic(
-        substitute_linear(conic.plane, rows),
-        substitute_linear(conic.quadric, rows),
+    """The preimage of conic under z -> M*z, in canonical form."""
+    m.require_invertible()
+    cols = tuple(zip(*m.rows))
+    a = conic.coeffs
+    plane = [dot(a[10:], col) for col in cols]
+    upper = (
+        a[0:4],
+        (K0,) + a[4:7],
+        (K0, K0) + a[7:9],
+        (K0, K0, K0, a[9]),
     )
+    um = tuple(zip(*[[dot(u, col) for col in cols] for u in upper]))  # columns of U*M
+    quad = [
+        dot(cols[k], um[k]) if k == l else dot(cols[k] + cols[l], um[l] + um[k])
+        for k in range(4)
+        for l in range(k, 4)
+    ]
+    return Conic.from_coeffs(quad + plane)
 
 
 def orbit_of_conic(gens, conic):

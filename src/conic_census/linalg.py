@@ -1,7 +1,7 @@
 """Small exact linear algebra over K (matrices as lists of KElem rows)."""
 
 from .errors import SingularMatrix
-from .field import ZERO, ONE, kelem
+from .field import ZERO, ONE, dot, kelem
 
 
 def identity(n):
@@ -9,23 +9,8 @@ def identity(n):
 
 
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(p):
-            s = ZERO
-            for k in range(m):
-                if ai[k] and b[k][j]:
-                    s = s + ai[k] * b[k][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def mat_vec(a, v):
-    return [sum((r[k] * v[k] for k in range(len(v)) if r[k] and v[k]), ZERO) for r in a]
+    cols = list(zip(*b))
+    return [[dot(r, c) for c in cols] for r in a]
 
 
 def mat_det(a):

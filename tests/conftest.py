@@ -1,7 +1,8 @@
 """Shared fixtures.
 
-Building the full 800-conic census takes most of a minute, so it runs
-once per session; every test that needs the census reuses the result.
+Building the full 800-conic census is the slowest setup in the suite, so
+it runs once per session; every test that needs the census reuses the
+result.
 """
 
 import time

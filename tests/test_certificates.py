@@ -100,6 +100,23 @@ def test_malformed_field_reports_line(demo):
     assert err.value.field
 
 
+# exponent form, digit separators, padding and non-ASCII digits are outside
+# the -?[0-9]+(/[0-9]+)? token grammar
+HOSTILE_TOKENS = ("1e6000", "3_000", " 3 ", "\u0663")
+
+
+@pytest.mark.parametrize("token", HOSTILE_TOKENS)
+def test_hostile_token_rejected(demo, token):
+    lines = certificate_text(demo).splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("conic "))
+    toks = lines[idx].split(" ")
+    toks[2] = ",".join([token] + toks[2].split(",")[1:])
+    lines[idx] = " ".join(toks)
+    with pytest.raises(ParseError) as err:
+        parse_certificate("\n".join(lines))
+    assert err.value.line == idx + 1
+
+
 def test_short_conic_line(demo):
     lines = certificate_text(demo).splitlines()
     idx = next(i for i, ln in enumerate(lines) if ln.startswith("conic "))

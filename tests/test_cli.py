@@ -1,11 +1,16 @@
 """End-to-end CLI checks, run in process through cli.main."""
 
 import json
+import os
 
 import pytest
 
-from conic_census import cli
+from conic_census import catalog, cli
+from conic_census.certificates import certificate_text, make_certificate
 from conic_census.field import KElem, ONE
+
+# tokens outside the certificate grammar, one of them a non-ASCII digit
+HOSTILE_TOKENS = ("1e6000", "3_000", " 3 ", "\u0663")
 
 
 def test_usage_error_without_command():
@@ -131,3 +136,27 @@ def test_verify_garbage_file(capsys, tmp_path):
 def test_verify_missing_file(capsys, tmp_path):
     rc = cli.main(["verify", "--in", str(tmp_path / "absent.cert")])
     assert rc == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("token", HOSTILE_TOKENS)
+def test_verify_hostile_token_exits_4(capsys, tmp_path, token):
+    c1, c2, c3 = catalog.seed_conics()
+    text = certificate_text(make_certificate("demo", [("A-1", c1), ("A-2", c2)]))
+    lines = text.splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("conic "))
+    toks = lines[idx].split(" ")
+    toks[2] = ",".join([token] + toks[2].split(",")[1:])
+    lines[idx] = " ".join(toks)
+    path = tmp_path / "hostile.cert"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = cli.main(["verify", "--in", str(path)])
+    assert rc == cli.EXIT_PARSE
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_jobs_clamped_to_cpu_count():
+    parser = cli.build_parser()
+    cpus = os.cpu_count() or 1
+    assert parser.parse_args(["fibers", "--jobs", str(cpus + 1000)]).jobs == cpus
+    assert parser.parse_args(["fibers", "--jobs", "0"]).jobs == 1
+    assert parser.parse_args(["fibers"]).jobs == 1

@@ -139,3 +139,48 @@ def test_hashable():
     seen = {ONE: "a", SQRT2: "b"}
     assert seen[kelem(1)] == "a"
     assert seen[SQRT10 / SQRT5] == "b"
+
+
+def _seeded_elements(seed, count):
+    """Elements with zero, integral and rational coordinates over mixed denominators."""
+    import random
+
+    rng = random.Random(seed)
+    out = [ZERO, ONE, -I, kelem(Fraction(-5, 6))]
+    while len(out) < count:
+        coords = [
+            Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 7, 10, 12)))
+            if rng.random() < 0.4
+            else 0
+            for _ in range(8)
+        ]
+        out.append(KElem.from_coords(coords))
+    return out
+
+
+def test_dot_equals_sum_of_products():
+    from conic_census.field import dot
+
+    xs = _seeded_elements(7, 60)
+    ys = _seeded_elements(8, 60)
+    for n in range(0, 60, 3):
+        want = ZERO
+        for x, y in zip(xs[n : n + 7], ys[n : n + 7]):
+            want = want + x * y
+        assert dot(xs[n : n + 7], ys[n : n + 7]) == want
+    assert dot([], []) == ZERO
+
+
+def test_text_form_matches_reduced_fractions():
+    for x in _seeded_elements(9, 80) + [kelem(-3), -SQRT2 / 4]:
+        text = x.to_text()
+        assert text == ",".join(str(c) for c in x.coords())
+        assert KElem.from_text(text) == x
+
+
+@pytest.mark.parametrize(
+    "token", ["1e6000", "3_000", " 3", "3 ", "\u0663", "+3", "1/-2", "0x10", "1.5", ""]
+)
+def test_from_text_accepts_only_plain_rationals(token):
+    with pytest.raises(ValueError):
+        KElem.from_text(",".join([token] + ["0"] * 7))

@@ -47,6 +47,17 @@ def test_degenerate_inputs_rejected():
         Conic(z0**2, z1**2)
     with pytest.raises(DegenerateConic):
         Conic(z0, z1**2 + z2)
+    # the same rejections on the coefficient path (a00..a33, b0..b3)
+    cases = (
+        [ONE] + [ZERO] * 13,  # zero plane
+        [ZERO] * 10 + [ONE, ONE, ZERO, ZERO],  # zero quadric
+        [ZERO, ZERO, ONE] + [ZERO] * 2 + [ONE] + [ZERO] * 4 + [ONE, ONE, ZERO, ZERO],
+    )  # (z0 + z1) * z2 vanishes on z0 + z1 = 0
+    for coeffs in cases:
+        with pytest.raises(DegenerateConic):
+            Conic.from_coeffs(coeffs)
+        with pytest.raises(DegenerateConic):
+            Conic.from_fields([x.to_text() for x in coeffs])
 
 
 def test_fields_round_trip():

@@ -69,10 +69,11 @@ def test_budget_trips(lex2):
     ring, x, y = lex2
     # leads x^2*y and x*y^2 are not coprime, so the pair is processed
     gens = [x**2 * y - 1, x * y**2 - 1]
-    with pytest.raises(ResourceBudgetExceeded):
-        buchberger(gens, budget=Budget(max_pairs=0))
-    with pytest.raises(ResourceBudgetExceeded):
-        buchberger(gens, budget=Budget(max_basis=1))
+    for budget in (Budget(max_pairs=0), Budget(max_basis=1), Budget(max_terms=1)):
+        with pytest.raises(ResourceBudgetExceeded) as err:
+            buchberger(gens, budget=budget)
+        # a budget stop reports the time it spent, not 0.0
+        assert err.value.stats["seconds"] > 0
 
 
 def test_budget_scaled():
@@ -206,6 +207,6 @@ def test_solve_zero_dim_biquadratic():
 def test_trace_counts_work():
     drl = PolyRing(("x", "y"))
     x, y = drl.gens()
-    G = buchberger([x**2 * y - 1, x * y**2 - 1], keep_trace=True)
+    G = buchberger([x**2 * y - 1, x * y**2 - 1])
     assert G.trace is not None
     assert G.trace.pairs_processed > 0

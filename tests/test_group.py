@@ -1,9 +1,13 @@
 """Unit tests for exact matrix groups acting on conics."""
 
+import random
+
 import pytest
 
 from conic_census import catalog
+from conic_census.errors import SingularMatrix
 from conic_census.field import I, ONE, ZERO, kelem
+from conic_census.geometry import Conic
 from conic_census.group import (
     GroupMatrix,
     act_on_conic,
@@ -102,3 +106,48 @@ def test_stabilizer_in_small_group():
     stab = stabilizer(g, c1)
     # scalars act trivially and s3 fixes C1, so everything stabilizes
     assert len(stab) == 8
+
+
+def _assert_same_as_substitution(m, c):
+    from conic_census.poly import substitute_linear
+
+    want = Conic(substitute_linear(c.plane, m.rows), substitute_linear(c.quadric, m.rows))
+    got = act_on_conic(m, c)
+    assert got.key == want.key
+    assert got.plane == want.plane
+    assert got.quadric == want.quadric
+    assert got.pivot == want.pivot
+
+
+def test_coefficient_action_equals_substitution_on_generators():
+    gens = catalog.symmetry_generators() + catalog.kummer_generators()
+    for m in gens:
+        for c in catalog.seed_conics():
+            _assert_same_as_substitution(m, c)
+
+
+def test_coefficient_action_equals_substitution_on_group_sample():
+    G = generate_group(catalog.symmetry_generators())
+    assert len(G) == catalog.GROUP_ORDER
+    assert all(m.invertible for m in G)
+    for m in random.Random(2108).sample(G, 200):
+        for c in catalog.seed_conics():
+            _assert_same_as_substitution(m, c)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+        [[1, I, 2, 0], [0, 1, 0, 3], [1, 1 + I, 2, 3], [0, 0, 1, 1]],
+    ],
+)
+def test_singular_matrix_rejected_by_action(rows):
+    m = GroupMatrix(rows)
+    c1 = catalog.seed_conics()[0]
+    for _ in range(2):  # the cached determinant test still raises
+        with pytest.raises(SingularMatrix):
+            act_on_conic(m, c1)
+    assert m.invertible is False
+    with pytest.raises(SingularMatrix):
+        generate_group([catalog.symmetry_generators()[0], m])
