@@ -136,10 +136,6 @@ def fiber_at(alpha):
     )
 
 
-def _uni(ring, coeffs):
-    return poly_from_uni(ring, ring.n - 1, [kelem(c) for c in coeffs])
-
-
 def degeneration_factors():
     """Coefficient lists (low to high) of the degeneration polynomial factors.
 

@@ -7,7 +7,6 @@ resource budget, 4 a malformed certificate, 64 a usage error.
 
 import argparse
 import json
-import os
 import sys
 
 from . import pipeline
@@ -36,14 +35,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def jobs_count(text):
-    """The --jobs value, clamped to between 1 and the number of CPUs."""
-    return max(1, min(int(text), os.cpu_count() or 1))
-
-
 def _add_common(p):
-    p.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                   help="worker processes for parallel stages (at most the CPU count)")
     p.add_argument("--budget-pairs", type=int, metavar="N",
                    help="raise the Groebner S-pair budget")
     p.add_argument("--budget-terms", type=int, metavar="N",
@@ -122,7 +114,7 @@ def _emit(args, rep, **extra):
 
 
 def _cmd_orbits(args):
-    rep, cert = pipeline.orbit_census(jobs=args.jobs, out=args.out)
+    rep, cert = pipeline.orbit_census(out=args.out)
     counts = [cert.label_counts().get(n, 0) for n in ("C1", "C2", "C3")]
     _emit(args, rep, orbits=counts, total=len(cert.entries))
     if args.format == "text":
@@ -134,7 +126,7 @@ def _cmd_census(args):
     if args.infile:
         cert = read_certificate(args.infile)
     else:
-        _, cert = pipeline.orbit_census(jobs=args.jobs)
+        _, cert = pipeline.orbit_census()
     rep = pipeline.plane_census(cert)
     _emit(args, rep)
     return EXIT_OK
@@ -156,16 +148,14 @@ def _cmd_enumerate(args):
     census = None
     if args.infile:
         census = read_certificate(args.infile).keys()
-    rep, _ = pipeline.enumerate_case(
-        args.case, budget=_budget(args), jobs=args.jobs, census=census
-    )
+    rep, _ = pipeline.enumerate_case(args.case, budget=_budget(args), census=census)
     _emit(args, rep)
     return EXIT_OK
 
 
 def _cmd_gram(args):
     conics = read_certificate(args.infile).conics if args.infile else None
-    rep, rows = pipeline.gram_report(conics=conics, jobs=args.jobs, dot_out=args.dot)
+    rep, rows = pipeline.gram_report(conics=conics, dot_out=args.dot)
     det = mat_det([[kelem(v) for v in row] for row in rows]).as_fraction()
     _emit(args, rep, matrix=rows, det=int(det))
     if args.format == "text":
@@ -183,7 +173,7 @@ def _cmd_kummer(args):
 
 
 def _cmd_verify(args):
-    rep = pipeline.verify_certificate(args.infile, seed=args.seed, jobs=args.jobs)
+    rep = pipeline.verify_certificate(args.infile, seed=args.seed)
     _emit(args, rep)
     return EXIT_OK
 

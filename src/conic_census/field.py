@@ -132,10 +132,6 @@ class KElem:
             out.append(str(n // d) if g == d else f"{n // g}/{d // g}")
         return ",".join(out)
 
-    @property
-    def is_rational(self):
-        return self.mask <= 1
-
     def as_fraction(self):
         if self.mask > 1:
             raise ValueError(f"not rational: {self}")
@@ -265,17 +261,6 @@ class KElem:
         return KElem(
             tuple(s * n for s, n in zip(signs, self.num)), self.den, self.mask
         )
-
-    def galois_images(self):
-        """All 8 Galois images, identity first."""
-        return tuple(self.galois(t) for t in range(_N))
-
-    def norm_to_q(self):
-        """Product of all 8 Galois images, as a Fraction."""
-        p = self
-        for t in range(1, _N):
-            p = p * self.galois(t)
-        return p.as_fraction()
 
     # -- display -------------------------------------------------------------
 
@@ -412,36 +397,6 @@ I_SQRT10 = KElem((0, 0, 0, 0, 0, 0, 0, 1), 1, 128)
 BASIS = (ONE, I, SQRT2, I_SQRT2, SQRT5, I_SQRT5, SQRT10, I_SQRT10)
 
 
-class GaloisMap:
-    """One of the 8 automorphisms of K, a sign choice on (i, s2, s5)."""
-
-    __slots__ = ("t",)
-
-    def __init__(self, t):
-        self.t = t
-
-    @property
-    def signs(self):
-        t = self.t
-        return (-1 if t & 1 else 1, -1 if t & 2 else 1, -1 if t & 4 else 1)
-
-    def __call__(self, x):
-        return kelem(x).galois(self.t)
-
-    def __repr__(self):
-        ei, e2, e5 = self.signs
-        return f"GaloisMap(i->{ei:+d}i, s2->{e2:+d}s2, s5->{e5:+d}s5)"
-
-
-def galois_maps():
-    """The 8 automorphisms of K/Q; index 0 is the identity."""
-    return tuple(GaloisMap(t) for t in range(_N))
-
-
-def complex_conjugation():
-    return GaloisMap(1)
-
-
 # -- square roots via the quadratic tower ------------------------------------
 
 # Tower levels: 0 = Q, 1 = Q(s2), 2 = Q(s2, s5), 3 = K = Q(s2, s5)(i).
@@ -516,17 +471,3 @@ def sqrt_in_k(x):
             return r if r.num[j] > 0 else -r
     return r
 
-
-def square_class(x):
-    """Label d in {1,2,5,10,-1,-2,-5,-10} with x/d a square in K, or None.
-
-    Every nonzero square of K lands in one of these eight rational square
-    classes; returns None when x is not d times a square for any of them.
-    """
-    x = kelem(x)
-    if x.mask == 0:
-        return None
-    for d in (1, 2, 5, 10, -1, -2, -5, -10):
-        if sqrt_in_k(x / d) is not None:
-            return d
-    return None

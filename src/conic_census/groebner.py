@@ -15,7 +15,7 @@ direct lex run on the larger systems.
 
 import heapq
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import (
     NotZeroDimensional,
@@ -27,8 +27,6 @@ from .field import ZERO as K0, ONE as K1, sqrt_in_k
 from .poly import (
     LEX,
     Poly,
-    PolyRing,
-    poly_from_uni,
     uni_coeffs,
     uni_gcd_coeffs,
     _uni_divmod,
@@ -361,39 +359,18 @@ def ideal_membership(p, G):
 def elimination_ideal(G, keep):
     """Generators of the elimination ideal onto the kept variables.
 
-    G must be a Groebner basis in an order that eliminates the complement of
-    keep: lex with keep a trailing segment of the variables, or block(k) with
-    keep exactly the variables after the block.
+    G must be a lex Groebner basis and keep a trailing segment of the
+    variables, so that the order eliminates the complement of keep.
     """
     ring = G.ring
     keep = set(keep)
     n = ring.n
-    if ring.order.kind == "lex":
-        ok = keep and keep == set(range(min(keep), n))
-    elif ring.order.kind == "block":
-        ok = keep == set(range(ring.order.block, n))
-    else:
-        ok = False
-    if not ok:
+    if not (ring.order.kind == "lex" and keep and keep == set(range(min(keep), n))):
         raise OrderNotEliminating(
             f"order {ring.order!r} does not eliminate the complement of {sorted(keep)}"
         )
     drop = set(range(n)) - keep
     return [g for g in G if not (g.variables() & drop)]
-
-
-def radical_membership(p, gens, budget=None):
-    """Rabinowitsch test: p lies in the radical of <gens> iff 1 in <gens, 1-w*p>."""
-    ring = p.ring
-    wring = PolyRing(ring.names + ("w_rad",), ring.order)
-
-    def lift(q):
-        return Poly(wring, {m + (0,): c for m, c in q.terms.items()})
-
-    w = wring.var(wring.n - 1)
-    sys = [lift(g) for g in gens if g] + [wring.one - w * lift(p)]
-    G = buchberger(sys, budget=budget)
-    return G.is_trivial()
 
 
 def _pure_power_bounds(G):
@@ -551,12 +528,6 @@ def fglm(G, order=LEX):
         raise NotZeroDimensional("FGLM walk did not close; basis not zero-dimensional")
     out_polys.sort(key=lambda g: newkey(g.lead_monomial()))
     return GroebnerBasis(ring_new, out_polys, G.trace)
-
-
-def lex_groebner_zero_dim(gens, budget=None):
-    """Reduced lex basis of a zero-dimensional ideal via degrevlex + FGLM."""
-    G = buchberger(gens, order=PolyRing(gens[0].ring.names).order, budget=budget)
-    return fglm(G, LEX)
 
 
 def inline_linear(gens, protect=()):

@@ -8,8 +8,15 @@ the quadric z^T U z (U upper triangular, U_ij = a_ij) to z^T M^T U M z, whose
 coefficient on z_k*z_l is W_kl + W_lk for W = M^T U M (W_kk on z_k^2).  This
 is substitution of M*z into both equations, so it composes contravariantly
 (act(M*N) = act(N) then act(M)); the result goes through the one conic
-canonicaliser in geometry.  Orbits and stabilizers only ever compare
-canonical conic keys, so the convention drops out of every reported result.
+canonicaliser in geometry.  Orbits only ever compare canonical conic keys,
+so the convention drops out of every reported result.
+
+On a finite list of conics closed under the generators, each generator is
+also a permutation of the list positions (one action per generator and
+conic); closing those tuples under composition gives the image of the group
+in the symmetric group of the list, and stabilizers are counted there on
+integers (orbits and permutation images, as in Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005).
 """
 
 from itertools import chain
@@ -175,7 +182,44 @@ def orbit_of_conic(gens, conic):
     return orbit
 
 
-def stabilizer(elements, conic):
-    """Elements fixing the conic setwise (by canonical key)."""
-    key = conic.key
-    return [m for m in elements if act_on_conic(m, conic).key == key]
+def generator_permutations(gens, conics):
+    """Each generator as a tuple of positions in conics, or None.
+
+    Entry i of a generator's tuple is the position of act_on_conic(g,
+    conics[i]); None when some image is not in the list.
+    """
+    index = {c.key: i for i, c in enumerate(conics)}
+    perms = []
+    for g in gens:
+        perm = tuple(index.get(act_on_conic(g, c).key) for c in conics)
+        if None in perm:
+            return None
+        perms.append(perm)
+    return perms
+
+
+def permutation_closure(perms, max_size=100000):
+    """BFS closure of permutation tuples under composition, identity first.
+
+    The product of p by a generator g maps i to g[p[i]]: act by p, then by g,
+    as generate_group multiplies m * g.
+    """
+    identity = tuple(range(len(perms[0])))
+    seen = {identity}
+    order = [identity]
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in perms:
+                q = tuple(map(g.__getitem__, p))
+                if q not in seen:
+                    seen.add(q)
+                    order.append(q)
+                    nxt.append(q)
+                    if len(order) > max_size:
+                        raise ResourceBudgetExceeded(
+                            f"permutation closure exceeded {max_size} elements"
+                        )
+        frontier = nxt
+    return order

@@ -5,15 +5,9 @@ a failed check raises VerificationFailed (the exception carries the report
 so callers can still print it), which keeps the library usable both from
 tests and from the command line: the CLI prints the per-check lines and
 maps the exception onto its exit status.
-
-The heavy stages (orbit closure, stabilizer scans, per-conic verification,
-pairwise intersections) are independent work items; parallel_map runs them
-across processes when jobs > 1 and inline otherwise.
 """
 
 import functools
-import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import random
@@ -46,7 +40,9 @@ from .group import (
     GroupMatrix,
     act_on_conic,
     generate_group,
+    generator_permutations,
     orbit_of_conic,
+    permutation_closure,
     projective_classes,
 )
 from .linalg import mat_det
@@ -116,23 +112,6 @@ class Report:
             ],
         }
 
-    def as_json(self):
-        return json.dumps(self.as_dict(), indent=2)
-
-
-def _chunks(items, n):
-    size = (len(items) + n - 1) // n
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def parallel_map(fn, items, jobs=1):
-    """Map fn over items, across processes when jobs > 1."""
-    items = list(items)
-    if jobs and jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
-    return [fn(x) for x in items]
-
 
 @functools.lru_cache(maxsize=1)
 def _surface():
@@ -141,12 +120,6 @@ def _surface():
 
 def _conic_valid(conic):
     return conic.is_irreducible() and conic.on_surface(_surface())
-
-
-def _stabilizer_chunk(args):
-    elements, conic = args
-    key = conic.key
-    return [m for m in elements if act_on_conic(m, conic).key == key]
 
 
 @functools.lru_cache(maxsize=1)
@@ -177,13 +150,17 @@ def census_orbit_labels():
 # -- orbit census ------------------------------------------------------------
 
 
-def orbit_census(jobs=1, out=None):
-    """Generate the full census by orbit closure and certify it.
+def orbit_census(out=None):
+    """Certify the census computed by orbit closure.
 
     Returns (report, certificate); writes the certificate to `out` when a
-    path is given.  Checks: group order and projective class count, the
-    three orbit sizes, pairwise disjointness, irreducibility and surface
-    containment of every conic, and the stabilizer orders.
+    path is given and every check passed.  Checks: group order and
+    projective class count, the three orbit sizes, pairwise disjointness,
+    irreducibility and surface containment of every conic, closure of the
+    census under the generators, and the stabilizer orders.  Stabilizers
+    are counted in the permutation image P of the group on the census: the
+    action is faithful modulo scalars when |P| is the projective order, and
+    each element of P lifts to |G| / |P| matrices.
     """
     rep = Report("orbit census")
     f = _surface()
@@ -201,7 +178,7 @@ def orbit_census(jobs=1, out=None):
 
     seeds = catalog.seed_conics()
     names = ("C1", "C2", "C3")
-    orbits = [orbit_of_conic(gens, c) for c in seeds]
+    orbits = list(_census_orbits().values())
     sizes = tuple(len(o) for o in orbits)
     rep.add(
         "orbit sizes",
@@ -219,23 +196,28 @@ def orbit_census(jobs=1, out=None):
     rep.add("census size", total == catalog.CENSUS_SIZE, f"{total}")
 
     conics = [c for o in orbits for c in o.values()]
-    valid = parallel_map(_conic_valid, conics, jobs)
-    rep.add("all conics irreducible and on the surface", all(valid), f"{len(conics)} checked")
+    valid = all(_conic_valid(c) for c in conics)
+    rep.add("all conics irreducible and on the surface", valid, f"{len(conics)} checked")
 
+    perms = generator_permutations(gens, conics)
+    rep.add("census closed under every generator", perms is not None, f"{len(gens)} generators")
+    P = permutation_closure(perms) if perms else []
+    rep.add(
+        "action on the census modulo scalars",
+        len(P) == catalog.PROJECTIVE_ORDER,
+        f"{len(P)} permutations",
+    )
+    lift = len(G) // len(P) if P else 0
+    label = {c.key: i for i, c in enumerate(conics)}
     for name, seed, want in zip(names, seeds, catalog.SEED_STABILIZER_ORDERS):
-        if jobs and jobs > 1:
-            parts = parallel_map(
-                _stabilizer_chunk, [(ch, seed) for ch in _chunks(G, 4 * jobs)], jobs
-            )
-            stab = [m for part in parts for m in part]
-        else:
-            stab = _stabilizer_chunk((G, seed))
-        proj = len({m.projective_key() for m in stab})
+        pos = label[seed.key]  # each seed starts its own orbit
+        order = sum(1 for p in P if p[pos] == pos)
         rep.add(
             f"stabilizer of {name}",
-            proj == want and len(stab) == want * 4,
-            f"order {proj} ({len(stab)} matrices)",
+            order == want and order * lift == want * 4,
+            f"order {order} ({order * lift} matrices)",
         )
+    rep.require()
 
     meta = [("orbit", f"{name} {len(o)}") for name, o in zip(names, orbits)]
     meta += [
@@ -253,7 +235,6 @@ def orbit_census(jobs=1, out=None):
     cert = make_certificate("orbit-census", entries, meta)
     if out is not None:
         write_certificate(cert, out)
-    rep.require()
     return rep, cert
 
 
@@ -606,7 +587,7 @@ def fiber_survey(budget=None, census=None):
 # -- ansatz enumeration ------------------------------------------------------
 
 
-def enumerate_case(case, budget=None, jobs=1, census=None):
+def enumerate_case(case, budget=None, census=None):
     """Enumerate splitting planes for one ansatz case and verify the counts.
 
     Cases ii and iii run to completion under the default budget.  Case i
@@ -682,8 +663,7 @@ def enumerate_case(case, budget=None, jobs=1, census=None):
         len(planes) == catalog.EXPECTED_PLANES[case],
         f"{len(planes)}",
     )
-    valid = parallel_map(_conic_valid, conics, jobs)
-    rep.add("conics irreducible and on the surface", all(valid))
+    rep.add("conics irreducible and on the surface", all(_conic_valid(c) for c in conics))
     keys = census if census is not None else census_keys()
     rep.add(
         "all conics appear in the orbit census",
@@ -696,24 +676,14 @@ def enumerate_case(case, budget=None, jobs=1, census=None):
 # -- Gram matrix -------------------------------------------------------------
 
 
-def gram_matrix(conics, jobs=1):
+def gram_matrix(conics):
     """Pairwise intersection matrix of a list of conics on the surface."""
     n = len(conics)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    if jobs and jobs > 1:
-        vals = parallel_map(
-            _gram_entry, [(conics[i], conics[j]) for i, j in pairs], jobs
-        )
-    else:
-        vals = [_gram_entry((conics[i], conics[j])) for i, j in pairs]
     rows = [[0] * n for _ in range(n)]
-    for (i, j), v in zip(pairs, vals):
-        rows[i][j] = rows[j][i] = v
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = intersection_number(conics[i], conics[j])
     return rows
-
-
-def _gram_entry(pair):
-    return intersection_number(pair[0], pair[1])
 
 
 def _permutation_match(got, want):
@@ -760,7 +730,7 @@ def dot_graph(rows, name="gram"):
     return "\n".join(lines) + "\n"
 
 
-def gram_report(conics=None, jobs=1, dot_out=None):
+def gram_report(conics=None, dot_out=None):
     """Intersection Gram matrix of the 20 spanning conics with determinant.
 
     Checks self-intersections -2, off-diagonal entries in {0, 1}, the
@@ -771,7 +741,7 @@ def gram_report(conics=None, jobs=1, dot_out=None):
     if conics is None:
         conics = load_packaged(NS_BASIS_FILE).conics
     n = len(conics)
-    rows = gram_matrix(conics, jobs=jobs)
+    rows = gram_matrix(conics)
     rep.add("self intersections are -2", all(rows[i][i] == -2 for i in range(n)))
     rep.add(
         "off-diagonal entries in {0, 1}",
@@ -796,7 +766,7 @@ def gram_report(conics=None, jobs=1, dot_out=None):
             moved = [act_on_conic(m, c) for c in conics]
             rep.add(
                 f"Gram matrix invariant under generator {i}",
-                gram_matrix(moved, jobs=jobs) == rows,
+                gram_matrix(moved) == rows,
             )
     if dot_out is not None:
         with open(dot_out, "w", encoding="ascii") as fh:
@@ -865,7 +835,7 @@ def kummer_report(conics=None, generators=None, census=None):
 # -- certificate verification ------------------------------------------------
 
 
-def verify_certificate(source, seed=DEFAULT_SEED, jobs=1):
+def verify_certificate(source, seed=DEFAULT_SEED):
     """Re-verify a certificate file from its contents alone.
 
     Checks canonical parsing (done by the reader), irreducibility and
@@ -878,8 +848,7 @@ def verify_certificate(source, seed=DEFAULT_SEED, jobs=1):
     rep = Report("certificate verification")
     conics = cert.conics
     rep.add("parsed in canonical form", True, f"{len(conics)} conics, kind {cert.kind}")
-    valid = parallel_map(_conic_valid, conics, jobs)
-    rep.add("all conics irreducible and on the surface", all(valid))
+    rep.add("all conics irreducible and on the surface", all(_conic_valid(c) for c in conics))
 
     declared = {}
     for value in cert.meta_values("orbit"):

@@ -1,9 +1,8 @@
 """Sparse multivariate polynomials over K (Q is the rational sub-case).
 
 Monomials are exponent tuples; a polynomial is a dict monomial -> KElem in a
-PolyRing that fixes variable names and a monomial order.  Three orders are
-supported: lex, degrevlex, and block(k) which eliminates the first k
-variables (degrevlex inside each block).  Term iteration is always in
+PolyRing that fixes variable names and a monomial order, lex or degrevlex.
+Term iteration is always in
 decreasing monomial order.  Polynomials are immutable by convention: term
 dicts are never mutated after construction.
 """
@@ -14,51 +13,34 @@ from .linalg import mat_det
 
 
 class MonomialOrder:
-    """A monomial order: key(m) grows with the monomial.
+    """A monomial order, "lex" or "degrevlex": key(m) grows with the monomial."""
 
-    kind is one of "lex", "degrevlex", "block"; block carries the size k of
-    the eliminated leading variable block.
-    """
+    __slots__ = ("kind",)
 
-    __slots__ = ("kind", "block")
-
-    def __init__(self, kind, block=0):
-        if kind not in ("lex", "degrevlex", "block"):
+    def __init__(self, kind):
+        if kind not in ("lex", "degrevlex"):
             raise ValueError(f"unknown order kind {kind!r}")
-        if kind == "block" and block <= 0:
-            raise ValueError("block order needs a positive block size")
         self.kind = kind
-        self.block = block
 
     def key_fn(self):
         if self.kind == "lex":
             return lambda m: m
-        if self.kind == "degrevlex":
-            return _drl_key
-        k = self.block
-        return lambda m: (_drl_key(m[:k]), _drl_key(m[k:]))
+        return _drl_key
 
     def negkey_fn(self):
         # Mirror image of key_fn, for min-heaps that must pop the largest.
         if self.kind == "lex":
             return lambda m: tuple(-e for e in m)
-        if self.kind == "degrevlex":
-            return _drl_negkey
-        k = self.block
-        return lambda m: (_drl_negkey(m[:k]), _drl_negkey(m[k:]))
+        return _drl_negkey
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.block == other.block
-        )
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __hash__(self):
-        return hash((self.kind, self.block))
+        return hash(self.kind)
 
     def __repr__(self):
-        return f"block({self.block})" if self.kind == "block" else self.kind
+        return self.kind
 
 
 def _drl_key(m):
@@ -71,10 +53,6 @@ def _drl_negkey(m):
 
 LEX = MonomialOrder("lex")
 DEGREVLEX = MonomialOrder("degrevlex")
-
-
-def block_order(k):
-    return MonomialOrder("block", k)
 
 
 class PolyRing:
@@ -664,9 +642,3 @@ def uni_lcm(p, q, i):
     r = divide_exact(p * q, g)
     return r.monic()
 
-
-def uni_eval(coeffs, x):
-    acc = K0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

@@ -1,7 +1,6 @@
 """End-to-end CLI checks, run in process through cli.main."""
 
 import json
-import os
 
 import pytest
 
@@ -154,9 +153,15 @@ def test_verify_hostile_token_exits_4(capsys, tmp_path, token):
     assert "parse error" in capsys.readouterr().err
 
 
-def test_jobs_clamped_to_cpu_count():
-    parser = cli.build_parser()
-    cpus = os.cpu_count() or 1
-    assert parser.parse_args(["fibers", "--jobs", str(cpus + 1000)]).jobs == cpus
-    assert parser.parse_args(["fibers", "--jobs", "0"]).jobs == 1
-    assert parser.parse_args(["fibers"]).jobs == 1
+def test_jobs_flag_is_gone():
+    with pytest.raises(SystemExit) as err:
+        cli.main(["orbits", "--jobs", "2"])
+    assert err.value.code == cli.EXIT_USAGE
+
+
+def test_failed_orbits_writes_no_certificate(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(catalog, "SEED_STABILIZER_ORDERS", (12, 12, 5))
+    out = tmp_path / "census.cert"
+    assert cli.main(["orbits", "--out", str(out)]) == cli.EXIT_VERIFICATION
+    assert "stabilizer of C3" in capsys.readouterr().err
+    assert not out.exists()

@@ -89,25 +89,6 @@ def test_str_uses_radical_names():
     assert str(ZERO) == "0"
 
 
-def test_galois_images():
-    # the eight automorphisms fix Q and permute sign choices on i, s2, s5
-    images = SQRT2.galois_images()
-    assert len(images) == 8
-    assert sorted(str(v) for v in images) == ["-s2"] * 4 + ["s2"] * 4
-    a = (ONE + SQRT2) * (SQRT5 + I)
-    b = SQRT10 - 3 * I
-    for t in range(8):
-        assert (a * b).galois(t) == a.galois(t) * b.galois(t)
-        assert (a + b).galois(t) == a.galois(t) + b.galois(t)
-
-
-def test_norm_to_q():
-    assert SQRT2.norm_to_q() == Fraction(16)
-    assert (ONE + I).norm_to_q() == Fraction(16)
-    assert ONE.norm_to_q() == Fraction(1)
-    assert kelem(Fraction(1, 2)).norm_to_q() == Fraction(1, 256)
-
-
 def test_sqrt_in_k():
     cases = {
         2: SQRT2,

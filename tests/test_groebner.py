@@ -13,9 +13,7 @@ from conic_census.groebner import (
     ideal_membership,
     inline_linear,
     is_groebner,
-    lex_groebner_zero_dim,
     normal_form,
-    radical_membership,
     restore_inlined,
     s_polynomial,
     solve_zero_dim,
@@ -118,14 +116,6 @@ def test_fglm_matches_direct_lex():
     assert [str(g) for g in via_fglm.polys] == ["z", "y^2 - 1/2", "x - y"]
 
 
-def test_lex_groebner_zero_dim_helper():
-    drl = PolyRing(("x", "y"))
-    x, y = drl.gens()
-    G = lex_groebner_zero_dim([x**2 - 2, y - x])
-    assert G.ring.order == LEX
-    assert zero_dim_degree(G) == 2
-
-
 def test_elimination_ideal():
     drl = PolyRing(("x", "y", "z"))
     x, y, z = drl.gens()
@@ -141,13 +131,6 @@ def test_ideal_membership(lex2):
     G = buchberger([x])
     assert ideal_membership(x**2 + x, G)
     assert not ideal_membership(y, G)
-
-
-def test_radical_membership(lex2):
-    ring, x, y = lex2
-    assert radical_membership(x, [x**2])
-    assert not radical_membership(x + 1, [x**2])
-    assert radical_membership(x + y, [(x + y) ** 3, y * (x + y)])
 
 
 def test_inline_linear_round_trip():

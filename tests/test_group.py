@@ -5,16 +5,18 @@ import random
 import pytest
 
 from conic_census import catalog
-from conic_census.errors import SingularMatrix
+from conic_census.certificates import KUMMER_FILE, load_packaged
+from conic_census.errors import ResourceBudgetExceeded, SingularMatrix
 from conic_census.field import I, ONE, ZERO, kelem
 from conic_census.geometry import Conic
 from conic_census.group import (
     GroupMatrix,
     act_on_conic,
     generate_group,
+    generator_permutations,
     orbit_of_conic,
+    permutation_closure,
     projective_classes,
-    stabilizer,
 )
 
 
@@ -56,8 +58,6 @@ def test_generate_group_small():
 
 
 def test_generate_group_size_cap():
-    from conic_census.errors import ResourceBudgetExceeded
-
     gens = catalog.symmetry_generators()
     with pytest.raises(ResourceBudgetExceeded):
         generate_group(gens, max_size=100)
@@ -98,14 +98,39 @@ def test_orbit_under_sign_flips():
     assert len(orbit) == 2
 
 
-def test_stabilizer_in_small_group():
-    s3 = catalog.symmetry_generators()[2]
-    ie = GroupMatrix([[I, 0, 0, 0], [0, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I]])
-    g = generate_group([s3, ie])
-    c1 = catalog.seed_conics()[0]
-    stab = stabilizer(g, c1)
-    # scalars act trivially and s3 fixes C1, so everything stabilizes
-    assert len(stab) == 8
+def test_kummer_permutation_image_matches_matrix_scan():
+    gens = catalog.kummer_generators()
+    conics = load_packaged(KUMMER_FILE).conics
+    P = permutation_closure(generator_permutations(gens, conics))
+    assert len(P) == catalog.KUMMER_PROJECTIVE_ORDER == 32
+    assert P[0] == tuple(range(16))
+    H = generate_group(gens)
+    assert len(H) == catalog.KUMMER_GROUP_ORDER == 128
+    # the permutation of every matrix, from one action per (matrix, conic)
+    index = {c.key: i for i, c in enumerate(conics)}
+    direct = [tuple(index[act_on_conic(m, c).key] for c in conics) for m in H]
+    assert set(direct) == set(P)
+    lift = len(H) // len(P)
+    for i in range(len(conics)):
+        fixing = sum(1 for p in P if p[i] == i)
+        assert fixing * lift == sum(1 for d in direct if d[i] == i)
+    fixer = [m for m, d in zip(H, direct) if d == P[0]]
+    assert sum(1 for p in P if p == P[0]) * lift == len(fixer) == catalog.KUMMER_FIXER_ORDER
+
+
+def test_generator_permutations_need_a_closed_list():
+    gens = catalog.kummer_generators()
+    conics = load_packaged(KUMMER_FILE).conics
+    assert generator_permutations(gens, conics[:-1]) is None
+
+
+def test_permutation_closure_size_cap():
+    perms = generator_permutations(
+        catalog.kummer_generators(), load_packaged(KUMMER_FILE).conics
+    )
+    assert len(permutation_closure(perms, max_size=32)) == 32
+    with pytest.raises(ResourceBudgetExceeded):
+        permutation_closure(perms, max_size=31)
 
 
 def _assert_same_as_substitution(m, c):

@@ -39,11 +39,28 @@ def test_report_as_dict():
     assert doc["checks"][0]["name"] == "check"
 
 
-def test_parallel_map_matches_serial():
-    conics = list(catalog.seed_conics())
-    serial = pipeline.parallel_map(pipeline._conic_valid, conics, jobs=1)
-    forked = pipeline.parallel_map(pipeline._conic_valid, conics, jobs=2)
-    assert serial == forked == [True, True, True]
+def test_failed_census_writes_no_certificate(monkeypatch, tmp_path):
+    monkeypatch.setattr(catalog, "SEED_STABILIZER_ORDERS", (12, 12, 5))
+    out = tmp_path / "census.cert"
+    with pytest.raises(VerificationFailed) as err:
+        pipeline.orbit_census(out=str(out))
+    assert err.value.report.first_failure() == "stabilizer of C3"
+    assert not out.exists()
+
+
+def test_one_census_per_process(monkeypatch):
+    calls = []
+    orbit_of_conic = pipeline.orbit_of_conic
+
+    def counted(gens, conic):
+        calls.append(conic.key)
+        return orbit_of_conic(gens, conic)
+
+    monkeypatch.setattr(pipeline, "orbit_of_conic", counted)
+    pipeline._census_orbits.cache_clear()
+    pipeline.orbit_census()
+    pipeline.kummer_report()
+    assert len(calls) == 3
 
 
 def test_singular_parameter_locus():

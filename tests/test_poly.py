@@ -10,7 +10,6 @@ from conic_census.poly import (
     LEX,
     Poly,
     PolyRing,
-    block_order,
     compress_variables,
     divide_exact,
     poly_from_uni,
@@ -67,12 +66,6 @@ def test_lex_leading_monomial():
     x, y, z = ring.gens()
     assert (x * y**3 + y * z**5).lead_monomial() == (1, 3, 0)
     assert (x + y**9).lead_monomial() == (1, 0, 0)
-
-
-def test_block_order_separates_blocks():
-    ring = PolyRing(("x", "y"), block_order(1))
-    x, y = ring.gens()
-    assert (x + y**5).lead_monomial() == (1, 0)
 
 
 def test_str_rendering(xyz):
