@@ -16,21 +16,60 @@ Layout:
     ...
 
 Round trips are bit exact: read(write(cert)) == cert, including metadata
-order.  Reading re-validates that every record is in canonical form and
-raises ParseError with line and field diagnostics otherwise.
+order.  Reading re-validates that every record is in canonical form, that
+the count and the metadata the verifier reads (orbit, generator, seed) are
+well formed, and raises ParseError with line and field diagnostics
+otherwise.
 """
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 
 from .errors import CensusError, ParseError
 from .field import KElem
 from .geometry import Conic, RECORD_FIELDS
+from .group import GroupMatrix
 
 HEADER = "conic-census certificate 1"
 
 # line keywords that terminate or structure the metadata block
 _RESERVED = ("conic", "count", "kind")
+
+# counts and orbit sizes: ASCII digits only, so no sign, underscore, padding
+# or other script is taken the way int() would take it
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _count(text):
+    if _DIGITS.fullmatch(text) is None:
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
+def orbit_value(value):
+    """(label, size) from the value of an ``orbit`` metadata line."""
+    tokens = value.split()
+    if len(tokens) != 2:
+        raise ValueError("orbit takes a label and a size")
+    return tokens[0], _count(tokens[1])
+
+
+def generator_value(value):
+    """The matrix of a ``generator`` metadata line (16 fields, row by row)."""
+    return GroupMatrix.from_fields(value.split())
+
+
+def seed_value(value):
+    """(label, Conic) from the value of a ``seed`` metadata line."""
+    tokens = value.split()
+    if len(tokens) != 1 + len(RECORD_FIELDS):
+        raise ValueError(f"seed takes a label and {len(RECORD_FIELDS)} fields")
+    return tokens[0], Conic.from_fields(tokens[1:])
+
+
+# metadata keys whose values the verifier reads, checked when parsed
+_TYPED_META = {"orbit": orbit_value, "generator": generator_value, "seed": seed_value}
 
 
 @dataclass(frozen=True)
@@ -157,8 +196,8 @@ def parse_certificate(text: str) -> ConicCertificate:
             if declared is not None:
                 raise ParseError("duplicate count line", line=lineno)
             try:
-                declared = int(tokens[1])
-            except (ValueError, IndexError):
+                declared = _count(" ".join(tokens[1:]))
+            except ValueError:
                 raise ParseError("count takes one integer", line=lineno) from None
         elif word == "conic":
             if declared is None:
@@ -173,7 +212,14 @@ def parse_certificate(text: str) -> ConicCertificate:
                 raise ParseError(
                     f"metadata line {word!r} after count line", line=lineno
                 )
-            meta.append((word, line[len(word) + 1 :]))
+            value = line[len(word) + 1 :]
+            typed = _TYPED_META.get(word)
+            if typed is not None:
+                try:
+                    typed(value)
+                except (ValueError, ZeroDivisionError, CensusError) as exc:
+                    raise ParseError(f"malformed {word} line: {exc}", line=lineno) from None
+            meta.append((word, value))
     if kind is None:
         raise ParseError("missing kind line")
     if declared is None:

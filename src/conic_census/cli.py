@@ -17,7 +17,7 @@ from .errors import (
     ResourceBudgetExceeded,
     VerificationFailed,
 )
-from .groebner import DEFAULT_BUDGET, Budget
+from .groebner import DEFAULT_BUDGET, Budget, GroebnerTrace
 from .linalg import mat_det
 from .field import kelem
 
@@ -203,6 +203,10 @@ def main(argv=None):
         return EXIT_VERIFICATION
     except ResourceBudgetExceeded as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
+        if exc.stats:
+            # the Groebner work spent before the stop
+            for line in GroebnerTrace(**exc.stats).lines():
+                print(f"  {line}", file=sys.stderr)
         print(
             "raise --budget-pairs and --budget-terms to continue; "
             "case (i) needs a far larger budget and hours of runtime",

@@ -13,18 +13,38 @@ unique and the reduced quadric is unique up to the scalar that monic-ization
 fixes.  Conics built from polynomials, from certificate records and by the
 group action all pass through it.
 
+The plane section of a surface f = 0 is worked out in coefficient form.  On
+the plane the pivot variable is z_p = L = -sum b_j z_j (j != p), so the
+section is a ternary form in the other three variables, held as a dense
+coefficient list in descending degrevlex order: writing f = sum_e g_e z_p^e,
+it is sum_e g_e * L^e, with only the powers of L that f uses formed.  The
+conic lies on the surface iff its reduced quadric Q, which is monic, divides
+the section S: the quotient R comes from a triangular solve, largest
+monomial first (each coefficient of R is one coefficient of S minus products
+with coefficients of R already known, so no inverse is needed), and is
+accepted only if Q * R equals S on every coefficient.  R is the quadric of
+the residual conic.  Monomial-index tables (per degree) drive every product,
+and each output coefficient costs one normalised dot product (field.dot).
+
 Intersection numbers between members of the census follow the plane geometry:
 equal conics have self-intersection -2 (smooth rational curve on a K3),
 coplanar distinct conics meet with multiplicity 4 (Bezout in their plane), and
 conics in distinct planes meet only along the common line, where the count is
-the degree of the gcd of the two restricted binary quadratics (0, 1 or 2,
-decided by a resultant and a proportionality test).
+the degree of the gcd of the two restricted binary quadratics (0, 1 or 2).
+The restrictions come straight from the quadric coefficients: on the line
+u*s + v*t, sum a_ij z_i z_j has coefficients sum a_ij s_i s_j,
+sum a_ij (s_i t_j + s_j t_i) and sum a_ij t_i t_j.  With m01, m02, m12 the
+2x2 minors of the two coefficient rows, the resultant is m02^2 - m01*m12: a
+nonzero resultant means no common point (0), all three minors zero means
+proportional quadratics (2), anything else one common point (1).
 """
 
-from .errors import CommonComponent, DegenerateConic, NotOnSurface
+import functools
+
+from .errors import CommonComponent, DegenerateConic, NotOnSurface, RingMismatch
 from .field import ONE as K1, ZERO as K0, KElem, dot, kelem
 from .linalg import mat_det, nullspace
-from .poly import DEGREVLEX, Poly, PolyRing, divide_exact
+from .poly import DEGREVLEX, Poly, PolyRing
 
 ZRING = PolyRing(("z0", "z1", "z2", "z3"), DEGREVLEX)
 
@@ -57,6 +77,96 @@ _QIDX = tuple(
 # record positions of the quadric coefficients, largest monomial first
 _LEAD_ORDER = tuple(
     sorted(range(10), key=lambda k: ZRING.key(_QUAD_MONOS[k]), reverse=True)
+)
+
+
+# -- dense ternary forms ------------------------------------------------------
+#
+# On the plane of a conic the pivot variable is gone, so plane sections and
+# reduced quadrics are forms in the other three variables, kept in order.  A
+# dense ternary form of degree d is the list of its coefficients on
+# _monos(d)[0], largest monomial first in degrevlex (which is the order of the
+# four-variable monomials without the pivot).
+
+
+def _add(u, v):
+    return tuple(x + y for x, y in zip(u, v))
+
+
+@functools.cache
+def _monos(d):
+    """(ternary exponent triples of degree d, largest first; triple -> index)."""
+    monos = sorted(
+        ((a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)),
+        key=ZRING.key,
+        reverse=True,
+    )
+    return tuple(monos), {m: k for k, m in enumerate(monos)}
+
+
+@functools.cache
+def _product_table(d1, d2):
+    """Per monomial of degree d1 + d2: index tuples (is, js) of its factor pairs."""
+    out = [([], []) for _ in _monos(d1 + d2)[0]]
+    index = _monos(d1 + d2)[1]
+    for i, u in enumerate(_monos(d1)[0]):
+        for j, v in enumerate(_monos(d2)[0]):
+            ii, jj = out[index[_add(u, v)]]
+            ii.append(i)
+            jj.append(j)
+    return tuple((tuple(ii), tuple(jj)) for ii, jj in out)
+
+
+def _mul(a, da, b, db):
+    """Product of dense ternary forms a (degree da) and b (degree db)."""
+    return [
+        dot([a[i] for i in ii], [b[j] for j in jj])
+        for ii, jj in _product_table(da, db)
+    ]
+
+
+@functools.cache
+def _division_table(d, lead):
+    """Steps solving S = Q * R for R, degrees d and 2, Q monic at monomial lead.
+
+    Returns (solve, check).  solve has one (n, qs, rs) per monomial of R,
+    largest first: R_r = S_n - sum Q_q R_r' over q in qs, r' in rs, where every
+    q is below the lead (Q is zero above it) so every r' comes before r.
+    check lists (n, is, js) for the coefficients of S that solve did not use,
+    where S_n must equal sum Q_i R_j.
+    """
+    qmonos = _monos(2)[0]
+    lm = qmonos[lead]
+    rmonos, rindex = _monos(d - 2)
+    sindex = _monos(d)[1]
+    solve = []
+    for r in rmonos:
+        qs, rs = [], []
+        for qi, q in enumerate(qmonos):
+            r2 = tuple(a + b - c for a, b, c in zip(r, lm, q))
+            if ZRING.key(q) < ZRING.key(lm) and min(r2) >= 0:
+                qs.append(qi)
+                rs.append(rindex[r2])
+        solve.append((sindex[_add(r, lm)], tuple(qs), tuple(rs)))
+    used = {n for n, _, _ in solve}
+    check = tuple(
+        (n, ii, jj)
+        for n, (ii, jj) in enumerate(_product_table(2, d - 2))
+        if n not in used
+    )
+    return tuple(solve), check
+
+
+# _OTHERS[p]: the variables other than z_p, the ternary variables of a plane
+# with pivot p; _TERNARY_QUAD[p]: record positions of a quadric's coefficients
+# on _monos(2) in those variables
+_OTHERS = tuple(tuple(j for j in range(4) if j != p) for p in range(4))
+_TERNARY_QUAD = tuple(
+    tuple(
+        _QIDX[i][j]
+        for i, j in ([o[k] for k in range(3) for _ in range(m[k])] for m in _monos(2)[0])
+    )
+    for o in _OTHERS
 )
 
 
@@ -186,10 +296,31 @@ class Conic:
         return Conic(self.plane, q)
 
     def _section_quotient(self, f):
-        sect = f.substitute(self.pivot, ZRING.var(self.pivot) - self.plane)
-        if not sect:
+        """The form q with f|plane = quadric * q, or None if there is none.
+
+        The section is divided by the monic reduced quadric with a triangular
+        solve in descending degrevlex order; the quotient is accepted only if
+        quadric * q reproduces every coefficient of the section.
+        """
+        d = _degree(f)
+        if d < 2:
             return None
-        return divide_exact(sect, self.quadric)
+        p = self.pivot
+        sect = _section(f, d, p, self.coeffs[10:])
+        if not any(sect):
+            return None
+        quad = [self.coeffs[k] for k in _TERNARY_QUAD[p]]
+        lead = next(k for k, x in enumerate(quad) if x)  # canonical: quad[lead] == 1
+        solve, check = _division_table(d, lead)
+        neg = [-x for x in quad]
+        r = [None] * len(solve)
+        for k, (n, qs, rs) in enumerate(solve):
+            r[k] = dot([sect[n]] + [neg[i] for i in qs], [K1] + [r[j] for j in rs])
+        for n, ii, jj in check:
+            if dot([quad[i] for i in ii], [r[j] for j in jj]) != sect[n]:
+                return None
+        monos = _monos(d - 2)[0]
+        return Poly(ZRING, {m[:p] + (0,) + m[p:]: x for m, x in zip(monos, r) if x})
 
     def plane_coeffs(self):
         return list(self.coeffs[10:])
@@ -203,24 +334,47 @@ class Conic:
         return basis
 
 
-def _restrict_to_line(q, s, t):
-    """Binary quadratic (c_uu, c_uv, c_vv) of q on the line u*s + v*t."""
-    qs = q.evaluate(s)
-    qt = q.evaluate(t)
-    st = [a + b for a, b in zip(s, t)]
-    qst = q.evaluate(st)
-    return (qs, qst - qs - qt, qt)
+def _degree(f):
+    """Degree of a form f in K[z0..z3]."""
+    if f.ring.names != ZRING.names:
+        raise RingMismatch(f"surface equation in {f.ring!r}, conics in {ZRING!r}")
+    degrees = {sum(m) for m in f.terms}
+    if len(degrees) != 1:
+        raise ValueError("surface equation must be a nonzero form")
+    return degrees.pop()
 
 
-def _sylvester2(a, b):
-    z = K0
-    rows = [
-        [a[0], a[1], a[2], z],
-        [z, a[0], a[1], a[2]],
-        [b[0], b[1], b[2], z],
-        [z, b[0], b[1], b[2]],
-    ]
-    return mat_det(rows)
+def _section(f, d, pivot, b):
+    """f restricted to the plane z_pivot = -sum b_j z_j, dense in the other variables.
+
+    f = sum_e g_e z_pivot^e with g_e a ternary form of degree d - e, so the
+    section is sum_e g_e * L^e with L = -sum b_j z_j; only the powers of L
+    that f uses (and the halves that reach them) are formed.
+    """
+    g = {}
+    for m, c in f.terms.items():
+        e = m[pivot]
+        if e not in g:
+            g[e] = [K0] * len(_monos(d - e)[0])
+        g[e][_monos(d - e)[1][m[:pivot] + m[pivot + 1 :]]] = c
+    powers = {0: [K1], 1: [-b[j] for j in _OTHERS[pivot]]}
+
+    def power(e):
+        if e not in powers:
+            h = e // 2
+            powers[e] = _mul(power(h), h, power(e - h), e - h)
+        return powers[e]
+
+    parts = [(g[e], power(e), _product_table(d - e, e)) for e in sorted(g)]
+    sect = []
+    for n in range(len(_monos(d)[0])):
+        xs, ys = [], []
+        for ge, pe, table in parts:
+            ii, jj = table[n]
+            xs += [ge[i] for i in ii]
+            ys += [pe[j] for j in jj]
+        sect.append(dot(xs, ys))
+    return sect
 
 
 def intersection_number(c1, c2):
@@ -231,22 +385,30 @@ def intersection_number(c1, c2):
     """
     if c1.key == c2.key:
         return -2
-    if tuple(c1.plane_coeffs()) == tuple(c2.plane_coeffs()):
+    if c1.coeffs[10:] == c2.coeffs[10:]:
         # Distinct irreducible conics in one plane: Bezout, no common part.
         return 4
     s, t = c1.point_on_plane_line(c2)
-    q1 = _restrict_to_line(c1.quadric, s, t)
-    q2 = _restrict_to_line(c2.quadric, s, t)
-    if not any(q1) or not any(q2):
-        raise CommonComponent("conic contains the common line of the two planes")
-    if _sylvester2(q1, q2):
-        return 0
-    prop = (
-        not (q1[0] * q2[1] - q1[1] * q2[0])
-        and not (q1[0] * q2[2] - q1[2] * q2[0])
-        and not (q1[1] * q2[2] - q1[2] * q2[1])
+    # a quadric sum a_ij z_i z_j on the line u*s + v*t is the binary quadratic
+    # with coefficients sum a_ij s_i s_j, sum a_ij (s_i t_j + s_j t_i) and
+    # sum a_ij t_i t_j on u^2, u*v and v^2
+    line = (
+        [s[i] * s[j] for i, j in _QUAD_PAIRS],
+        [dot((s[i], s[j]), (t[j], t[i])) for i, j in _QUAD_PAIRS],
+        [t[i] * t[j] for i, j in _QUAD_PAIRS],
     )
-    return 2 if prop else 1
+    a0, a1, a2 = (dot(c1.coeffs[:10], v) for v in line)
+    b0, b1, b2 = (dot(c2.coeffs[:10], v) for v in line)
+    if not (a0 or a1 or a2) or not (b0 or b1 or b2):
+        raise CommonComponent("conic contains the common line of the two planes")
+    # 2x2 minors of the coefficient rows; both quadratics are proportional
+    # iff all vanish, and their resultant is m02^2 - m01*m12
+    m01 = dot((a0, a1), (b1, -b0))
+    m02 = dot((a0, a2), (b2, -b0))
+    m12 = dot((a1, a2), (b2, -b1))
+    if dot((m02, m01), (m02, -m12)):
+        return 0
+    return 1 if (m01 or m02 or m12) else 2
 
 
 def hypersurface_smooth(f, budget=None):

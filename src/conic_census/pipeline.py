@@ -18,9 +18,12 @@ from .certificates import (
     KUMMER_FILE,
     NS_BASIS_FILE,
     ConicCertificate,
+    generator_value,
     load_packaged,
     make_certificate,
+    orbit_value,
     read_certificate,
+    seed_value,
     write_certificate,
 )
 from .errors import CensusError, NonPrincipal, VerificationFailed
@@ -37,7 +40,6 @@ from .groebner import (
     zero_dim_degree,
 )
 from .group import (
-    GroupMatrix,
     act_on_conic,
     generate_group,
     generator_permutations,
@@ -850,22 +852,16 @@ def verify_certificate(source, seed=DEFAULT_SEED):
     rep.add("parsed in canonical form", True, f"{len(conics)} conics, kind {cert.kind}")
     rep.add("all conics irreducible and on the surface", all(_conic_valid(c) for c in conics))
 
-    declared = {}
-    for value in cert.meta_values("orbit"):
-        name, _, count = value.partition(" ")
-        declared[name] = int(count)
+    declared = dict(orbit_value(v) for v in cert.meta_values("orbit"))
     if declared:
         rep.add("declared orbit counts match labels", declared == cert.label_counts())
 
-    gens = [GroupMatrix.from_fields(v.split()) for v in cert.meta_values("generator")]
+    gens = [generator_value(v) for v in cert.meta_values("generator")]
     f = _surface()
     for i, m in enumerate(gens, start=1):
         rep.add(f"generator {i} preserves the surface", substitute_linear(f, m.rows) == f)
 
-    seeds = {}
-    for value in cert.meta_values("seed"):
-        name, _, rest = value.partition(" ")
-        seeds[name] = Conic.from_fields(rest.split())
+    seeds = dict(seed_value(v) for v in cert.meta_values("seed"))
     keys = cert.keys()
     if seeds:
         rep.add("seed conics listed in the census", all(c.key in keys for c in seeds.values()))

@@ -4,12 +4,29 @@ import json
 
 import pytest
 
+from importlib import resources
+
 from conic_census import catalog, cli
-from conic_census.certificates import certificate_text, make_certificate
+from conic_census.certificates import KUMMER_FILE, certificate_text, make_certificate
 from conic_census.field import KElem, ONE
 
 # tokens outside the certificate grammar, one of them a non-ASCII digit
 HOSTILE_TOKENS = ("1e6000", "3_000", " 3 ", "\u0663")
+
+ZERO_FIELD = ",".join(["0"] * 8)
+# metadata lines the verifier reads, each malformed, inserted after the kind line
+BAD_META = {
+    "orbit-size-not-digits": "orbit C1 abc",
+    "orbit-without-size": "orbit C1",
+    "generator-three-fields": "generator 1 2 3",
+    "generator-exponent-token": "generator " + " ".join(["1e5,0,0,0,0,0,0,0"] + [ZERO_FIELD] * 15),
+    "seed-two-fields": "seed C1 1 2",
+    "seed-zero-conic": "seed C1 " + " ".join([ZERO_FIELD] * 14),
+}
+
+
+def kummer_text():
+    return resources.files("conic_census").joinpath("data", KUMMER_FILE).read_text("ascii")
 
 
 def test_usage_error_without_command():
@@ -89,6 +106,7 @@ def test_enumerate_case_i_budget_exit(capsys):
     assert rc == cli.EXIT_BUDGET
     err = capsys.readouterr().err
     assert "budget" in err
+    assert "pairs processed" in err
 
 
 def test_census_from_certificate(capsys, census):
@@ -165,3 +183,22 @@ def test_failed_orbits_writes_no_certificate(monkeypatch, capsys, tmp_path):
     assert cli.main(["orbits", "--out", str(out)]) == cli.EXIT_VERIFICATION
     assert "stabilizer of C3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(BAD_META))
+def test_verify_malformed_metadata_exits_4(capsys, tmp_path, name):
+    text = kummer_text().replace("kind kummer\n", f"kind kummer\n{BAD_META[name]}\n")
+    path = tmp_path / "bad-meta.cert"
+    path.write_text(text)
+    assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "parse error" in err and "(line 3)" in err
+
+
+def test_verify_count_with_underscore_exits_4(capsys, tmp_path):
+    text = kummer_text()
+    assert "count 16\n" in text
+    path = tmp_path / "bad-count.cert"
+    path.write_text(text.replace("count 16\n", "count 1_6\n"))
+    assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_PARSE
+    assert "count takes one integer (line 3)" in capsys.readouterr().err

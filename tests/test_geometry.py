@@ -1,5 +1,7 @@
 """Unit tests for conics as (plane, quadric) pairs."""
 
+import random
+
 import pytest
 
 from conic_census import catalog
@@ -11,7 +13,8 @@ from conic_census.geometry import (
     hypersurface_smooth,
     intersection_number,
 )
-from conic_census.poly import PolyRing
+from conic_census.linalg import mat_det
+from conic_census.poly import PolyRing, divide_exact
 
 
 z0, z1, z2, z3 = ZRING.gens()
@@ -142,3 +145,84 @@ def test_plane_coeffs():
     assert coeffs[1] == ZERO
     assert coeffs[2] == ONE
     assert coeffs[3] == I * (ONE + SQRT10 / SQRT2) / 2
+
+
+# -- oracles: the polynomial forms of the plane section and the line test -----
+
+_PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))  # a00, a01, ..., a33
+
+
+def _oracle_quotient(c, f):
+    """f with z_pivot replaced on the plane, divided exactly by the quadric."""
+    sect = f.substitute(c.pivot, ZRING.var(c.pivot) - c.plane)
+    return divide_exact(sect, c.quadric) if sect else None
+
+
+def _oracle_intersection(c1, c2):
+    """Sylvester determinant and proportionality of the restrictions to the line."""
+    if c1.key == c2.key:
+        return -2
+    if c1.plane_coeffs() == c2.plane_coeffs():
+        return 4
+    s, t = c1.point_on_plane_line(c2)
+    st = [a + b for a, b in zip(s, t)]
+    qs = []
+    for q in (c1.quadric, c2.quadric):
+        a, b, ab = q.evaluate(s), q.evaluate(t), q.evaluate(st)
+        qs.append((a, ab - a - b, b))
+    (a0, a1, a2), (b0, b1, b2) = qs
+    sylvester = [
+        [a0, a1, a2, ZERO],
+        [ZERO, a0, a1, a2],
+        [b0, b1, b2, ZERO],
+        [ZERO, b0, b1, b2],
+    ]
+    if mat_det(sylvester):
+        return 0
+    prop = not (a0 * b1 - a1 * b0) and not (a0 * b2 - a2 * b0) and not (a1 * b2 - a2 * b1)
+    return 2 if prop else 1
+
+
+def test_section_quotient_matches_oracle_on_census(census_conics):
+    f = catalog.surface()
+    for c in census_conics:
+        q = c._section_quotient(f)
+        assert q is not None
+        assert q == _oracle_quotient(c, f)
+        assert c.residual(f) == Conic(c.plane, q)
+
+
+def test_section_quotient_off_surface_matches_oracle(census_conics):
+    # one quadric coefficient off the pivot moved by +1
+    f = catalog.surface()
+    rng = random.Random(20261018)
+    off = 0
+    for _ in range(200):
+        c = rng.choice(census_conics)
+        coeffs = list(c.coeffs)
+        k = rng.choice([k for k, (i, j) in enumerate(_PAIRS) if c.pivot not in (i, j)])
+        coeffs[k] = coeffs[k] + ONE
+        d = Conic.from_coeffs(coeffs)
+        want = _oracle_quotient(d, f)
+        assert d._section_quotient(f) == want
+        assert d.on_surface(f) == (want is not None)
+        off += want is None
+    assert off > 0
+
+
+def test_intersection_number_matches_oracle(census_conics):
+    rng = random.Random(7)
+    n = len(census_conics)
+    by_plane = {}
+    for c in census_conics:
+        by_plane.setdefault(c.coeffs[10:], []).append(c)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    pairs = [(census_conics[i], census_conics[j]) for i, j in pairs]
+    pairs += [(c, c) for c in rng.sample(census_conics, 20)]
+    pairs += [tuple(cs) for cs in rng.sample(list(by_plane.values()), 20)]
+    seen = set()
+    for c, d in pairs:
+        got = intersection_number(c, d)
+        assert got == _oracle_intersection(c, d)
+        seen.add(got)
+    assert seen == {-2, 0, 1, 2, 4}
