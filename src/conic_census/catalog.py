@@ -81,6 +81,7 @@ def seed_conics():
     return c1, c2, c3
 
 
+SEED_LABELS = ("C1", "C2", "C3")
 SEED_ORBIT_LENGTHS = (160, 160, 480)
 SEED_STABILIZER_ORDERS = (12, 12, 4)
 CENSUS_SIZE = 800

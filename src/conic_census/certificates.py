@@ -17,15 +17,16 @@ Layout:
 
 Round trips are bit exact: read(write(cert)) == cert, including metadata
 order.  Reading re-validates that every record is in canonical form, that
-the count and the metadata the verifier reads (orbit, generator, seed) are
-well formed, and raises ParseError with line and field diagnostics
-otherwise.
+the count and the metadata the verifier reads (orbit, stabilizer,
+generator, seed) are well formed, and raises ParseError with line and
+field diagnostics otherwise.
 """
 
 import re
 from dataclasses import dataclass
 from importlib import resources
 
+from .catalog import SEED_LABELS
 from .errors import CensusError, ParseError
 from .field import KElem
 from .geometry import Conic, RECORD_FIELDS
@@ -55,6 +56,14 @@ def orbit_value(value):
     return tokens[0], _count(tokens[1])
 
 
+def stabilizer_value(value):
+    """(label, order) from the value of a ``stabilizer`` metadata line."""
+    tokens = value.split()
+    if len(tokens) != 2 or tokens[0] not in SEED_LABELS:
+        raise ValueError(f"stabilizer takes a label in {'/'.join(SEED_LABELS)} and an order")
+    return tokens[0], _count(tokens[1])
+
+
 def generator_value(value):
     """The matrix of a ``generator`` metadata line (16 fields, row by row)."""
     return GroupMatrix.from_fields(value.split())
@@ -69,7 +78,12 @@ def seed_value(value):
 
 
 # metadata keys whose values the verifier reads, checked when parsed
-_TYPED_META = {"orbit": orbit_value, "generator": generator_value, "seed": seed_value}
+_TYPED_META = {
+    "orbit": orbit_value,
+    "stabilizer": stabilizer_value,
+    "generator": generator_value,
+    "seed": seed_value,
+}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import pipeline
+from . import catalog, pipeline
 from .certificates import read_certificate
 from .errors import (
     CensusError,
@@ -115,7 +115,7 @@ def _emit(args, rep, **extra):
 
 def _cmd_orbits(args):
     rep, cert = pipeline.orbit_census(out=args.out)
-    counts = [cert.label_counts().get(n, 0) for n in ("C1", "C2", "C3")]
+    counts = [cert.label_counts().get(n, 0) for n in catalog.SEED_LABELS]
     _emit(args, rep, orbits=counts, total=len(cert.entries))
     if args.format == "text":
         print(f"orbits: {counts[0]} {counts[1]} {counts[2]}, total {len(cert.entries)}")

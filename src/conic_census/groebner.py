@@ -2,10 +2,23 @@
 
 The pair queue uses the normal selection strategy (smallest lcm total degree
 first, ties broken by the lcm in the active order) with the coprime and chain
-criteria applied Gebauer-Moeller style.  All runs are deterministic for a
-fixed generator list and are guarded by explicit resource budgets.  A reduced
-basis is produced by minimalization plus full tail interreduction, so equal
-ideals yield identical bases.
+criteria applied Gebauer-Moeller style.  The M and F criteria group the new
+pairs by lcm and visit the groups by increasing degree: a group is dropped
+when the lcm of a kept group divides its own, since a proper divisor always
+has a lower total degree.  All runs are deterministic for a fixed generator
+list and are guarded by explicit resource budgets.  A reduced basis is
+produced by minimalization plus full tail interreduction, so equal ideals
+yield identical bases.
+
+Normal forms delay coefficient normalisation: a pending coefficient is a
+pair of factor lists, each reduction step appends one product to it, and it
+is summed by one field.dot (one gcd reduction) when its monomial becomes the
+leading one; a zero sum is a cancelled term.  S-polynomials enter the
+reduction the same way, without being formed as polynomials.  Each
+Buchberger run keeps one divisor memo, monomial -> (index of its first
+divisor in the basis, basis length scanned); the basis only grows by
+appending, so a recorded divisor stays the first one, and a monomial with
+none is rescanned only over the elements added since.
 
 For zero-dimensional ideals an FGLM order conversion is provided: it turns a
 reduced basis in any order into the (unique) reduced lex basis by linear
@@ -16,6 +29,7 @@ direct lex run on the larger systems.
 import heapq
 import time
 from dataclasses import dataclass
+from operator import ge
 
 from .errors import (
     NotZeroDimensional,
@@ -23,10 +37,11 @@ from .errors import (
     OrderNotLex,
     ResourceBudgetExceeded,
 )
-from .field import ZERO as K0, ONE as K1, sqrt_in_k
+from .field import ZERO as K0, ONE as K1, dot, sqrt_in_k
 from .poly import (
     LEX,
     Poly,
+    specialize,
     uni_coeffs,
     uni_gcd_coeffs,
     _uni_divmod,
@@ -115,10 +130,10 @@ def _mono_mul(a, b):
 def _prep(g):
     m, c = g.lead_term()
     tail = [(tm, tc) for tm, tc in g.terms.items() if tm != m]
-    return (m, c.inverse(), tail, g)
+    return (m, -c.inverse(), tail, g)
 
 
-def normal_form(p, divisors, max_steps=0):
+def normal_form(p, divisors):
     """Remainder of p on division by the divisor list.
 
     Deterministic: the leading term of the current remainder is reduced
@@ -126,88 +141,89 @@ def normal_form(p, divisors, max_steps=0):
     polynomials of p's ring.
     """
     prepared = [_prep(g) for g in divisors if g]
-    return _normal_form_prepared(p, prepared, max_steps)
+    return _normal_form_prepared(p.ring, _pending(p), prepared)
 
 
-def _normal_form_prepared(p, prepared, max_steps=0):
-    ring = p.ring
+def _pending(p):
+    """p's terms as pending coefficients, monomial -> (xs, ys) with value dot(xs, ys)."""
+    return {m: ([c], [K1]) for m, c in p.terms.items()}
+
+
+def _s_pending(f, g):
+    """The S-polynomial of two prepared entries as pending coefficients."""
+    mf, ninv_f, tail_f, _ = f
+    mg, ninv_g, tail_g, _ = g
+    lcm = _lcm(mf, mg)
+    work = {}
+    # (lcm/mf) f / lc(f) - (lcm/mg) g / lc(g); the lead terms cancel
+    for m, x, tail in ((mf, -ninv_f, tail_f), (mg, ninv_g, tail_g)):
+        u = tuple(a - b for a, b in zip(lcm, m))
+        for tm, tc in tail:
+            nm = _mono_mul(tm, u)
+            entry = work.get(nm)
+            if entry is None:
+                work[nm] = ([x], [tc])
+            else:
+                entry[0].append(x)
+                entry[1].append(tc)
+    return work
+
+
+def _normal_form_prepared(ring, work, prepared, memo=None):
+    """Remainder of the pending polynomial work over divisors split by _prep.
+
+    work maps each monomial to two factor lists whose dot product is its
+    coefficient; the reduction appends to them and sums them (one gcd
+    normalisation) only when the monomial is reached, a zero sum meaning
+    the terms cancelled.  work is consumed.  memo maps a monomial to (index
+    of its first divisor or -1, divisors scanned); it stays valid across
+    calls as long as prepared only grows by appending.
+    """
     negkey = ring.negkey
-    work = dict(p.terms)
     heap = [(negkey(m), m) for m in work]
     heapq.heapify(heap)
     out = {}
-    steps = 0
+    memo = {} if memo is None else memo
+    count = len(prepared)
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
         m = pop(heap)[1]
-        c = work.get(m)
-        if c is None:
+        xs, ys = work.pop(m)
+        c = dot(xs, ys)
+        if not c:
             continue
-        hit = None
-        for entry in prepared:
-            gm = entry[0]
-            ok = True
-            for a, b in zip(m, gm):
-                if a < b:
-                    ok = False
+        idx, start = memo.get(m, (-1, 0))
+        if idx < 0 and start < count:
+            for k in range(start, count):
+                if all(map(ge, m, prepared[k][0])):
+                    idx = k
                     break
-            if ok:
-                hit = entry
-                break
-        if hit is None:
+            memo[m] = (idx, count)
+        if idx < 0:
             out[m] = c
-            del work[m]
             continue
-        steps += 1
-        if max_steps and steps > max_steps:
-            raise ResourceBudgetExceeded(
-                f"normal form exceeded {max_steps} reduction steps"
-            )
-        gm, gcinv, gtail, _ = hit
-        qc = c * gcinv
+        gm, ninv, gtail, _ = prepared[idx]
+        nqc = c * ninv
         qm = tuple(a - b for a, b in zip(m, gm))
-        del work[m]
-        if any(qm):
-            for tm, tc in gtail:
-                nm = _mono_mul(tm, qm)
-                v = work.get(nm)
-                if v is None:
-                    work[nm] = -(qc * tc)
-                    push(heap, (negkey(nm), nm))
-                else:
-                    v = v - qc * tc
-                    if v:
-                        work[nm] = v
-                    else:
-                        del work[nm]
-        else:
-            for tm, tc in gtail:
-                v = work.get(tm)
-                if v is None:
-                    work[tm] = -(qc * tc)
-                    push(heap, (negkey(tm), tm))
-                else:
-                    v = v - qc * tc
-                    if v:
-                        work[tm] = v
-                    else:
-                        del work[tm]
+        shift = any(qm)
+        for tm, tc in gtail:
+            nm = _mono_mul(tm, qm) if shift else tm
+            entry = work.get(nm)
+            if entry is None:
+                work[nm] = ([nqc], [tc])
+                push(heap, (negkey(nm), nm))
+            else:
+                entry[0].append(nqc)
+                entry[1].append(tc)
     return Poly(ring, out)
 
 
 def s_polynomial(f, g):
     """S(f,g) = (L/LT(f)) f - (L/LT(g)) g with L = lcm of the lead monomials."""
-    mf, cf = f.lead_term()
-    mg, cg = g.lead_term()
-    lcm = _lcm(mf, mg)
-    uf = tuple(a - b for a, b in zip(lcm, mf))
-    ug = tuple(a - b for a, b in zip(lcm, mg))
-    cfi = cf.inverse()
-    cgi = cg.inverse()
-    a = Poly(f.ring, {_mono_mul(m, uf): c * cfi for m, c in f.terms.items()})
-    b = Poly(g.ring, {_mono_mul(m, ug): c * cgi for m, c in g.terms.items()})
-    return a - b
+    work = _s_pending(_prep(f), _prep(g))
+    terms = {m: dot(xs, ys) for m, (xs, ys) in work.items()}
+    return Poly(f.ring, {m: c for m, c in terms.items() if c})
 
 
 def buchberger(gens, order=None, budget=None):
@@ -231,8 +247,10 @@ def buchberger(gens, order=None, budget=None):
     trace = GroebnerTrace()
     key = ring.key
 
-    G = []  # prepared entries (lm, lcinv, tail, poly)
+    G = []  # prepared entries (lm, -1/lc, tail, poly)
     lms = []
+    total_terms = 0  # terms over all of G
+    memo = {}  # monomial -> first divisor in G, see _normal_form_prepared
     alive = {}  # (i, j) -> lcm monomial
     heap = []  # (deg, key(lcm), i, j)
 
@@ -242,6 +260,7 @@ def buchberger(gens, order=None, budget=None):
 
     def add_element(h):
         # Gebauer-Moeller update of the pair set with the new element h.
+        nonlocal total_terms
         t = len(G)
         lmh = h.lead_monomial()
         # Chain (B) criterion on existing pairs.
@@ -253,31 +272,28 @@ def buchberger(gens, order=None, budget=None):
             ):
                 del alive[(i, j)]
                 trace.pairs_discarded += 1
-        # New pairs, filtered by the M/F criteria and the coprime criterion.
-        cand = {i: _lcm(lms[i], lmh) for i in range(t)}
-        dropped = set()
-        for i in cand:
-            li = cand[i]
-            for j in cand:
-                if j != i and _divides(cand[j], li) and cand[j] != li:
-                    dropped.add(i)
-                    break
+        # New pairs, grouped by lcm.  M/F criteria: a group goes when a kept
+        # lcm divides its own; a proper divisor has lower total degree, so it
+        # sorts earlier, and distinct lcms of equal degree never divide.
         groups = {}
-        for i in cand:
-            if i not in dropped:
-                groups.setdefault(cand[i], []).append(i)
-        prodh = lmh
-        for lcm, members in sorted(groups.items(), key=lambda kv: (sum(kv[0]), key(kv[0]))):
+        for i in range(t):
+            groups.setdefault(_lcm(lms[i], lmh), []).append(i)
+        kept = []
+        for lcm in sorted(groups, key=lambda m: (sum(m), key(m))):
+            if any(_divides(k, lcm) for k in kept):
+                continue
+            kept.append(lcm)
+            members = groups[lcm]
             coprime = any(
                 all(x == 0 or y == 0 for x, y in zip(lms[i], lmh)) for i in members
             )
             trace.pairs_discarded += len(members) - (0 if coprime else 1)
             if not coprime:
-                push_pair(min(members), t, lcm)
+                push_pair(members[0], t, lcm)
         G.append(_prep(h))
         lms.append(lmh)
+        total_terms += len(h.terms)
         trace.basis_max = max(trace.basis_max, len(G))
-        total_terms = sum(len(e[3].terms) for e in G)
         trace.terms_max = max(trace.terms_max, total_terms)
         if len(G) > budget.max_basis:
             trace.seconds = time.perf_counter() - t0
@@ -293,7 +309,7 @@ def buchberger(gens, order=None, budget=None):
             )
 
     for p in polys:
-        r = _normal_form_prepared(p, G)
+        r = _normal_form_prepared(ring, _pending(p), G, memo)
         if r:
             add_element(r.monic())
 
@@ -309,8 +325,7 @@ def buchberger(gens, order=None, budget=None):
                 f"pair count exceeded budget {budget.max_pairs}",
                 stats=vars(trace),
             )
-        s = s_polynomial(G[i][3], G[j][3])
-        r = _normal_form_prepared(s, G)
+        r = _normal_form_prepared(ring, _s_pending(G[i], G[j]), G, memo)
         if r:
             add_element(r.monic())
         else:
@@ -332,10 +347,10 @@ def _reduce_basis(polys, ring):
         if not any(_divides(klm, lm) for klm in kept_lms):
             kept.append(polys[i])
             kept_lms.append(lm)
+    prepared = [_prep(g) for g in kept]
     out = []
     for i, g in enumerate(kept):
-        others = [h for j, h in enumerate(kept) if j != i]
-        r = normal_form(g, others)
+        r = _normal_form_prepared(ring, _pending(g), prepared[:i] + prepared[i + 1 :])
         out.append(r.monic())
     out.sort(key=lambda g: key(g.lead_monomial()))
     return out
@@ -439,9 +454,10 @@ def fglm(G, order=LEX):
     idx = {m: r for r, m in enumerate(std)}
     n = ring_old.n
     prepared = [_prep(g) for g in G.polys]
+    memo = {}
 
     def nf_vector(poly):
-        r = _normal_form_prepared(poly, prepared)
+        r = _normal_form_prepared(ring_old, _pending(poly), prepared, memo)
         v = [K0] * D
         for m, c in r.terms.items():
             v[idx[m]] = c
@@ -726,32 +742,25 @@ def solve_zero_dim(G, hints=()):
     _pure_power_bounds(G)  # raises NotZeroDimensional when not finite
     n = ring.n
     polys = list(G.polys)
+    lows = [(min(g.variables()), g) for g in polys]
+    powers = {}  # value -> its power table, shared by every substitution
     obstructions = []
     points = []
 
     def rec(level, assignment):
         # level counts assigned trailing variables; next is var n-1-level.
         if level == n:
-            vals = [assignment[i] for i in range(n)]
-            if all(not g.evaluate(vals) for g in polys):
-                points.append(tuple(vals))
+            if all(not specialize(g, assignment, powers=powers) for g in polys):
+                points.append(tuple(assignment[i] for i in range(n)))
             return
         vi = n - 1 - level
         cands = []
-        for g in polys:
-            vs = g.variables()
-            if vs and min(vs) >= vi:
-                part = g
-                for j, val in assignment.items():
-                    if part.degree_in(j) > 0:
-                        part = part.substitute(j, val)
-                # part now involves only variables <= vi
-                if not part:
-                    continue
-                if part.variables() <= {vi}:
+        for low, g in lows:
+            if low >= vi:
+                # every variable of g but vi is assigned
+                part = specialize(g, assignment, powers=powers)
+                if part:
                     cands.append(uni_coeffs(part, vi))
-                elif not part.variables():
-                    return  # nonzero constant: dead branch
         if not cands:
             raise NotZeroDimensional(
                 f"no univariate constraint for {ring.names[vi]} during back-substitution"

@@ -24,6 +24,7 @@ from .certificates import (
     orbit_value,
     read_certificate,
     seed_value,
+    stabilizer_value,
     write_certificate,
 )
 from .errors import CensusError, NonPrincipal, VerificationFailed
@@ -129,7 +130,7 @@ def _census_orbits():
     """label -> orbit dict (conic key -> Conic), computed once per process."""
     gens = catalog.symmetry_generators()
     out = {}
-    for name, seed in zip(("C1", "C2", "C3"), catalog.seed_conics()):
+    for name, seed in zip(catalog.SEED_LABELS, catalog.seed_conics()):
         out[name] = orbit_of_conic(gens, seed)
     return out
 
@@ -179,7 +180,7 @@ def orbit_census(out=None):
     )
 
     seeds = catalog.seed_conics()
-    names = ("C1", "C2", "C3")
+    names = catalog.SEED_LABELS
     orbits = list(_census_orbits().values())
     sizes = tuple(len(o) for o in orbits)
     rep.add(
@@ -842,8 +843,9 @@ def verify_certificate(source, seed=DEFAULT_SEED):
 
     Checks canonical parsing (done by the reader), irreducibility and
     surface containment of every conic, agreement of the declared orbit
-    counts with the labels, and, for a full census, the plane pairing and
-    seed/generator metadata.  A fixed seed drives the sampled group-action
+    counts with the labels and of the declared stabilizer orders with the
+    catalog (compared, not recomputed), and, for a full census, the plane
+    pairing and seed/generator metadata.  A fixed seed drives the sampled group-action
     spot check, so re-running on an unmodified file is deterministic.
     """
     cert = source if isinstance(source, ConicCertificate) else read_certificate(source)
@@ -855,6 +857,15 @@ def verify_certificate(source, seed=DEFAULT_SEED):
     declared = dict(orbit_value(v) for v in cert.meta_values("orbit"))
     if declared:
         rep.add("declared orbit counts match labels", declared == cert.label_counts())
+
+    stabilizers = [stabilizer_value(v) for v in cert.meta_values("stabilizer")]
+    if stabilizers:
+        want = dict(zip(catalog.SEED_LABELS, catalog.SEED_STABILIZER_ORDERS))
+        rep.add(
+            "declared stabilizer orders",
+            all(want[label] == order for label, order in stabilizers),
+            " ".join(f"{label} {order}" for label, order in stabilizers),
+        )
 
     gens = [generator_value(v) for v in cert.meta_values("generator")]
     f = _surface()
@@ -869,7 +880,7 @@ def verify_certificate(source, seed=DEFAULT_SEED):
     if cert.kind == "orbit-census" and len(conics) == catalog.CENSUS_SIZE:
         rep.add(
             "orbit sizes",
-            tuple(cert.label_counts().get(n, 0) for n in ("C1", "C2", "C3"))
+            tuple(cert.label_counts().get(n, 0) for n in catalog.SEED_LABELS)
             == catalog.SEED_ORBIT_LENGTHS,
         )
         try:

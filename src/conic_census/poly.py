@@ -8,7 +8,7 @@ dicts are never mutated after construction.
 """
 
 from .errors import RingMismatch, SingularMatrix
-from .field import ZERO as K0, ONE as K1, KElem, kelem
+from .field import ZERO as K0, ONE as K1, KElem, dot, kelem
 from .linalg import mat_det
 
 
@@ -447,62 +447,54 @@ def _unit_monos(ring):
     return out
 
 
-def specialize(p, assignment, target=None, var_map=None):
-    """Evaluate some variables at KElem constants.
+def specialize(p, assignment, target=None, var_map=None, powers=None):
+    """Evaluate some variables at KElem constants, in one pass.
 
     assignment maps variable index -> KElem.  With target/var_map the
     surviving variables are re-indexed into the target ring (var_map maps old
     index -> new index); otherwise the ring is kept and the assigned
-    variables simply no longer occur.
+    variables simply no longer occur.  Each output coefficient is one dot
+    product of term coefficients and power products of the values, read
+    from one power table per value.  powers, a dict value -> [1, v, v^2,
+    ...] extended in place, shares those tables between calls.
     """
-    ring = p.ring
-    vals = {i: kelem(v) for i, v in assignment.items()}
     if target is None:
-        out = {}
-        for m, c in p.terms.items():
-            f = c
-            nm = list(m)
-            for i, v in vals.items():
-                e = m[i]
-                if e:
-                    f = f * v**e
-                    nm[i] = 0
-                if not f:
-                    break
-            if not f:
-                continue
-            nm = tuple(nm)
-            prev = out.get(nm)
-            nv = f if prev is None else prev + f
-            if nv:
-                out[nm] = nv
-            elif prev is not None:
-                del out[nm]
-        return Poly(ring, out)
-    out = {}
+        target = p.ring
+        var_map = range(p.ring.n)
+    powers = {} if powers is None else powers
+    tables = {}
+    for i, v in assignment.items():
+        v = kelem(v)
+        t = powers.get(v)
+        if t is None:
+            t = powers[v] = [K1, v]
+        tables[i] = t
+    sums = {}  # monomial of target -> (coefficients, power products)
     for m, c in p.terms.items():
-        f = c
+        f = K1
         nm = [0] * target.n
-        ok = True
         for i, e in enumerate(m):
             if not e:
                 continue
-            if i in vals:
-                f = f * vals[i] ** e
-                if not f:
-                    break
-            else:
-                j = var_map[i]
-                nm[j] = e
-        if not f:
-            continue
+            t = tables.get(i)
+            if t is None:
+                nm[var_map[i]] = e
+                continue
+            while len(t) <= e:
+                t.append(t[-1] * t[1])
+            f = t[e] if f is K1 else f * t[e]
         nm = tuple(nm)
-        prev = out.get(nm)
-        nv = f if prev is None else prev + f
-        if nv:
-            out[nm] = nv
-        elif prev is not None:
-            del out[nm]
+        pair = sums.get(nm)
+        if pair is None:
+            sums[nm] = ([c], [f])
+        else:
+            pair[0].append(c)
+            pair[1].append(f)
+    out = {}
+    for nm, (cs, fs) in sums.items():
+        v = dot(cs, fs)
+        if v:
+            out[nm] = v
     return Poly(target, out)
 
 

@@ -21,6 +21,10 @@ BAD_META = {
     "generator-three-fields": "generator 1 2 3",
     "generator-exponent-token": "generator " + " ".join(["1e5,0,0,0,0,0,0,0"] + [ZERO_FIELD] * 15),
     "seed-two-fields": "seed C1 1 2",
+    "stabilizer-unknown-label": "stabilizer C4 12",
+    "stabilizer-order-not-digits": "stabilizer C1 1_2",
+    "stabilizer-without-order": "stabilizer C1",
+    "stabilizer-extra-token": "stabilizer C1 12 48",
     "seed-zero-conic": "seed C1 " + " ".join([ZERO_FIELD] * 14),
 }
 
@@ -202,3 +206,16 @@ def test_verify_count_with_underscore_exits_4(capsys, tmp_path):
     path.write_text(text.replace("count 16\n", "count 1_6\n"))
     assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_PARSE
     assert "count takes one integer (line 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forged", ["C3 8", "C1 13"])
+def test_verify_forged_stabilizer_order_exits_2(capsys, tmp_path, census, forged):
+    label = forged.split()[0]
+    order = dict(zip(catalog.SEED_LABELS, catalog.SEED_STABILIZER_ORDERS))[label]
+    text = census.path.read_text()
+    honest = f"stabilizer {label} {order}\n"
+    assert honest in text
+    path = tmp_path / "forged.cert"
+    path.write_text(text.replace(honest, f"stabilizer {forged}\n"))
+    assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_VERIFICATION
+    assert "declared stabilizer orders" in capsys.readouterr().out

@@ -1,12 +1,20 @@
 """Unit tests for Buchberger, FGLM, elimination and the solver."""
 
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 
+from conic_census import catalog
 from conic_census.errors import NotZeroDimensional, ResourceBudgetExceeded
-from conic_census.field import ONE, SQRT2, ZERO, kelem
+from conic_census.field import I, ONE, SQRT2, SQRT5, ZERO, kelem
 from conic_census.groebner import (
     Budget,
     DEFAULT_BUDGET,
+    _normal_form_prepared,
+    _pending,
+    _prep,
     buchberger,
     elimination_ideal,
     fglm,
@@ -20,7 +28,7 @@ from conic_census.groebner import (
     standard_monomials,
     zero_dim_degree,
 )
-from conic_census.poly import LEX, PolyRing, compress_variables
+from conic_census.poly import DEGREVLEX, LEX, Poly, PolyRing, compress_variables
 
 
 @pytest.fixture
@@ -193,3 +201,129 @@ def test_trace_counts_work():
     G = buchberger([x**2 * y - 1, x * y**2 - 1])
     assert G.trace is not None
     assert G.trace.pairs_processed > 0
+
+
+def oracle_normal_form(p, divisors):
+    """Term-at-a-time division: the largest remaining term is reduced by the
+    first divisor whose lead divides it, and every update is normalised at
+    once."""
+    divisors = [g for g in divisors if g]
+    key = p.ring.key
+    rest = dict(p.terms)
+    out = {}
+    while rest:
+        m = max(rest, key=key)
+        c = rest.pop(m)
+        g = next(
+            (g for g in divisors if all(a >= b for a, b in zip(m, g.lead_monomial()))),
+            None,
+        )
+        if g is None:
+            out[m] = c
+            continue
+        gm, gc = g.lead_term()
+        q = c / gc
+        qm = tuple(a - b for a, b in zip(m, gm))
+        for tm, tc in g.terms.items():
+            if tm != gm:
+                nm = tuple(a + b for a, b in zip(tm, qm))
+                v = rest.get(nm, ZERO) - q * tc
+                if v:
+                    rest[nm] = v
+                else:
+                    del rest[nm]
+    return Poly(p.ring, out)
+
+
+# non-monic integers, rationals and irrationals
+COEFFS = (
+    ONE,
+    kelem(-2),
+    kelem(Fraction(3, 7)),
+    kelem(Fraction(-5, 4)),
+    SQRT2,
+    I - SQRT5,
+    kelem(Fraction(1, 3)) * SQRT2 + I,
+)
+
+
+def _random_poly(rng, ring, terms, degree):
+    out = {}
+    for _ in range(terms):
+        m = tuple(rng.randint(0, degree) for _ in range(ring.n))
+        out[m] = rng.choice(COEFFS)
+    return ring.poly(out)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=repr)
+def test_normal_form_matches_oracle_on_random_divisors(order):
+    rng = random.Random(7)
+    ring = PolyRing(("x", "y", "z"), order)
+    for _ in range(25):
+        divisors = [_random_poly(rng, ring, rng.randint(1, 4), 2) for _ in range(4)]
+        # combinations of the divisors cancel their leads when reduced
+        p = _random_poly(rng, ring, 5, 3)
+        for g in divisors:
+            p = p + g * _random_poly(rng, ring, 2, 1)
+        assert normal_form(p, divisors) == oracle_normal_form(p, divisors)
+        f, g = divisors[:2]
+        (mf, cf), (mg, cg) = f.lead_term(), g.lead_term()
+        lcm = [max(a, b) for a, b in zip(mf, mg)]
+        uf = [a - b for a, b in zip(lcm, mf)]
+        ug = [a - b for a, b in zip(lcm, mg)]
+        want = ring.term(1 / cf, uf) * f - ring.term(1 / cg, ug) * g
+        assert s_polynomial(f, g) == want
+        # one memo while the divisor list grows, as in buchberger
+        prepared, memo = [], {}
+        for k, g in enumerate(divisors, start=1):
+            prepared.append(_prep(g))
+            got = _normal_form_prepared(ring, _pending(p), prepared, memo)
+            assert got == oracle_normal_form(p, divisors[:k])
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def case_ii():
+    polys = catalog.gauge_fixed_system("ii")[0]
+    return polys, buchberger(polys)
+
+
+def test_normal_form_matches_oracle_on_case_ii_s_polynomials(case_ii):
+    polys, G = case_ii
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            s = s_polynomial(polys[i], polys[j])
+            assert normal_form(s, polys) == oracle_normal_form(s, polys)
+            assert not normal_form(s, G.polys)
+
+
+# work counts and outputs of the ansatz systems, pinned so that a change to
+# the reduction loop or the pair criteria cannot alter them unnoticed
+PINNED = {
+    "ii": (
+        (776, 2786, 519, 266, 4642),
+        "3b5860822c55224ee37c214fe82e6170d1946effa6e912356b4b8b2979fdc6aa",
+        "bb1a8b4b82b221dcce6e45a9a6ca12854812aa55c4bb7317d0f7bca721d2905a",
+    ),
+    "iii": (
+        (65, 99, 43, 31, 144),
+        "32f068d60a9e71f66afa035a27b363e93360aaaeb8edd27fad28e6c3fd9ea883",
+        "786795624913e318b47f54fcee5f9d999e3b58c8ca690548497bc41fb2af5619",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_ansatz_trace_basis_and_points_pinned(case, case_ii):
+    counts, basis_sha, points_sha = PINNED[case]
+    G = case_ii[1] if case == "ii" else buchberger(catalog.gauge_fixed_system(case)[0])
+    t = G.trace
+    got = (t.pairs_processed, t.pairs_discarded, t.zero_reductions, t.basis_max, t.terms_max)
+    assert got == counts
+    assert _digest(str(g) for g in G.polys) == basis_sha
+    sol = solve_zero_dim(fglm(G), hints=catalog.solver_hints(case))
+    assert sol.complete
+    assert _digest(" ".join(v.to_text() for v in pt) for pt in sol.points) == points_sha

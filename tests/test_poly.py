@@ -1,5 +1,6 @@
 """Unit tests for the multivariate polynomial layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,40 @@ def test_specialize(xyz):
     ring, x, y, z = xyz
     q = specialize(x**2 + y * z, {1: kelem(3)})
     assert q == x**2 + 3 * z
+
+
+# values for substitution: zero, one, integers, rationals and irrationals
+SUBST_VALUES = (
+    ZERO,
+    ONE,
+    kelem(-3),
+    kelem(Fraction(2, 5)),
+    SQRT2,
+    I * SQRT2 - kelem(Fraction(1, 3)),
+)
+
+
+def test_specialize_matches_iterated_substitution():
+    # the last variable never occurs in the polynomials
+    ring = PolyRing(("w", "x", "y", "z"))
+    rng = random.Random(41)
+    powers = {}  # shared across calls, as solve_zero_dim shares it
+    for _ in range(80):
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            m = tuple(rng.randint(0, 4) for _ in range(3)) + (0,)
+            terms[m] = rng.choice(SUBST_VALUES[1:]) * rng.randint(-3, 3)
+        p = ring.poly(terms)
+        chosen = rng.sample(range(4), rng.randint(0, 4))
+        assignment = {i: rng.choice(SUBST_VALUES) for i in chosen}
+        want = p
+        for i, v in assignment.items():
+            want = want.substitute(i, v)
+        assert specialize(p, assignment) == want
+        assert specialize(p, assignment, powers=powers) == want
+        point = [rng.choice(SUBST_VALUES) for _ in range(4)]
+        full = specialize(p, dict(enumerate(point)), powers=powers)
+        assert full == ring.const(p.evaluate(point))
 
 
 def test_divide_exact(xyz):
