@@ -116,12 +116,6 @@ class ConicCertificate:
     def meta_values(self, key):
         return [v for k, v in self.meta if k == key]
 
-    def conic_by_label(self, label):
-        for lab, c in self.entries:
-            if lab == label:
-                return c
-        raise KeyError(label)
-
 
 def make_certificate(kind, entries, meta=()):
     seen = set()

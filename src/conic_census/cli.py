@@ -40,8 +40,6 @@ def _add_common(p):
                    help="raise the Groebner S-pair budget")
     p.add_argument("--budget-terms", type=int, metavar="N",
                    help="raise the Groebner term budget")
-    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED, metavar="N",
-                   help="seed for sampled spot checks")
     p.add_argument("--format", choices=("text", "machine"), default="text",
                    help="report format")
 
@@ -87,6 +85,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
+    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED, metavar="N",
+                   help="seed for sampled generator actions")
     _add_common(p)
 
     return parser

@@ -21,10 +21,6 @@ class ResourceBudgetExceeded(CensusError):
         self.stats = stats or {}
 
 
-# Group closure uses the same budget semantics.
-BudgetExceeded = ResourceBudgetExceeded
-
-
 class NotZeroDimensional(CensusError):
     """The ideal is not zero-dimensional where a finite solve was requested."""
 

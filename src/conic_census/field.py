@@ -23,8 +23,6 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-Rat = Fraction
-
 _N = 8
 _ZERO8 = (0,) * _N
 

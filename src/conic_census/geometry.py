@@ -42,8 +42,8 @@ proportional quadratics (2), anything else one common point (1).
 import functools
 
 from .errors import CommonComponent, DegenerateConic, NotOnSurface, RingMismatch
-from .field import ONE as K1, ZERO as K0, KElem, dot, kelem
-from .linalg import mat_det, nullspace
+from .field import ONE as K1, ZERO as K0, KElem, dot
+from .linalg import nullspace
 from .poly import DEGREVLEX, Poly, PolyRing
 
 ZRING = PolyRing(("z0", "z1", "z2", "z3"), DEGREVLEX)
@@ -270,19 +270,20 @@ class Conic:
 
     # -- geometry ---------------------------------------------------------------
 
-    def gram3(self):
-        """Symmetric 3x3 matrix of the reduced quadric in the non-pivot variables."""
-        others = [i for i in range(4) if i != self.pivot]
-        half = kelem(1) / kelem(2)
-        a = self.coeffs
-        return [
-            [a[_QIDX[i][j]] if i == j else a[_QIDX[i][j]] * half for j in others]
-            for i in others
-        ]
-
     def is_irreducible(self):
-        """Smooth conic test: the 3x3 symmetric matrix is nondegenerate."""
-        return bool(mat_det(self.gram3()))
+        """Smooth conic test: the reduced quadric is nondegenerate.
+
+        On the ternary coefficients x_jk of the non-pivot variables, the
+        symmetric matrix (x_jj on the diagonal, x_jk / 2 off it) has
+        4 det = 4 x00 x11 x22 + x01 x02 x12 - x00 x12^2 - x11 x02^2 - x22 x01^2.
+        """
+        o = _OTHERS[self.pivot]
+        a = self.coeffs
+        (x00, x01, x02), (x11, x12), (x22,) = (
+            [a[_QIDX[o[i]][o[j]]] for j in range(i, 3)] for i in range(3)
+        )
+        ys = (4 * x11 * x22, x02 * x12, -x12 * x12, -x02 * x02, -x01 * x01)
+        return bool(dot((x00, x01, x00, x11, x22), ys))
 
     def on_surface(self, f):
         """Whether the conic is a component of the plane section of V(f)."""

@@ -1,30 +1,33 @@
 """Finite matrix groups acting on P^3 and on conics.
 
-Elements are exact 4x4 matrices over K.  The group is generated by BFS
-closure with exact deduplication, so the element list is deterministic for a
+Elements are exact 4x4 matrices over K.  generate_group closes generators
+by BFS with exact deduplication, so the element list is deterministic for a
 fixed generator list.  A matrix M moves a conic to its preimage under
 z -> M*z, computed on coefficients: the plane row vector b goes to b*M and
 the quadric z^T U z (U upper triangular, U_ij = a_ij) to z^T M^T U M z, whose
 coefficient on z_k*z_l is W_kl + W_lk for W = M^T U M (W_kk on z_k^2).  This
 is substitution of M*z into both equations, so it composes contravariantly
-(act(M*N) = act(N) then act(M)); the result goes through the one conic
+(act(M*N) = act(M) then act(N)); the result goes through the one conic
 canonicaliser in geometry.  Orbits only ever compare canonical conic keys,
 so the convention drops out of every reported result.
 
 On a finite list of conics closed under the generators, each generator is
 also a permutation of the list positions (one action per generator and
-conic); closing those tuples under composition gives the image of the group
-in the symmetric group of the list, and stabilizers are counted there on
-integers (orbits and permutation images, as in Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, 2005).
+conic).  permutation_action closes those permutations by BFS, keeping one
+matrix per permutation along the BFS tree (a Schreier transversal), and
+checks on every other edge that the Schreier generator is a scalar; the
+scalars generate the kernel of the action (Schreier's lemma; Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  So one
+closure gives the group order |P| * |kernel|, the projective order |P|,
+and stabilizers counted on integers, with no group element inverted.
 """
 
 from itertools import chain
 
 from .errors import ResourceBudgetExceeded, SingularMatrix
-from .field import ZERO as K0, KElem, dot, kelem
+from .field import ONE as K1, ZERO as K0, KElem, dot, kelem
 from .geometry import Conic
-from .linalg import mat_det, mat_inv, mat_mul
+from .linalg import mat_det, mat_mul
 
 
 class GroupMatrix:
@@ -71,9 +74,6 @@ class GroupMatrix:
             self.invertible = bool(mat_det(self.rows))
         if not self.invertible:
             raise SingularMatrix("group matrix is singular")
-
-    def inverse(self):
-        return GroupMatrix(mat_inv([list(r) for r in self.rows]))
 
     def projective_key(self):
         """Entries scaled so the first nonzero one (row-major) is 1."""
@@ -182,44 +182,59 @@ def orbit_of_conic(gens, conic):
     return orbit
 
 
-def generator_permutations(gens, conics):
-    """Each generator as a tuple of positions in conics, or None.
+def permutation_action(gens, conics, max_size=100000):
+    """(perms, kernel) of the group generated by gens on conics, or None.
 
-    Entry i of a generator's tuple is the position of act_on_conic(g,
-    conics[i]); None when some image is not in the list.
+    None when some generator moves a conic off the list.  perms is the image
+    P of the group in the symmetric group of the list positions, in BFS
+    order with the identity first: entry i is the position of the image of
+    conics[i], and the product of p by a generator g maps i to g[p[i]] (act
+    by p, then by g, as rep[p] * g).  kernel is the set of scalars lambda
+    with lambda*I in the group, or None when some edge p -g-> q of the
+    closure has rep[p] * g not a scalar multiple of rep[q].  Raises
+    ResourceBudgetExceeded when P or the kernel passes max_size elements.
     """
     index = {c.key: i for i, c in enumerate(conics)}
-    perms = []
+    moves = []
     for g in gens:
-        perm = tuple(index.get(act_on_conic(g, c).key) for c in conics)
-        if None in perm:
+        move = tuple(index.get(act_on_conic(g, c).key) for c in conics)
+        if None in move:
             return None
-        perms.append(perm)
-    return perms
-
-
-def permutation_closure(perms, max_size=100000):
-    """BFS closure of permutation tuples under composition, identity first.
-
-    The product of p by a generator g maps i to g[p[i]]: act by p, then by g,
-    as generate_group multiplies m * g.
-    """
-    identity = tuple(range(len(perms[0])))
-    seen = {identity}
-    order = [identity]
+        moves.append((g, move))
+    identity = tuple(range(len(conics)))
+    rep = {identity: GroupMatrix.identity()}
+    ratios = set()
+    scalar = True
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in perms:
-                q = tuple(map(g.__getitem__, p))
-                if q not in seen:
-                    seen.add(q)
-                    order.append(q)
+            m = rep[p]
+            for g, move in moves:
+                q = tuple(map(move.__getitem__, p))
+                mg = m * g
+                r = rep.get(q)
+                if r is None:
+                    rep[q] = mg
                     nxt.append(q)
-                    if len(order) > max_size:
+                    if len(rep) > max_size:
                         raise ResourceBudgetExceeded(
                             f"permutation closure exceeded {max_size} elements"
                         )
+                elif scalar and mg.key != r.key:
+                    k = next(k for k, y in enumerate(r.key) if y)
+                    lam = mg.key[k] / r.key[k]
+                    scalar = all(x == lam * y for x, y in zip(mg.key, r.key))
+                    ratios.add(lam)
         frontier = nxt
-    return order
+    if not scalar:
+        return list(rep), None
+    kernel = {K1}
+    new = [K1]
+    while new:
+        new = [x for x in {a * b for a in new for b in ratios} if x not in kernel]
+        kernel.update(new)
+        if len(kernel) > max_size:
+            raise ResourceBudgetExceeded(f"scalar kernel exceeded {max_size} elements")
+    return list(rep), kernel
+

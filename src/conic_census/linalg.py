@@ -1,11 +1,6 @@
 """Small exact linear algebra over K (matrices as lists of KElem rows)."""
 
-from .errors import SingularMatrix
 from .field import ZERO, ONE, dot, kelem
-
-
-def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -32,24 +27,6 @@ def mat_det(a):
                 f = m[r][c] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return det
-
-
-def mat_inv(a):
-    """Inverse by Gauss-Jordan; raises SingularMatrix if not invertible."""
-    n = len(a)
-    m = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c].inverse()
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [row[n:] for row in m]
 
 
 def nullspace(a, ncols):

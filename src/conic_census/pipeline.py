@@ -40,14 +40,7 @@ from .groebner import (
     solve_zero_dim,
     zero_dim_degree,
 )
-from .group import (
-    act_on_conic,
-    generate_group,
-    generator_permutations,
-    orbit_of_conic,
-    permutation_closure,
-    projective_classes,
-)
+from .group import GroupMatrix, act_on_conic, orbit_of_conic, permutation_action
 from .linalg import mat_det
 from .poly import (
     Poly,
@@ -157,27 +150,21 @@ def orbit_census(out=None):
     """Certify the census computed by orbit closure.
 
     Returns (report, certificate); writes the certificate to `out` when a
-    path is given and every check passed.  Checks: group order and
-    projective class count, the three orbit sizes, pairwise disjointness,
-    irreducibility and surface containment of every conic, closure of the
-    census under the generators, and the stabilizer orders.  Stabilizers
-    are counted in the permutation image P of the group on the census: the
-    action is faithful modulo scalars when |P| is the projective order, and
-    each element of P lifts to |G| / |P| matrices.
+    path is given and every check passed.  Checks: the three orbit sizes,
+    pairwise disjointness, irreducibility and surface containment of every
+    conic, closure of the census under the generators, the group order and
+    projective order, and the stabilizer orders.  The group facts come from
+    one closure of the generator permutations of the 800 labels
+    (group.permutation_action): its image P, and its kernel, which must be
+    scalar.  Then the projective order is |P|, the group order is |P| times
+    the kernel order, and a seed's stabilizer is counted in P, each element
+    lifting to as many matrices as the kernel has scalars.
     """
     rep = Report("orbit census")
     f = _surface()
     gens = catalog.symmetry_generators()
     for i, m in enumerate(gens, start=1):
         rep.add(f"generator {i} preserves the surface", substitute_linear(f, m.rows) == f)
-    G = generate_group(gens)
-    rep.add("group order", len(G) == catalog.GROUP_ORDER, f"{len(G)}")
-    classes = projective_classes(G)
-    rep.add(
-        "projective transformations",
-        len(classes) == catalog.PROJECTIVE_ORDER,
-        f"{len(classes)}",
-    )
 
     seeds = catalog.seed_conics()
     names = catalog.SEED_LABELS
@@ -202,22 +189,29 @@ def orbit_census(out=None):
     valid = all(_conic_valid(c) for c in conics)
     rep.add("all conics irreducible and on the surface", valid, f"{len(conics)} checked")
 
-    perms = generator_permutations(gens, conics)
-    rep.add("census closed under every generator", perms is not None, f"{len(gens)} generators")
-    P = permutation_closure(perms) if perms else []
+    action = permutation_action(gens, conics)
+    rep.add("census closed under every generator", action is not None, f"{len(gens)} generators")
+    P, kernel = action or ([], None)
+    lift = len(kernel or ())
+    rep.add("kernel of the action is scalar", kernel is not None, f"order {lift}")
+    rep.add("group order", len(P) * lift == catalog.GROUP_ORDER, f"{len(P) * lift}")
+    rep.add(
+        "projective transformations",
+        kernel is not None and len(P) == catalog.PROJECTIVE_ORDER,
+        f"{len(P)}",
+    )
     rep.add(
         "action on the census modulo scalars",
         len(P) == catalog.PROJECTIVE_ORDER,
         f"{len(P)} permutations",
     )
-    lift = len(G) // len(P) if P else 0
     label = {c.key: i for i, c in enumerate(conics)}
     for name, seed, want in zip(names, seeds, catalog.SEED_STABILIZER_ORDERS):
         pos = label[seed.key]  # each seed starts its own orbit
         order = sum(1 for p in P if p[pos] == pos)
         rep.add(
             f"stabilizer of {name}",
-            order == want and order * lift == want * 4,
+            order == want,
             f"order {order} ({order * lift} matrices)",
         )
     rep.require()
@@ -782,7 +776,15 @@ def gram_report(conics=None, dot_out=None):
 
 
 def kummer_report(conics=None, generators=None, census=None):
-    """Verify the 16-conic Kummer configuration and its symmetry group."""
+    """Verify the 16-conic Kummer configuration and its symmetry group.
+
+    The group facts come from one closure of the generator permutations of
+    the 16 conics (group.permutation_action), as in orbit_census: the 64
+    generator actions show the configuration is stable, |P| is the
+    projective order, |P| times the kernel order the group order, and the
+    kernel, which fixes every conic, must be the powers of the scalar
+    generator gens[1].
+    """
     rep = Report("Kummer configuration")
     if conics is None:
         conics = load_packaged(KUMMER_FILE).conics
@@ -798,27 +800,25 @@ def kummer_report(conics=None, generators=None, census=None):
     )
     rep.add("pairwise disjoint", disjoint, f"{n * (n - 1) // 2} pairs")
 
-    H = generate_group(gens)
-    rep.add("symmetry group order", len(H) == catalog.KUMMER_GROUP_ORDER, f"{len(H)}")
-    classes = projective_classes(H)
+    action = permutation_action(gens, conics)
+    rep.add("configuration stable under the group", action is not None)
+    P, kernel = action or ([], None)
+    lift = len(kernel or ())
+    order = len(P) * lift
+    rep.add("symmetry group order", order == catalog.KUMMER_GROUP_ORDER, f"{order}")
     rep.add(
         "projective transformations",
-        len(classes) == catalog.KUMMER_PROJECTIVE_ORDER,
-        f"{len(classes)}",
+        kernel is not None and len(P) == catalog.KUMMER_PROJECTIVE_ORDER,
+        f"{len(P)}",
     )
-    keys = {c.key for c in conics}
-    stable = all(act_on_conic(m, c).key in keys for m in gens for c in conics)
-    rep.add("configuration stable under the group", stable)
-
-    fixer = [
-        m for m in H if all(act_on_conic(m, c).key == c.key for c in conics)
-    ]
-    scalars = generate_group([gens[1]])
+    lam = gens[1].key[0]
+    scalar_gen = gens[1].projective_key() == GroupMatrix.identity().key
     rep.add(
         "pointwise fixer is the scalar subgroup",
-        {m.key for m in fixer} == {m.key for m in scalars}
-        and len(fixer) == catalog.KUMMER_FIXER_ORDER,
-        f"order {len(fixer)}",
+        scalar_gen
+        and kernel == {lam**k for k in range(lift)}
+        and lift == catalog.KUMMER_FIXER_ORDER,
+        f"order {lift}",
     )
 
     labels = census if census is not None else census_orbit_labels()

@@ -41,13 +41,6 @@ def test_file_round_trip(demo, tmp_path):
     assert read_certificate(path) == demo
 
 
-def test_conic_by_label(demo):
-    c1 = catalog.seed_conics()[0]
-    assert demo.conic_by_label("A-1") == c1
-    with pytest.raises(KeyError):
-        demo.conic_by_label("Z-9")
-
-
 def test_keys(demo):
     keys = demo.keys()
     assert len(keys) == 3

@@ -181,6 +181,26 @@ def test_jobs_flag_is_gone():
     assert err.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbits"],
+        ["census"],
+        ["fibers"],
+        ["components"],
+        ["enumerate", "--case", "ii"],
+        ["gram"],
+        ["kummer"],
+    ],
+)
+def test_seed_flag_only_on_verify(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--seed", "3"])
+    assert err.value.code == cli.EXIT_USAGE
+    args = cli.build_parser().parse_args(["verify", "--in", "x.cert", "--seed", "3"])
+    assert args.seed == 3
+
+
 def test_failed_orbits_writes_no_certificate(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(catalog, "SEED_STABILIZER_ORDERS", (12, 12, 5))
     out = tmp_path / "census.cert"

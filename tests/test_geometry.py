@@ -118,14 +118,49 @@ def test_intersection_numbers():
     assert intersection_number(c3, c1) == 0
 
 
-def test_gram3_is_symmetric():
+def _oracle_gram3(c):
+    """Symmetric 3x3 matrix of the reduced quadric in the non-pivot variables."""
+    others = [i for i in range(4) if i != c.pivot]
+
+    def entry(i, j):
+        m = [0] * 4
+        m[i] += 1
+        m[j] += 1
+        x = c.quadric.coeff(m)
+        return x if i == j else x / 2
+
+    return [[entry(i, j) for j in others] for i in others]
+
+
+def _random_linear(rng, first=0):
+    vals = [ZERO, ONE, -ONE, kelem(2), I, SQRT2, ONE + I, SQRT10 / 3]
+    return sum((rng.choice(vals) * z for z in ZRING.gens()[first:]), ZRING.zero())
+
+
+def test_irreducibility_matches_determinant_oracle(census_conics):
     c1 = catalog.seed_conics()[0]
-    g = c1.gram3()
-    assert len(g) == 3
-    for i in range(3):
-        for j in range(3):
-            assert g[i][j] == g[j][i]
+    g = _oracle_gram3(c1)
+    assert all(g[i][j] == g[j][i] for i in range(3) for j in range(3))
     assert g[2][2] == (3 + SQRT10) / 2
+    for c in census_conics:
+        assert c.is_irreducible() and mat_det(_oracle_gram3(c))
+    # line pairs, double lines and smooth conics on planes of every pivot
+    rng = random.Random(2108)
+    kinds = {True: 0, False: 0}
+    for k in range(240):
+        plane = ZRING.var(k % 4) + _random_linear(rng, k % 4 + 1)
+        l1, l2 = _random_linear(rng), _random_linear(rng)
+        quadric = [l1 * l2, l1 * l1, l1 * l2 + _random_linear(rng) ** 2 + z0 * z3][k % 3]
+        try:
+            c = Conic(plane, quadric)
+        except DegenerateConic:
+            continue
+        smooth = bool(mat_det(_oracle_gram3(c)))
+        assert c.is_irreducible() == smooth
+        kinds[smooth] += 1
+    assert kinds[True] > 50 and kinds[False] > 100
+    assert not Conic(z3, z0 * z1).is_irreducible()
+    assert not Conic(z0 + z3, (z1 - z2) ** 2).is_irreducible()
 
 
 def test_hypersurface_smooth():

@@ -4,18 +4,17 @@ import random
 
 import pytest
 
-from conic_census import catalog
+from conic_census import catalog, pipeline
 from conic_census.certificates import KUMMER_FILE, load_packaged
-from conic_census.errors import ResourceBudgetExceeded, SingularMatrix
+from conic_census.errors import ResourceBudgetExceeded, SingularMatrix, VerificationFailed
 from conic_census.field import I, ONE, ZERO, kelem
 from conic_census.geometry import Conic
 from conic_census.group import (
     GroupMatrix,
     act_on_conic,
     generate_group,
-    generator_permutations,
     orbit_of_conic,
-    permutation_closure,
+    permutation_action,
     projective_classes,
 )
 
@@ -25,8 +24,6 @@ def test_matrix_algebra():
     e = GroupMatrix.identity()
     assert s3 * s3 == e
     assert s1 * e == s1
-    assert (s2 * s3).inverse() * (s2 * s3) == e
-    assert s2.inverse() * s2 == e
 
 
 def test_matrix_requires_4x4():
@@ -98,39 +95,68 @@ def test_orbit_under_sign_flips():
     assert len(orbit) == 2
 
 
-def test_kummer_permutation_image_matches_matrix_scan():
+def test_kummer_permutation_action_matches_matrix_scan():
     gens = catalog.kummer_generators()
     conics = load_packaged(KUMMER_FILE).conics
-    P = permutation_closure(generator_permutations(gens, conics))
+    P, kernel = permutation_action(gens, conics)
     assert len(P) == catalog.KUMMER_PROJECTIVE_ORDER == 32
     assert P[0] == tuple(range(16))
+    assert kernel == {ONE, -ONE, I, -I}
+    # the matrix reference: every element, its scalar classes, and the
+    # permutation of every matrix from one action per (matrix, conic)
     H = generate_group(gens)
-    assert len(H) == catalog.KUMMER_GROUP_ORDER == 128
-    # the permutation of every matrix, from one action per (matrix, conic)
+    assert len(H) == len(P) * len(kernel) == catalog.KUMMER_GROUP_ORDER == 128
+    assert len(projective_classes(H)) == len(P)
     index = {c.key: i for i, c in enumerate(conics)}
     direct = [tuple(index[act_on_conic(m, c).key] for c in conics) for m in H]
     assert set(direct) == set(P)
-    lift = len(H) // len(P)
     for i in range(len(conics)):
         fixing = sum(1 for p in P if p[i] == i)
-        assert fixing * lift == sum(1 for d in direct if d[i] == i)
-    fixer = [m for m, d in zip(H, direct) if d == P[0]]
-    assert sum(1 for p in P if p == P[0]) * lift == len(fixer) == catalog.KUMMER_FIXER_ORDER
+        assert fixing * len(kernel) == sum(1 for d in direct if d[i] == i)
+    fixer = {m for m, d in zip(H, direct) if d == P[0]}
+    scalars = [[[x if i == j else 0 for j in range(4)] for i in range(4)] for x in kernel]
+    assert fixer == {GroupMatrix(rows) for rows in scalars}
+    assert len(fixer) == catalog.KUMMER_FIXER_ORDER
 
 
-def test_generator_permutations_need_a_closed_list():
+def test_permutation_action_needs_a_closed_list():
     gens = catalog.kummer_generators()
     conics = load_packaged(KUMMER_FILE).conics
-    assert generator_permutations(gens, conics[:-1]) is None
+    assert permutation_action(gens, conics[:-1]) is None
 
 
-def test_permutation_closure_size_cap():
-    perms = generator_permutations(
-        catalog.kummer_generators(), load_packaged(KUMMER_FILE).conics
-    )
-    assert len(permutation_closure(perms, max_size=32)) == 32
+def test_permutation_action_needs_a_scalar_kernel():
+    # z3 -> -z3 fixes C1 and C2 (their plane is z0 + z1 + z2 and their
+    # quadrics are even in z3) but is not scalar: the kernel is not scalar
+    s1 = catalog.symmetry_generators()[0]
+    scalar = catalog.kummer_generators()[1]
+    pair = list(catalog.seed_conics()[:2])
+    P, kernel = permutation_action([s1, scalar], pair)
+    assert P == [(0, 1)]
+    assert kernel is None
+    assert permutation_action([scalar], pair) == ([(0, 1)], {ONE, -ONE, I, -I})
+    with pytest.raises(VerificationFailed) as err:
+        pipeline.kummer_report(conics=pair, generators=[s1, scalar], census={})
+    checks = {name: (ok, detail) for name, ok, detail in err.value.report.checks}
+    assert checks["configuration stable under the group"] == (True, "")
+    assert checks["pointwise fixer is the scalar subgroup"] == (False, "order 0")
+    assert checks["symmetry group order"] == (False, "0")
+    # the same group, with gens[1] a scalar of order 2 or not a scalar at all
+    g1, g2, g3, g4 = catalog.kummer_generators()
+    conics = load_packaged(KUMMER_FILE).conics
+    labels = {c.key: "C3" for c in conics}
+    for second in (g2 * g2, g2 * g1):
+        with pytest.raises(VerificationFailed) as err:
+            pipeline.kummer_report(generators=[g1, second, g3, g4, g2], census=labels)
+        assert err.value.report.first_failure() == "pointwise fixer is the scalar subgroup"
+
+
+def test_permutation_action_size_cap():
+    gens = catalog.kummer_generators()
+    conics = load_packaged(KUMMER_FILE).conics
+    assert len(permutation_action(gens, conics, max_size=32)[0]) == 32
     with pytest.raises(ResourceBudgetExceeded):
-        permutation_closure(perms, max_size=31)
+        permutation_action(gens, conics, max_size=31)
 
 
 def _assert_same_as_substitution(m, c):

@@ -225,3 +225,10 @@ def test_orbit_census_report_lines(census):
     names = [name for name, _, _ in rep.checks]
     assert any("group order" in n for n in names)
     assert any("stabilizer" in n for n in names)
+    details = {name: detail for name, _, detail in rep.checks}
+    assert details["kernel of the action is scalar"] == "order 4"
+    assert details["group order"] == "7680"
+    assert details["projective transformations"] == "1920"
+    assert details["action on the census modulo scalars"] == "1920 permutations"
+    assert details["stabilizer of C1"] == "order 12 (48 matrices)"
+    assert details["stabilizer of C3"] == "order 4 (16 matrices)"
