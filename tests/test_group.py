@@ -95,7 +95,7 @@ def test_orbit_under_sign_flips():
     assert len(orbit) == 2
 
 
-def test_kummer_permutation_action_matches_matrix_scan():
+def test_kummer_permutation_image_matches_matrix_scan():
     gens = catalog.kummer_generators()
     conics = load_packaged(KUMMER_FILE).conics
     P, kernel = permutation_action(gens, conics)
@@ -119,7 +119,7 @@ def test_kummer_permutation_action_matches_matrix_scan():
     assert len(fixer) == catalog.KUMMER_FIXER_ORDER
 
 
-def test_permutation_action_needs_a_closed_list():
+def test_generator_permutations_need_a_closed_list():
     gens = catalog.kummer_generators()
     conics = load_packaged(KUMMER_FILE).conics
     assert permutation_action(gens, conics[:-1]) is None
@@ -151,7 +151,7 @@ def test_permutation_action_needs_a_scalar_kernel():
         assert err.value.report.first_failure() == "pointwise fixer is the scalar subgroup"
 
 
-def test_permutation_action_size_cap():
+def test_permutation_closure_size_cap():
     gens = catalog.kummer_generators()
     conics = load_packaged(KUMMER_FILE).conics
     assert len(permutation_action(gens, conics, max_size=32)[0]) == 32
