@@ -13,10 +13,10 @@ power of i, bit 1 of s2, bit 2 of s5; the product of basis elements j and k
 lands on index j XOR k with scale (-1|2|5)^(j AND k bitwise).
 
 The eight Galois automorphisms are the sign choices on (i, s2, s5); the
-inverse of x is the product of its seven nontrivial images divided by the
-rational norm.  Square roots are found by descending the quadratic tower
-Q < Q(s2) < Q(s2, s5) < K, solving y = a + b*gen coordinatewise at each
-level.  All values are immutable and hashable.
+inverse of x comes from the tower of relative norms down to Q, one
+automorphism per level.  Square roots are found by descending the quadratic
+tower Q < Q(s2) < Q(s2, s5) < K, solving y = a + b*gen coordinatewise at
+each level.  All values are immutable and hashable.
 """
 
 import re
@@ -71,17 +71,6 @@ class KElem:
         self.mask = mask
 
     # -- factories ---------------------------------------------------------
-
-    @staticmethod
-    def from_coords(coords):
-        """Build from an iterable of 8 rationals (int or Fraction) in basis order."""
-        cs = [Fraction(c) for c in coords]
-        if len(cs) != _N:
-            raise ValueError(f"expected 8 coordinates, got {len(cs)}")
-        den = 1
-        for c in cs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return _make([int(c * den) for c in cs], den)
 
     @staticmethod
     def rational(n, d=1):
@@ -220,16 +209,23 @@ class KElem:
         return out
 
     def inverse(self):
-        """Multiplicative inverse via the product of Galois conjugates."""
+        """Multiplicative inverse by the tower of relative norms.
+
+        N1 = x * s_i(x) lies in Q(s2, s5), N2 = N1 * s_5(N1) in Q(s2) and
+        N3 = N2 * s_2(N2) in Q, where s_g flips the sign of g; so
+        1/x = s_i(x) * s_5(N1) * s_2(N2) / N3, five products in all.
+        """
         if self.mask == 0:
             raise ZeroDivisionError("inverse of zero in K")
         if self.mask == 1:
             return _make1(self.den, self.num[0])
         y = self.galois(1)
-        for t in range(2, _N):
-            y = y * self.galois(t)
         n = self * y
-        if n.mask > 1:  # product of all conjugates is the rational norm
+        for t in (4, 2):
+            conj = n.galois(t)
+            y = y * conj
+            n = n * conj
+        if n.mask > 1:  # the absolute norm is rational
             raise ArithmeticError("norm computation left irrational part")
         return y * _make1(n.den, n.num[0])
 
@@ -391,8 +387,6 @@ SQRT5 = KElem((0, 0, 0, 0, 1, 0, 0, 0), 1, 16)
 I_SQRT5 = KElem((0, 0, 0, 0, 0, 1, 0, 0), 1, 32)
 SQRT10 = KElem((0, 0, 0, 0, 0, 0, 1, 0), 1, 64)
 I_SQRT10 = KElem((0, 0, 0, 0, 0, 0, 0, 1), 1, 128)
-
-BASIS = (ONE, I, SQRT2, I_SQRT2, SQRT5, I_SQRT5, SQRT10, I_SQRT10)
 
 
 # -- square roots via the quadratic tower ------------------------------------

@@ -25,12 +25,17 @@ with coefficients of R already known, so no inverse is needed), and is
 accepted only if Q * R equals S on every coefficient.  R is the quadric of
 the residual conic.  Monomial-index tables (per degree) drive every product,
 and each output coefficient costs one normalised dot product (field.dot).
+Each conic keeps the quotient for the last surface it was asked about, so
+on_surface and residual on the same f (the same object or an equal form)
+share one section and one division.
 
 Intersection numbers between members of the census follow the plane geometry:
 equal conics have self-intersection -2 (smooth rational curve on a K3),
 coplanar distinct conics meet with multiplicity 4 (Bezout in their plane), and
 conics in distinct planes meet only along the common line, where the count is
 the degree of the gcd of the two restricted binary quadratics (0, 1 or 2).
+Two points spanning the line come from the 2x2 minors of the two planes
+(Cramer's rule), with no inverse in K.
 The restrictions come straight from the quadric coefficients: on the line
 u*s + v*t, sum a_ij z_i z_j has coefficients sum a_ij s_i s_j,
 sum a_ij (s_i t_j + s_j t_i) and sum a_ij t_i t_j.  With m01, m02, m12 the
@@ -43,7 +48,6 @@ import functools
 
 from .errors import CommonComponent, DegenerateConic, NotOnSurface, RingMismatch
 from .field import ONE as K1, ZERO as K0, KElem, dot
-from .linalg import nullspace
 from .poly import DEGREVLEX, Poly, PolyRing
 
 ZRING = PolyRing(("z0", "z1", "z2", "z3"), DEGREVLEX)
@@ -70,6 +74,7 @@ def _pair(i, j):
 # _QIDX[i][j] = record position of a_min(i,j)max(i,j)
 _QUAD_PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
 _QUAD_MONOS = tuple(_pair(i, j) for i, j in _QUAD_PAIRS)
+_PLANE_PAIRS = tuple((i, j) for i, j in _QUAD_PAIRS if i < j)
 _PLANE_MONOS = tuple(_unit(i) for i in range(4))
 _QIDX = tuple(
     tuple(_QUAD_PAIRS.index((min(i, j), max(i, j))) for j in range(4)) for i in range(4)
@@ -216,7 +221,7 @@ class Conic:
     polynomials.
     """
 
-    __slots__ = ("plane", "quadric", "pivot", "coeffs", "key")
+    __slots__ = ("plane", "quadric", "pivot", "coeffs", "key", "_last")
 
     def __init__(self, plane, quadric):
         if plane.ring.names != ZRING.names or quadric.ring.names != ZRING.names:
@@ -237,6 +242,7 @@ class Conic:
         self.quadric = Poly(ZRING, {m: x for m, x in zip(_QUAD_MONOS, a) if x})
         self.coeffs = a + b
         self.key = tuple(x.to_text() for x in self.coeffs)
+        self._last = None  # (f, quotient) of the last surface asked about
 
     @classmethod
     def from_coeffs(cls, coeffs):
@@ -287,14 +293,23 @@ class Conic:
 
     def on_surface(self, f):
         """Whether the conic is a component of the plane section of V(f)."""
-        return self._section_quotient(f) is not None
+        return self._quotient(f) is not None
 
     def residual(self, f):
         """The other half of the plane section: f|plane = quadric * residual."""
-        q = self._section_quotient(f)
+        q = self._quotient(f)
         if q is None:
             raise NotOnSurface("conic does not lie on the surface")
         return Conic(self.plane, q)
+
+    def _quotient(self, f):
+        """_section_quotient(f), kept for the last f: the same object or an equal form."""
+        last = self._last
+        if last is not None and (last[0] is f or last[0] == f):
+            return last[1]
+        q = self._section_quotient(f)
+        self._last = (f, q)
+        return q
 
     def _section_quotient(self, f):
         """The form q with f|plane = quadric * q, or None if there is none.
@@ -327,12 +342,27 @@ class Conic:
         return list(self.coeffs[10:])
 
     def point_on_plane_line(self, other):
-        """Two independent points spanning the line plane(self) = plane(other) = 0."""
-        rows = [self.plane_coeffs(), other.plane_coeffs()]
-        basis = nullspace(rows, 4)
-        if len(basis) != 2:
+        """Two independent points spanning the line plane(self) = plane(other) = 0.
+
+        With p_ij = b_i c_j - b_j c_i the 2x2 minors of the planes b and c,
+        p_jk e_i + p_ki e_j + p_ij e_k lies on both (Cramer's rule); p_ij != 0
+        and k each of the other two columns give two independent points.
+        """
+        b, c = self.plane_coeffs(), other.plane_coeffs()
+        p = [[K0] * 4 for _ in range(4)]
+        for i, j in _PLANE_PAIRS:
+            p[i][j] = dot((b[i], b[j]), (c[j], -c[i]))
+            p[j][i] = -p[i][j]
+        i, j = next(((i, j) for i, j in _PLANE_PAIRS if p[i][j]), (None, None))
+        if i is None:
             raise CommonComponent("planes coincide; no unique common line")
-        return basis
+        points = []
+        for k in range(4):
+            if k not in (i, j):
+                v = [K0] * 4
+                v[i], v[j], v[k] = p[j][k], p[k][i], p[i][j]
+                points.append(v)
+        return points
 
 
 def _degree(f):

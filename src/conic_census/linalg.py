@@ -1,6 +1,6 @@
 """Small exact linear algebra over K (matrices as lists of KElem rows)."""
 
-from .field import ZERO, ONE, dot, kelem
+from .field import ZERO, ONE, dot
 
 
 def mat_mul(a, b):
@@ -27,32 +27,3 @@ def mat_det(a):
                 f = m[r][c] * inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return det
-
-
-def nullspace(a, ncols):
-    """Basis of the right nullspace of a (list of rows over K), deterministic."""
-    rows = [[kelem(x) for x in r] for r in a]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(v)
-    return basis

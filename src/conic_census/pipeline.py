@@ -272,9 +272,10 @@ def plane_census(cert):
     rep.add("coplanar conics are mutual residuals", paired)
     if len(conics) == catalog.CENSUS_SIZE:
         rep.add("plane count", len(groups) == catalog.PLANE_COUNT, f"{len(groups)}")
+    planes = [g[0].coeffs[10:] for g in groups.values()]
     hist = {}
-    for key in groups:
-        support = sum(1 for t in key if KElem.from_text(t))
+    for b in planes:
+        support = sum(1 for x in b if x)
         hist[support] = hist.get(support, 0) + 1
     detail = " ".join(f"{k}:{v}" for k, v in sorted(hist.items()))
     if len(conics) == catalog.CENSUS_SIZE:
@@ -283,11 +284,7 @@ def plane_census(cert):
             hist == catalog.PLANE_SUPPORT_HISTOGRAM,
             detail,
         )
-        pair_planes = [
-            key
-            for key in groups
-            if not KElem.from_text(key[0]) and not KElem.from_text(key[1])
-        ]
+        pair_planes = [b for b in planes if not b[0] and not b[1]]
         rep.add(
             "planes through the last coordinate pair",
             len(pair_planes) == catalog.EXPECTED_PLANES["iii"],

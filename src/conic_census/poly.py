@@ -182,10 +182,6 @@ class Poly:
     def coeff(self, m):
         return self.terms.get(tuple(m), K0)
 
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self):

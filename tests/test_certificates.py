@@ -93,6 +93,23 @@ def test_malformed_field_reports_line(demo):
     assert err.value.field
 
 
+def test_malformed_field_repeated_reports_first_line(demo):
+    lines = certificate_text(demo).splitlines()
+    idxs = [i for i, ln in enumerate(lines) if ln.startswith("conic ")][:2]
+    for idx in idxs:
+        toks = lines[idx].split(" ")
+        toks[3] = "1/0,0,0,0,0,0,0,0"
+        lines[idx] = " ".join(toks)
+    with pytest.raises(ParseError) as err:
+        parse_certificate("\n".join(lines))
+    assert (err.value.line, err.value.field) == (idxs[0] + 1, "a01")
+    # the second record alone reports its own line
+    del lines[idxs[0]]
+    with pytest.raises(ParseError) as err:
+        parse_certificate("\n".join(lines))
+    assert (err.value.line, err.value.field) == (idxs[1], "a01")
+
+
 # exponent form, digit separators, padding and non-ASCII digits are outside
 # the -?[0-9]+(/[0-9]+)? token grammar
 HOSTILE_TOKENS = ("1e6000", "3_000", " 3 ", "\u0663")

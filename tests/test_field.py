@@ -122,6 +122,44 @@ def test_hashable():
     assert seen[SQRT10 / SQRT5] == "b"
 
 
+def _from_coords(coords):
+    """The element with these 8 rational coordinates, through the text form."""
+    return KElem.from_text(",".join(map(str, coords)))
+
+
+def _oracle_inverse(x):
+    """1/x as the product of its seven nontrivial conjugates over the norm."""
+    y = ONE
+    for t in range(1, 8):
+        y = y * x.galois(t)
+    return y * kelem(1 / (x * y).as_fraction())
+
+
+def test_inverse_matches_conjugate_product():
+    import random
+
+    rng = random.Random(29)
+    xs = [x for x in _seeded_elements(11, 80) if x]
+    for mask in range(1, 256):
+        coords = [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            if mask >> j & 1
+            else 0
+            for j in range(8)
+        ]
+        x = _from_coords(coords)
+        assert x.mask == mask
+        xs.append(x)
+    for _ in range(20):
+        big = Fraction(rng.randint(1, 10**30), rng.randint(10**40, 10**41))
+        xs.append(kelem(big))
+        xs.append(_from_coords([big * rng.randint(-5, 5) for _ in range(7)] + [big]))
+    for x in xs:
+        inv = x.inverse()
+        assert inv == _oracle_inverse(x)
+        assert x * inv == ONE
+
+
 def _seeded_elements(seed, count):
     """Elements with zero, integral and rational coordinates over mixed denominators."""
     import random
@@ -135,7 +173,7 @@ def _seeded_elements(seed, count):
             else 0
             for _ in range(8)
         ]
-        out.append(KElem.from_coords(coords))
+        out.append(_from_coords(coords))
     return out
 
 

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from conic_census import catalog
-from conic_census.errors import DegenerateConic, NotOnSurface
-from conic_census.field import I, ONE, SQRT2, SQRT10, ZERO, kelem
+from conic_census import geometry
+from conic_census.errors import CommonComponent, DegenerateConic, NotOnSurface
+from conic_census.field import I, ONE, SQRT2, SQRT10, ZERO, dot, kelem
 from conic_census.geometry import (
     Conic,
     ZRING,
@@ -199,13 +200,41 @@ def _oracle_quotient(c, f):
     return divide_exact(sect, c.quadric) if sect else None
 
 
+def _oracle_nullspace(rows, ncols):
+    """Basis of the right nullspace of rows over K, by Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        basis.append(v)
+    return basis
+
+
 def _oracle_intersection(c1, c2):
     """Sylvester determinant and proportionality of the restrictions to the line."""
     if c1.key == c2.key:
         return -2
     if c1.plane_coeffs() == c2.plane_coeffs():
         return 4
-    s, t = c1.point_on_plane_line(c2)
+    s, t = _oracle_nullspace([c1.plane_coeffs(), c2.plane_coeffs()], 4)
     st = [a + b for a, b in zip(s, t)]
     qs = []
     for q in (c1.quadric, c2.quadric):
@@ -267,3 +296,52 @@ def test_intersection_number_matches_oracle(census_conics):
         assert got == _oracle_intersection(c, d)
         seen.add(got)
     assert seen == {-2, 0, 1, 2, 4}
+
+
+def test_common_line_lies_on_both_planes(census_conics):
+    rng = random.Random(11)
+    by_plane = {}
+    for c in census_conics:
+        by_plane.setdefault(c.coeffs[10:], []).append(c)
+    for c, d in rng.sample(list(by_plane.values()), 10):
+        with pytest.raises(CommonComponent):
+            c.point_on_plane_line(d)
+    for _ in range(200):
+        c, d = rng.sample(census_conics, 2)
+        if c.coeffs[10:] == d.coeffs[10:]:
+            continue
+        s, t = c.point_on_plane_line(d)
+        for b in (c.coeffs[10:], d.coeffs[10:]):
+            assert not dot(b, s) and not dot(b, t)
+        assert any(s[i] * t[j] - s[j] * t[i] for i in range(4) for j in range(i + 1, 4))
+
+
+def test_quotient_is_kept_per_surface(census_conics, monkeypatch):
+    sections = []
+    section = geometry._section
+
+    def counted(*args):
+        sections.append(args[0])
+        return section(*args)
+
+    monkeypatch.setattr(geometry, "_section", counted)
+    fermat = z0**4 + z1**4 + z2**4 + z3**4
+    for c in census_conics[::80]:
+        c = Conic.from_coeffs(c.coeffs)  # nothing remembered yet
+        f = catalog.surface()
+        want = _oracle_quotient(c, f)
+        assert c.on_surface(f)
+        # an equal form built again is the same surface: no second section
+        assert c.residual(catalog.surface()) == Conic(c.plane, want)
+        assert len(sections) == 1
+        # a different quartic is worked out, not read from f's quotient
+        other = _oracle_quotient(c, fermat)
+        assert other is None
+        assert not c.on_surface(fermat)
+        with pytest.raises(NotOnSurface):
+            c.residual(fermat)
+        assert c._quotient(2 * f) == 2 * want
+        assert c.on_surface(f)
+        assert c.residual(f) == Conic(c.plane, want)
+        assert len(sections) == 4
+        sections.clear()

@@ -7,10 +7,10 @@ with the offending check named.
 
 import pytest
 
-from conic_census import catalog, pipeline, reference_data
+from conic_census import catalog, geometry, pipeline, reference_data
 from conic_census.certificates import make_certificate, read_certificate
 from conic_census.errors import VerificationFailed
-from conic_census.field import ONE, ZERO, kelem
+from conic_census.field import ONE, ZERO, KElem, kelem
 from conic_census.geometry import Conic, ZRING
 from conic_census.groebner import Budget
 from conic_census.poly import ring_map
@@ -217,6 +217,33 @@ def test_verify_certificate_rejects_tamper(census, tmp_path):
     with pytest.raises(VerificationFailed) as err:
         pipeline.verify_certificate(str(bad))
     assert not err.value.report.ok
+
+
+def test_verify_sections_and_parses_each_once(census, monkeypatch):
+    texts = []
+    from_text = KElem.from_text
+    monkeypatch.setattr(
+        KElem, "from_text", staticmethod(lambda t: texts.append(t) or from_text(t))
+    )
+    sections = []
+    section = geometry._section
+    monkeypatch.setattr(
+        geometry, "_section", lambda *args: sections.append(1) or section(*args)
+    )
+    lines = census.path.read_text().splitlines()
+    records = {t for ln in lines if ln.startswith("conic ") for t in ln.split()[2:]}
+    meta = sum(
+        len(ln.split()) - 1 - ln.startswith("seed ")
+        for ln in lines
+        if ln.startswith(("generator ", "seed "))
+    )
+    assert (len(records), meta) == (329, 106)
+    for _ in range(2):  # each read parses anew
+        texts.clear()
+        cert = read_certificate(str(census.path))
+        assert len(texts) == len(records) + meta
+    pipeline.verify_certificate(cert)
+    assert len(sections) == len(cert.conics) == 800
 
 
 def test_orbit_census_report_lines(census):

@@ -82,8 +82,6 @@ def test_degree_queries(xyz):
     assert p.total_degree() == 4
     assert p.degree_in(0) == 3
     assert p.degree_in(2) == 2
-    assert not p.is_homogeneous()
-    assert (x**2 + y * z).is_homogeneous()
 
 
 def test_substitute_and_evaluate(xyz):

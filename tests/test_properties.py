@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from conic_census import catalog, pipeline
-from conic_census.field import BASIS, KElem, ONE, ZERO, kelem
+from conic_census.field import KElem, ONE, ZERO, kelem
 from conic_census.geometry import intersection_number
 from conic_census.group import act_on_conic
 from conic_census.groebner import buchberger, normal_form, s_polynomial
@@ -24,7 +24,7 @@ INTERSECTION_CASES = 200
 
 def random_kelem(rng, span=9):
     coords = [Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(8)]
-    return KElem.from_coords(coords)
+    return KElem.from_text(",".join(map(str, coords)))
 
 
 @functools.lru_cache(maxsize=None)
