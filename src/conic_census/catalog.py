@@ -9,6 +9,7 @@ the singular ideal, ansatz systems against independently transcribed
 expansions, and enumerated conics against the census.
 """
 
+import functools
 from fractions import Fraction
 
 from .field import I, ONE as K1, SQRT2, SQRT5, SQRT10, kelem
@@ -251,11 +252,13 @@ def _conic_form(ring, idx, t0, t1):
     return m1 * t0**2 + m2 * t0 + m3 + m4 * t1**2 + m5 * t1 + m6 * t0 * t1
 
 
+@functools.cache
 def ansatz_equations(case):
     """The splitting conditions: coefficients of cA*cB - f on the plane.
 
-    Returns (ring, equations); equations are indexed by the monomials of the
-    chart coordinates (T0, T1) in ascending exponent order.
+    Returns (ring, equations); equations is a tuple indexed by the monomials
+    of the chart coordinates (T0, T1) in ascending exponent order.  Built
+    once per case per process.
     """
     ring = ansatz_ring(case)
     i_t0, i_t1 = ring.index("T0"), ring.index("T1")
@@ -272,26 +275,33 @@ def ansatz_equations(case):
         rm[i_t1] = 0
         groups.setdefault(key, {})[tuple(rm)] = coeff
     eqs = [Poly(ring, terms) for _, terms in sorted(groups.items())]
-    return ring, [e for e in eqs if e]
+    return ring, tuple(e for e in eqs if e)
 
 
-def gauge_fixed_system(case):
+def gauge_fixed_system(case, a=None):
     """The ansatz system with the scale fixed by a4 = 1, linear part inlined.
 
     The full system contains a4*b4 - 1, so a4 is a unit on every solution and
     each unordered factorization {cA, cB} of the plane section appears as
-    exactly two gauge-fixed solutions (one per choice of cA).  Returns
-    (polys, ring, var_map, substitutions, outer_ring) where var_map maps
-    outer ring indices to the compressed ring and substitutions restore the
-    inlined variables.
+    exactly two gauge-fixed solutions (one per choice of cA).  Given `a`,
+    the plane parameter a is fixed to that value too, so the system solves
+    the single plane it names (case iii: the plane z2 + a*z3, which is the
+    pencil fiber at t = -a); otherwise the case parameters are protected
+    from inlining.  Returns (polys, ring, var_map, substitutions,
+    outer_ring) where var_map maps outer ring indices to the compressed ring
+    and substitutions restore the fixed and the inlined variables.
     """
     ring, eqs = ansatz_equations(case)
-    ia4 = ring.index("a4")
-    eqs = [e.substitute(ia4, K1) for e in eqs]
+    fixed = {ring.index("a4"): K1}
+    if a is not None:
+        fixed[ring.index("a")] = kelem(a)
+    for i, v in fixed.items():
+        eqs = [e.substitute(i, v) for e in eqs]
     eqs = [e for e in eqs if e]
-    protect = {ring.index(nm) for nm in CASE_PARAMS[case]}
+    protect = {ring.index(nm) for nm in CASE_PARAMS[case]} - set(fixed)
     red, subs = inline_linear(eqs, protect=protect)
     polys, cring, vmap = compress_variables(red, extra_keep=sorted(protect))
+    subs = [(i, ring.const(v)) for i, v in fixed.items()] + subs
     return polys, cring, vmap, subs, ring
 
 

@@ -85,8 +85,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    p.add_argument("--seed", type=int, default=pipeline.DEFAULT_SEED, metavar="N",
-                   help="seed for sampled generator actions")
     _add_common(p)
 
     return parser
@@ -173,7 +171,7 @@ def _cmd_kummer(args):
 
 
 def _cmd_verify(args):
-    rep = pipeline.verify_certificate(args.infile, seed=args.seed)
+    rep = pipeline.verify_certificate(args.infile)
     _emit(args, rep)
     return EXIT_OK
 

@@ -79,7 +79,7 @@ def test_fiber_at_is_a_plane_quartic():
     assert q.ring.names == ("z0", "z1", "z3")
     assert {sum(m) for m in q.terms} == {4}
     assert q.total_degree() == 4
-    # the seed parameter of C3 gives the fiber containing it
+    # C3 lies on z2 + a*z3 = 0 (b3 = a), so it is in the fiber at t = -a
     a = catalog.split_parameters()[0]
     c3 = catalog.seed_conics()[2]
     assert c3.plane_coeffs()[3] == a

@@ -191,14 +191,13 @@ def test_jobs_flag_is_gone():
         ["enumerate", "--case", "ii"],
         ["gram"],
         ["kummer"],
+        ["verify", "--in", "x.cert"],
     ],
 )
-def test_seed_flag_only_on_verify(argv):
+def test_seed_flag_is_gone(argv):
     with pytest.raises(SystemExit) as err:
         cli.main(argv + ["--seed", "3"])
     assert err.value.code == cli.EXIT_USAGE
-    args = cli.build_parser().parse_args(["verify", "--in", "x.cert", "--seed", "3"])
-    assert args.seed == 3
 
 
 def test_failed_orbits_writes_no_certificate(monkeypatch, capsys, tmp_path):

@@ -98,7 +98,8 @@ def test_verify_components_detects_wrong_component():
 
 
 def test_factor_fiber_split():
-    alpha = catalog.split_parameters()[0]
+    # C3 lies on z2 + a*z3 = 0 with a = split_parameters()[0]: the fiber t = -a
+    alpha = -catalog.split_parameters()[0]
     fac = pipeline.factor_fiber(alpha)
     assert fac.kind == "split"
     assert len(fac.conics) == 2
@@ -108,6 +109,18 @@ def test_factor_fiber_split():
         assert c.on_surface(f)
     assert fac.conics[0].residual(f) == fac.conics[1]
     assert catalog.seed_conics()[2] in fac.conics
+
+
+def test_split_fiber_conics_are_the_case_iii_conics_on_its_plane(census):
+    _, conics = pipeline.enumerate_case("iii", census=census.certificate.keys())
+    by_plane = {}
+    for c in conics:
+        by_plane.setdefault(c.key[10:14], set()).add(c.key)
+    for alpha in catalog.split_parameters():
+        plane = tuple(v.to_text() for v in (ZERO, ZERO, ONE, -alpha))  # z2 - alpha*z3
+        fac = pipeline.factor_fiber(alpha)
+        assert [c.key[10:14] for c in fac.conics] == [plane, plane]
+        assert {c.key for c in fac.conics} == by_plane[plane]
 
 
 def test_factor_fiber_nodal_and_smooth():
@@ -256,6 +269,5 @@ def test_orbit_census_report_lines(census):
     assert details["kernel of the action is scalar"] == "order 4"
     assert details["group order"] == "7680"
     assert details["projective transformations"] == "1920"
-    assert details["action on the census modulo scalars"] == "1920 permutations"
     assert details["stabilizer of C1"] == "order 12 (48 matrices)"
     assert details["stabilizer of C3"] == "order 4 (16 matrices)"
