@@ -18,8 +18,10 @@ Layout:
 Round trips are bit exact: read(write(cert)) == cert, including metadata
 order.  Reading re-validates that every record is in canonical form, that
 the count and the metadata the verifier reads (orbit, stabilizer,
-generator, seed) are well formed, and raises ParseError with line and
-field diagnostics otherwise.
+generator, seed) are well formed, and that no orbit, stabilizer or seed
+label repeats, and raises ParseError with line and field diagnostics
+otherwise.  Those four keys are parsed once, and the certificate keeps the
+typed values for the verifier.
 
 A census repeats few field texts (11,200 fields, 329 distinct), so one parse
 maps each distinct record field text to its KElem once; a malformed text is
@@ -27,7 +29,7 @@ not kept and raises at the first line carrying it.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .catalog import SEED_LABELS
@@ -90,6 +92,23 @@ _TYPED_META = {
 }
 
 
+def _typed_value(key, value, labelled):
+    """The typed value of one metadata line, or None for an untyped key.
+
+    labelled holds the (key, label) pairs of the lines before; a repeated
+    orbit, stabilizer or seed label raises ValueError.
+    """
+    parse = _TYPED_META.get(key)
+    if parse is None:
+        return None
+    typed = parse(value)
+    if key != "generator":
+        if (key, typed[0]) in labelled:
+            raise ValueError(f"repeated {key} label {typed[0]}")
+        labelled.add((key, typed[0]))
+    return typed
+
+
 @dataclass(frozen=True)
 class ConicCertificate:
     """An ordered list of labelled conics plus free-form metadata."""
@@ -97,14 +116,11 @@ class ConicCertificate:
     kind: str
     meta: tuple  # ((key, value), ...) with key not in _RESERVED
     entries: tuple  # ((label, Conic), ...)
+    typed: tuple = field(compare=False, repr=False)  # _typed_value per meta line
 
     @property
     def conics(self):
         return [c for _, c in self.entries]
-
-    @property
-    def labels(self):
-        return [lab for lab, _ in self.entries]
 
     def keys(self):
         return {c.key for _, c in self.entries}
@@ -117,8 +133,9 @@ class ConicCertificate:
             counts[prefix] = counts.get(prefix, 0) + 1
         return counts
 
-    def meta_values(self, key):
-        return [v for k, v in self.meta if k == key]
+    def typed_values(self, key):
+        """The parsed values of the metadata lines with this key, in order."""
+        return [t for (k, _), t in zip(self.meta, self.typed) if k == key]
 
 
 def make_certificate(kind, entries, meta=()):
@@ -134,7 +151,9 @@ def make_certificate(kind, entries, meta=()):
     for k, _ in meta:
         if k in _RESERVED or " " in k:
             raise CensusError(f"bad metadata key {k!r}")
-    return ConicCertificate(kind, tuple(meta), tuple(entries))
+    labelled = set()
+    typed = tuple(_typed_value(k, v, labelled) for k, v in meta)
+    return ConicCertificate(kind, tuple(meta), tuple(entries), typed)
 
 
 def certificate_text(cert: ConicCertificate) -> str:
@@ -189,6 +208,8 @@ def _parse_conic_line(tokens, lineno, parsed):
 def parse_certificate(text: str) -> ConicCertificate:
     kind = None
     meta = []
+    typed = []
+    labelled = set()  # (key, label) of the labelled metadata lines
     declared = None
     entries = []
     seen_labels = set()
@@ -229,12 +250,10 @@ def parse_certificate(text: str) -> ConicCertificate:
                     f"metadata line {word!r} after count line", line=lineno
                 )
             value = line[len(word) + 1 :]
-            typed = _TYPED_META.get(word)
-            if typed is not None:
-                try:
-                    typed(value)
-                except (ValueError, ZeroDivisionError, CensusError) as exc:
-                    raise ParseError(f"malformed {word} line: {exc}", line=lineno) from None
+            try:
+                typed.append(_typed_value(word, value, labelled))
+            except (ValueError, ZeroDivisionError, CensusError) as exc:
+                raise ParseError(f"malformed {word} line: {exc}", line=lineno) from None
             meta.append((word, value))
     if kind is None:
         raise ParseError("missing kind line")
@@ -242,7 +261,7 @@ def parse_certificate(text: str) -> ConicCertificate:
         raise ParseError("missing count line")
     if declared != len(entries):
         raise ParseError(f"count says {declared}, found {len(entries)} conic records")
-    return ConicCertificate(kind, tuple(meta), tuple(entries))
+    return ConicCertificate(kind, tuple(meta), tuple(entries), tuple(typed))
 
 
 def read_certificate(path) -> ConicCertificate:

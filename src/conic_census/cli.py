@@ -35,11 +35,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p):
-    p.add_argument("--budget-pairs", type=int, metavar="N",
-                   help="raise the Groebner S-pair budget")
-    p.add_argument("--budget-terms", type=int, metavar="N",
-                   help="raise the Groebner term budget")
+def _add_common(p, budget=False):
+    if budget:  # only the stages that run Buchberger
+        p.add_argument("--budget-pairs", type=int, metavar="N",
+                       help="raise the Groebner S-pair budget")
+        p.add_argument("--budget-terms", type=int, metavar="N",
+                       help="raise the Groebner term budget")
     p.add_argument("--format", choices=("text", "machine"), default="text",
                    help="report format")
 
@@ -61,16 +62,16 @@ def build_parser():
     _add_common(p)
 
     p = sub.add_parser("fibers", help="singular fibers of the conic pencil")
-    _add_common(p)
+    _add_common(p, budget=True)
 
     p = sub.add_parser("components", help="components of the pencil's singular locus")
-    _add_common(p)
+    _add_common(p, budget=True)
 
     p = sub.add_parser("enumerate", help="ansatz enumeration of splitting planes")
     p.add_argument("--case", required=True, choices=("i", "ii", "iii", "iv"))
     p.add_argument("--in", dest="infile", metavar="PATH",
                    help="census certificate for cross checking")
-    _add_common(p)
+    _add_common(p, budget=True)
 
     p = sub.add_parser("gram", help="intersection Gram matrix of the 20 spanning conics")
     p.add_argument("--in", dest="infile", metavar="PATH",
@@ -91,8 +92,8 @@ def build_parser():
 
 
 def _budget(args):
-    pairs = getattr(args, "budget_pairs", None)
-    terms = getattr(args, "budget_terms", None)
+    pairs = args.budget_pairs
+    terms = args.budget_terms
     if pairs is None and terms is None:
         return None
     pairs = pairs or DEFAULT_BUDGET.max_pairs

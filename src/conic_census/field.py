@@ -73,12 +73,6 @@ class KElem:
     # -- factories ---------------------------------------------------------
 
     @staticmethod
-    def rational(n, d=1):
-        if d == 0:
-            raise ZeroDivisionError("rational with zero denominator")
-        return _make([n, 0, 0, 0, 0, 0, 0, 0], d)
-
-    @staticmethod
     def from_text(text):
         """Parse the 8-comma-joined rational form produced by :meth:`to_text`.
 
@@ -102,11 +96,6 @@ class KElem:
         return _make([n * (den // d) for n, d in zip(nums, dens)], den)
 
     # -- views -------------------------------------------------------------
-
-    def coords(self):
-        """Coordinates over B as a tuple of 8 reduced Fractions."""
-        d = self.den
-        return tuple(Fraction(n, d) for n in self.num)
 
     def to_text(self):
         """Canonical textual form: 8 reduced rationals joined by commas."""

@@ -356,16 +356,6 @@ def _reduce_basis(polys, ring):
     return out
 
 
-def is_groebner(G):
-    """Check confluence: every S-polynomial reduces to zero over G."""
-    polys = list(G)
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if normal_form(s_polynomial(polys[i], polys[j]), polys):
-                return False
-    return True
-
-
 def ideal_membership(p, G):
     """True iff p reduces to zero modulo the Groebner basis G."""
     return not normal_form(p, list(G))

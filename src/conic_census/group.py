@@ -11,13 +11,16 @@ is substitution of M*z into both equations, so it composes contravariantly
 canonicaliser in geometry.  Orbits only ever compare canonical conic keys,
 so the convention drops out of every reported result.
 
-On a finite list of conics closed under the generators, each generator is
-also a permutation of the list positions (one action per generator and
-conic).  permutation_action closes those permutations by BFS, keeping one
-matrix per permutation along the BFS tree (a Schreier transversal), and
-checks on every other edge that the Schreier generator is a scalar; the
-scalars generate the kernel of the action (Schreier's lemma; Holt, Eick and
-O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  So one
+conic_closure is the one BFS over conics: it closes seed conics under the
+generators and records, with each image it computes, that image's position
+in the closed list.  So each generator is also a permutation of the list
+positions, at one action per generator and conic; orbit_of_conic is a view
+of the closure.  permutation_action closes those permutations by BFS,
+acting on no conic, keeping one matrix per permutation along the BFS tree
+(a Schreier transversal), and checks on every other edge that the Schreier
+generator is a scalar; the scalars generate the kernel of the action
+(Schreier's lemma; Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, ch. 4).  So one
 closure gives the group order |P| * |kernel|, the projective order |P|,
 and stabilizers counted on integers, with no group element inverted.
 """
@@ -162,46 +165,54 @@ def act_on_conic(m, conic):
     return Conic.from_coeffs(quad + plane)
 
 
-def orbit_of_conic(gens, conic):
-    """BFS orbit of a conic under the group generated by gens.
+def conic_closure(gens, seeds):
+    """(conics, moves): the closure of the seeds under gens, by one BFS.
 
-    Returns the orbit as a dict canonical-key -> Conic in discovery order
-    (dicts preserve insertion order).
+    Seeds are closed one at a time, so each seed not reached before starts
+    one contiguous run of conics, its orbit in discovery order; a seed
+    already reached adds nothing.  moves[g][i] is the position of
+    act_on_conic(gens[g], conics[i]), recorded when that image is computed:
+    one action per generator and conic.
     """
-    orbit = {conic.key: conic}
-    frontier = [conic]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g in gens:
-                c2 = act_on_conic(g, c)
-                if c2.key not in orbit:
-                    orbit[c2.key] = c2
-                    nxt.append(c2)
-        frontier = nxt
-    return orbit
+    index = {}  # key -> position; a new key gets the next one
+    conics = []
+    moves = [[] for _ in gens]
+    done = 0
+    for seed in seeds:
+        if index.setdefault(seed.key, len(conics)) == len(conics):
+            conics.append(seed)
+        while done < len(conics):
+            for g, move in zip(gens, moves):
+                image = act_on_conic(g, conics[done])
+                j = index.setdefault(image.key, len(conics))
+                if j == len(conics):
+                    conics.append(image)
+                move.append(j)
+            done += 1
+    return conics, [tuple(move) for move in moves]
 
 
-def permutation_action(gens, conics, max_size=100000):
-    """(perms, kernel) of the group generated by gens on conics, or None.
+def orbit_of_conic(gens, conic):
+    """The orbit of a conic as a dict canonical key -> Conic, in BFS order."""
+    conics, _ = conic_closure(gens, [conic])
+    return {c.key: c for c in conics}
 
-    None when some generator moves a conic off the list.  perms is the image
-    P of the group in the symmetric group of the list positions, in BFS
-    order with the identity first: entry i is the position of the image of
-    conics[i], and the product of p by a generator g maps i to g[p[i]] (act
-    by p, then by g, as rep[p] * g).  kernel is the set of scalars lambda
-    with lambda*I in the group, or None when some edge p -g-> q of the
-    closure has rep[p] * g not a scalar multiple of rep[q].  Raises
+
+def permutation_action(gens, moves, max_size=100000):
+    """(perms, kernel) of the group generated by gens on a closed conic list.
+
+    moves[g] is the permutation of the list positions made by gens[g], as
+    conic_closure records it; no conic is acted on here.  perms is the image
+    P of the group in the symmetric group of the positions, in BFS order
+    with the identity first: entry i is the position of the image of conic
+    i, and the product of p by a generator g maps i to g[p[i]] (act by p,
+    then by g, as rep[p] * g).  kernel is the set of scalars lambda with
+    lambda*I in the group, or None when some edge p -g-> q of the closure
+    has rep[p] * g not a scalar multiple of rep[q].  Raises
     ResourceBudgetExceeded when P or the kernel passes max_size elements.
     """
-    index = {c.key: i for i, c in enumerate(conics)}
-    moves = []
-    for g in gens:
-        move = tuple(index.get(act_on_conic(g, c).key) for c in conics)
-        if None in move:
-            return None
-        moves.append((g, move))
-    identity = tuple(range(len(conics)))
+    identity = tuple(range(len(moves[0]))) if moves else ()
+    edges = list(zip(gens, moves))
     rep = {identity: GroupMatrix.identity()}
     ratios = set()
     scalar = True
@@ -210,7 +221,7 @@ def permutation_action(gens, conics, max_size=100000):
         nxt = []
         for p in frontier:
             m = rep[p]
-            for g, move in moves:
+            for g, move in edges:
                 q = tuple(map(move.__getitem__, p))
                 mg = m * g
                 r = rep.get(q)

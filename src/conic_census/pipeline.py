@@ -16,13 +16,9 @@ from .certificates import (
     KUMMER_FILE,
     NS_BASIS_FILE,
     ConicCertificate,
-    generator_value,
     load_packaged,
     make_certificate,
-    orbit_value,
     read_certificate,
-    seed_value,
-    stabilizer_value,
     write_certificate,
 )
 from .errors import CensusError, NonPrincipal, VerificationFailed
@@ -37,7 +33,7 @@ from .groebner import (
     solve_zero_dim,
     zero_dim_degree,
 )
-from .group import GroupMatrix, act_on_conic, orbit_of_conic, permutation_action
+from .group import GroupMatrix, act_on_conic, conic_closure, permutation_action
 from .linalg import mat_det
 from .poly import (
     compress_variables,
@@ -111,28 +107,28 @@ def _conic_valid(conic):
 
 
 @functools.lru_cache(maxsize=1)
-def _census_orbits():
-    """label -> orbit dict (conic key -> Conic), computed once per process."""
-    gens = catalog.symmetry_generators()
-    out = {}
-    for name, seed in zip(catalog.SEED_LABELS, catalog.seed_conics()):
-        out[name] = orbit_of_conic(gens, seed)
-    return out
+def _census_closure():
+    """(conics, moves, runs): the census from one conic_closure per process.
+
+    runs maps each seed label to the positions from its seed to the next
+    seed, its orbit when every seed starts a run of its own.
+    """
+    conics, moves = conic_closure(catalog.symmetry_generators(), catalog.seed_conics())
+    index = {c.key: i for i, c in enumerate(conics)}
+    starts = [index[s.key] for s in catalog.seed_conics()] + [len(conics)]
+    runs = {n: range(a, b) for n, a, b in zip(catalog.SEED_LABELS, starts, starts[1:])}
+    return conics, moves, runs
 
 
 def census_keys():
     """The canonical keys of all conics in the census."""
-    keys = set()
-    for orbit in _census_orbits().values():
-        keys |= orbit.keys()
-    return keys
+    return {c.key for c in _census_closure()[0]}
 
 
 def census_orbit_labels():
     """conic key -> orbit label for the full census."""
-    return {
-        key: name for name, orbit in _census_orbits().items() for key in orbit
-    }
+    conics, _, runs = _census_closure()
+    return {conics[i].key: name for name, run in runs.items() for i in run}
 
 
 # -- orbit census ------------------------------------------------------------
@@ -143,14 +139,17 @@ def orbit_census(out=None):
 
     Returns (report, certificate); writes the certificate to `out` when a
     path is given and every check passed.  Checks: the three orbit sizes,
-    pairwise disjointness, irreducibility and surface containment of every
-    conic, closure of the census under the generators, the group order and
-    projective order, and the stabilizer orders.  The group facts come from
-    one closure of the generator permutations of the 800 labels
-    (group.permutation_action): its image P, and its kernel, which must be
-    scalar.  Then the projective order is |P|, the group order is |P| times
-    the kernel order, and a seed's stabilizer is counted in P, each element
-    lifting to as many matrices as the kernel has scalars.
+    pairwise disjointness, the census size, irreducibility and surface
+    containment of every conic, the group order and projective order, and
+    the stabilizer orders.  The census is one closure of the three seeds
+    (group.conic_closure), one run of positions per seed.  The runs are
+    pairwise disjoint orbits exactly when each is closed under every
+    generator, as a proper part of an orbit is not.  The group facts come
+    from one closure of the generator permutations that the conic closure
+    recorded (group.permutation_action): its image P, and its kernel, which
+    must be scalar.  Then the projective order is |P|, the group order is
+    |P| times the kernel order, and a seed's stabilizer is counted in P,
+    each element lifting to as many matrices as the kernel has scalars.
     """
     rep = Report("orbit census")
     f = _surface()
@@ -158,32 +157,24 @@ def orbit_census(out=None):
     for i, m in enumerate(gens, start=1):
         rep.add(f"generator {i} preserves the surface", substitute_linear(f, m.rows) == f)
 
-    seeds = catalog.seed_conics()
-    names = catalog.SEED_LABELS
-    orbits = list(_census_orbits().values())
-    sizes = tuple(len(o) for o in orbits)
+    conics, moves, runs = _census_closure()
+    sizes = tuple(len(run) for run in runs.values())
     rep.add(
         "orbit sizes",
         sizes == catalog.SEED_ORBIT_LENGTHS,
         " ".join(map(str, sizes)),
     )
-    key_sets = [set(o) for o in orbits]
-    disjoint = (
-        not (key_sets[0] & key_sets[1])
-        and not (key_sets[0] & key_sets[2])
-        and not (key_sets[1] & key_sets[2])
+    disjoint = all(
+        run and all(move[i] in run for move in moves for i in run)
+        for run in runs.values()
     )
     rep.add("orbits pairwise disjoint", disjoint)
-    total = len(key_sets[0] | key_sets[1] | key_sets[2])
-    rep.add("census size", total == catalog.CENSUS_SIZE, f"{total}")
+    rep.add("census size", len(conics) == catalog.CENSUS_SIZE, f"{len(conics)}")
 
-    conics = [c for o in orbits for c in o.values()]
     valid = all(_conic_valid(c) for c in conics)
     rep.add("all conics irreducible and on the surface", valid, f"{len(conics)} checked")
 
-    action = permutation_action(gens, conics)
-    rep.add("census closed under every generator", action is not None, f"{len(gens)} generators")
-    P, kernel = action or ([], None)
+    P, kernel = permutation_action(gens, moves)
     lift = len(kernel or ())
     rep.add("kernel of the action is scalar", kernel is not None, f"order {lift}")
     rep.add("group order", len(P) * lift == catalog.GROUP_ORDER, f"{len(P) * lift}")
@@ -192,9 +183,8 @@ def orbit_census(out=None):
         kernel is not None and len(P) == catalog.PROJECTIVE_ORDER,
         f"{len(P)}",
     )
-    label = {c.key: i for i, c in enumerate(conics)}
-    for name, seed, want in zip(names, seeds, catalog.SEED_STABILIZER_ORDERS):
-        pos = label[seed.key]  # each seed starts its own orbit
+    for (name, run), want in zip(runs.items(), catalog.SEED_STABILIZER_ORDERS):
+        pos = run.start  # the seed's own position
         order = sum(1 for p in P if p[pos] == pos)
         rep.add(
             f"stabilizer of {name}",
@@ -203,19 +193,21 @@ def orbit_census(out=None):
         )
     rep.require()
 
-    meta = [("orbit", f"{name} {len(o)}") for name, o in zip(names, orbits)]
+    meta = [("orbit", f"{name} {len(run)}") for name, run in runs.items()]
     meta += [
         ("stabilizer", f"{name} {want}")
-        for name, want in zip(names, catalog.SEED_STABILIZER_ORDERS)
+        for name, want in zip(runs, catalog.SEED_STABILIZER_ORDERS)
     ]
     meta += [("generator", " ".join(m.fields())) for m in gens]
     meta += [
-        ("seed", f"{name} " + " ".join(c.fields())) for name, c in zip(names, seeds)
+        ("seed", f"{name} " + " ".join(conics[run.start].fields()))
+        for name, run in runs.items()
     ]
-    entries = []
-    for name, orbit in zip(names, orbits):
-        for idx, c in enumerate(orbit.values()):
-            entries.append((f"{name}-{idx:03d}", c))
+    entries = [
+        (f"{name}-{idx:03d}", conics[i])
+        for name, run in runs.items()
+        for idx, i in enumerate(run)
+    ]
     cert = make_certificate("orbit-census", entries, meta)
     if out is not None:
         write_certificate(cert, out)
@@ -725,11 +717,12 @@ def gram_report(conics=None, dot_out=None):
 def kummer_report(conics=None, generators=None, census=None):
     """Verify the 16-conic Kummer configuration and its symmetry group.
 
-    The group facts come from one closure of the generator permutations of
-    the 16 conics (group.permutation_action), as in orbit_census: the 64
-    generator actions show the configuration is stable, |P| is the
-    projective order, |P| times the kernel order the group order, and the
-    kernel, which fixes every conic, must be the powers of the scalar
+    The 16 conics are closed under the generators as in orbit_census
+    (group.conic_closure): they are stable when the closure's 64 generator
+    actions add no conic.  The group facts come from one closure of the
+    generator permutations it recorded (group.permutation_action): |P| is
+    the projective order, |P| times the kernel order the group order, and
+    the kernel, which fixes every conic, must be the powers of the scalar
     generator gens[1].
     """
     rep = Report("Kummer configuration")
@@ -747,9 +740,10 @@ def kummer_report(conics=None, generators=None, census=None):
     )
     rep.add("pairwise disjoint", disjoint, f"{n * (n - 1) // 2} pairs")
 
-    action = permutation_action(gens, conics)
-    rep.add("configuration stable under the group", action is not None)
-    P, kernel = action or ([], None)
+    closure, moves = conic_closure(gens, conics)
+    stable = len(closure) == len({c.key for c in conics})  # the closure added no conic
+    rep.add("configuration stable under the group", stable)
+    P, kernel = permutation_action(gens, moves)
     lift = len(kernel or ())
     order = len(P) * lift
     rep.add("symmetry group order", order == catalog.KUMMER_GROUP_ORDER, f"{order}")
@@ -803,11 +797,11 @@ def verify_certificate(source):
     rep.add("parsed in canonical form", True, f"{len(conics)} conics, kind {cert.kind}")
     rep.add("all conics irreducible and on the surface", all(_conic_valid(c) for c in conics))
 
-    declared = dict(orbit_value(v) for v in cert.meta_values("orbit"))
+    declared = dict(cert.typed_values("orbit"))
     if declared:
         rep.add("declared orbit counts match labels", declared == cert.label_counts())
 
-    stabilizers = [stabilizer_value(v) for v in cert.meta_values("stabilizer")]
+    stabilizers = cert.typed_values("stabilizer")
     if stabilizers:
         want = dict(zip(catalog.SEED_LABELS, catalog.SEED_STABILIZER_ORDERS))
         rep.add(
@@ -816,15 +810,15 @@ def verify_certificate(source):
             " ".join(f"{label} {order}" for label, order in stabilizers),
         )
 
-    gens = [generator_value(v) for v in cert.meta_values("generator")]
+    gens = cert.typed_values("generator")
     f = _surface()
     for i, m in enumerate(gens, start=1):
         rep.add(f"generator {i} preserves the surface", substitute_linear(f, m.rows) == f)
 
-    seeds = dict(seed_value(v) for v in cert.meta_values("seed"))
+    seeds = cert.typed_values("seed")
     keys = cert.keys()
     if seeds:
-        rep.add("seed conics listed in the census", all(c.key in keys for c in seeds.values()))
+        rep.add("seed conics listed in the census", all(c.key in keys for _, c in seeds))
 
     if cert.kind == "orbit-census" and len(conics) == catalog.CENSUS_SIZE:
         rep.add(

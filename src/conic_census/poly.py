@@ -104,21 +104,6 @@ class PolyRing:
     def index(self, name):
         return self.names.index(name)
 
-    def poly(self, terms):
-        """Build from {exponent tuple: coefficient}; zero coefficients dropped."""
-        out = {}
-        for m, c in terms.items():
-            c = kelem(c)
-            if c:
-                m = tuple(m)
-                if len(m) != self.n:
-                    raise ValueError(f"monomial {m} has wrong arity for {self!r}")
-                out[m] = c
-        return Poly(self, out)
-
-    def term(self, c, m):
-        return self.poly({tuple(m): c})
-
 
 def _check_same_ring(a, b):
     if a.ring != b.ring:

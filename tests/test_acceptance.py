@@ -39,7 +39,7 @@ def test_orbit_census(census):
     assert counts == {"C1": 160, "C2": 160, "C3": 480}
     assert len(cert.entries) == 800
     assert len(cert.keys()) == 800
-    stab = {m.split()[0]: int(m.split()[1]) for m in cert.meta_values("stabilizer")}
+    stab = {m.split()[0]: int(m.split()[1]) for k, m in cert.meta if k == "stabilizer"}
     assert stab == {"C1": 12, "C2": 12, "C3": 4}
     assert census.seconds < 900
     print(

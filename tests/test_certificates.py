@@ -32,7 +32,7 @@ def test_text_round_trip(demo):
     back = parse_certificate(text)
     assert back == demo
     assert back.label_counts() == {"A": 2, "B": 1}
-    assert back.meta_values("note") == ["three seeds", "second line"]
+    assert [v for k, v in back.meta if k == "note"] == ["three seeds", "second line"]
 
 
 def test_file_round_trip(demo, tmp_path):

@@ -8,13 +8,18 @@ from importlib import resources
 
 from conic_census import catalog, cli
 from conic_census.certificates import KUMMER_FILE, certificate_text, make_certificate
-from conic_census.field import KElem, ONE
+from conic_census.field import KElem, ONE, kelem
+from conic_census.geometry import Conic
 
 # tokens outside the certificate grammar, one of them a non-ASCII digit
 HOSTILE_TOKENS = ("1e6000", "3_000", " 3 ", "\u0663")
 
 ZERO_FIELD = ",".join(["0"] * 8)
-# metadata lines the verifier reads, each malformed, inserted after the kind line
+# z0 + 2*z1 = 0, z2^2 + z3^2 = 0: a conic that is not even on the surface
+OFF_SURFACE = Conic.from_coeffs([kelem(v) for v in (0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 2, 0, 0)])
+SEED_FIELDS = [" ".join(c.fields()) for c in catalog.seed_conics()]
+# metadata lines the verifier reads, inserted after the kind line; the last
+# line of each is malformed or repeats a label
 BAD_META = {
     "orbit-size-not-digits": "orbit C1 abc",
     "orbit-without-size": "orbit C1",
@@ -26,6 +31,9 @@ BAD_META = {
     "stabilizer-without-order": "stabilizer C1",
     "stabilizer-extra-token": "stabilizer C1 12 48",
     "seed-zero-conic": "seed C1 " + " ".join([ZERO_FIELD] * 14),
+    "orbit-repeated-label": "orbit C1 16\norbit C1 999",
+    "stabilizer-repeated-label": "stabilizer C1 12\nstabilizer C1 12",
+    "seed-repeated-label": f"seed C1 {SEED_FIELDS[0]}\nseed C1 {SEED_FIELDS[2]}",
 }
 
 
@@ -200,6 +208,16 @@ def test_seed_flag_is_gone(argv):
     assert err.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["orbits"], ["census"], ["gram"], ["kummer"], ["verify", "--in", "x.cert"]],
+)
+def test_budget_flags_only_on_groebner_stages(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--budget-pairs", "5"])
+    assert err.value.code == cli.EXIT_USAGE
+
+
 def test_failed_orbits_writes_no_certificate(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(catalog, "SEED_STABILIZER_ORDERS", (12, 12, 5))
     out = tmp_path / "census.cert"
@@ -215,7 +233,25 @@ def test_verify_malformed_metadata_exits_4(capsys, tmp_path, name):
     path.write_text(text)
     assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_PARSE
     err = capsys.readouterr().err
-    assert "parse error" in err and "(line 3)" in err
+    assert "parse error" in err and f"(line {2 + len(BAD_META[name].splitlines())})" in err
+
+
+@pytest.mark.parametrize(
+    "forged",
+    ["orbit C1 999", "seed C1 " + " ".join(OFF_SURFACE.fields())],
+    ids=["orbit", "seed"],
+)
+def test_verify_repeated_label_in_census_exits_4(capsys, tmp_path, census, forged):
+    # a forged line before the honest one: keeping only the last value per
+    # label would verify it
+    lines = census.path.read_text().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith(forged[:len("seed C1 ")]))
+    lines.insert(idx, forged)
+    path = tmp_path / "repeated.cert"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_PARSE
+    word = forged.split()[0]
+    assert f"repeated {word} label C1 (line {idx + 2})" in capsys.readouterr().err
 
 
 def test_verify_count_with_underscore_exits_4(capsys, tmp_path):

@@ -193,7 +193,7 @@ def test_dot_equals_sum_of_products():
 def test_text_form_matches_reduced_fractions():
     for x in _seeded_elements(9, 80) + [kelem(-3), -SQRT2 / 4]:
         text = x.to_text()
-        assert text == ",".join(str(c) for c in x.coords())
+        assert text == ",".join(str(Fraction(n, x.den)) for n in x.num)
         assert KElem.from_text(text) == x
 
 

@@ -12,6 +12,7 @@ from conic_census.geometry import Conic
 from conic_census.group import (
     GroupMatrix,
     act_on_conic,
+    conic_closure,
     generate_group,
     orbit_of_conic,
     permutation_action,
@@ -97,8 +98,10 @@ def test_orbit_under_sign_flips():
 
 def test_kummer_permutation_image_matches_matrix_scan():
     gens = catalog.kummer_generators()
-    conics = load_packaged(KUMMER_FILE).conics
-    P, kernel = permutation_action(gens, conics)
+    listed = load_packaged(KUMMER_FILE).conics
+    conics, moves = conic_closure(gens, listed)
+    assert {c.key for c in conics} == {c.key for c in listed}
+    P, kernel = permutation_action(gens, moves)
     assert len(P) == catalog.KUMMER_PROJECTIVE_ORDER == 32
     assert P[0] == tuple(range(16))
     assert kernel == {ONE, -ONE, I, -I}
@@ -120,9 +123,18 @@ def test_kummer_permutation_image_matches_matrix_scan():
 
 
 def test_generator_permutations_need_a_closed_list():
+    # the closure of 15 Kummer conics adds the 16th, so the 15 are not stable
     gens = catalog.kummer_generators()
     conics = load_packaged(KUMMER_FILE).conics
-    assert permutation_action(gens, conics[:-1]) is None
+    closure, moves = conic_closure(gens, conics[:-1])
+    assert len(closure) == 16
+    assert {c.key for c in closure} == {c.key for c in conics}
+    assert all(sorted(move) == list(range(16)) for move in moves)
+    with pytest.raises(VerificationFailed) as err:
+        pipeline.kummer_report(conics=conics[:-1], census={})
+    checks = {name: (ok, detail) for name, ok, detail in err.value.report.checks}
+    assert checks["configuration stable under the group"] == (False, "")
+    assert checks["sixteen conics"] == (False, "15")
 
 
 def test_permutation_action_needs_a_scalar_kernel():
@@ -131,10 +143,12 @@ def test_permutation_action_needs_a_scalar_kernel():
     s1 = catalog.symmetry_generators()[0]
     scalar = catalog.kummer_generators()[1]
     pair = list(catalog.seed_conics()[:2])
-    P, kernel = permutation_action([s1, scalar], pair)
+    closure, moves = conic_closure([s1, scalar], pair)
+    assert closure == pair and moves == [(0, 1), (0, 1)]
+    P, kernel = permutation_action([s1, scalar], moves)
     assert P == [(0, 1)]
     assert kernel is None
-    assert permutation_action([scalar], pair) == ([(0, 1)], {ONE, -ONE, I, -I})
+    assert permutation_action([scalar], moves[1:]) == ([(0, 1)], {ONE, -ONE, I, -I})
     with pytest.raises(VerificationFailed) as err:
         pipeline.kummer_report(conics=pair, generators=[s1, scalar], census={})
     checks = {name: (ok, detail) for name, ok, detail in err.value.report.checks}
@@ -153,10 +167,47 @@ def test_permutation_action_needs_a_scalar_kernel():
 
 def test_permutation_closure_size_cap():
     gens = catalog.kummer_generators()
-    conics = load_packaged(KUMMER_FILE).conics
-    assert len(permutation_action(gens, conics, max_size=32)[0]) == 32
+    _, moves = conic_closure(gens, load_packaged(KUMMER_FILE).conics)
+    assert len(permutation_action(gens, moves, max_size=32)[0]) == 32
     with pytest.raises(ResourceBudgetExceeded):
-        permutation_action(gens, conics, max_size=31)
+        permutation_action(gens, moves, max_size=31)
+
+
+def _assert_moves_are_the_actions(gens, conics, moves):
+    index = {c.key: i for i, c in enumerate(conics)}
+    assert len(index) == len(conics)
+    assert len(moves) == len(gens)
+    for g, move in zip(gens, moves):
+        assert move == tuple(index[act_on_conic(g, c).key] for c in conics)
+
+
+def test_closure_moves_are_the_generator_actions_on_kummer():
+    gens = catalog.kummer_generators()
+    conics, moves = conic_closure(gens, load_packaged(KUMMER_FILE).conics)
+    assert len(conics) == 16
+    _assert_moves_are_the_actions(gens, conics, moves)
+
+
+def test_closure_moves_are_the_generator_actions_on_census():
+    gens = catalog.symmetry_generators()
+    conics, moves, _ = pipeline._census_closure()
+    assert len(conics) == catalog.CENSUS_SIZE
+    _assert_moves_are_the_actions(gens, conics, moves)
+
+
+def test_closure_runs_one_orbit_per_new_seed():
+    gens = catalog.symmetry_generators()
+    c1, c2, c3 = catalog.seed_conics()
+    image = act_on_conic(gens[1], c1)
+    assert image.key != c1.key
+    conics, moves = conic_closure(gens, [c1, image, c3])
+    # the image of C1 is already in C1's run, so it adds nothing
+    assert (conics, moves) == conic_closure(gens, [c1, c3])
+    n1 = catalog.SEED_ORBIT_LENGTHS[0]
+    assert len(conics) == n1 + catalog.SEED_ORBIT_LENGTHS[2]
+    assert conics[n1] == c3
+    assert [c.key for c in conics[:n1]] == list(orbit_of_conic(gens, c1))
+    assert [c.key for c in conics[n1:]] == list(orbit_of_conic(gens, c3))
 
 
 def _assert_same_as_substitution(m, c):

@@ -7,7 +7,7 @@ with the offending check named.
 
 import pytest
 
-from conic_census import catalog, geometry, pipeline, reference_data
+from conic_census import catalog, geometry, group, pipeline, reference_data
 from conic_census.certificates import make_certificate, read_certificate
 from conic_census.errors import VerificationFailed
 from conic_census.field import ONE, ZERO, KElem, kelem
@@ -49,18 +49,39 @@ def test_failed_census_writes_no_certificate(monkeypatch, tmp_path):
 
 
 def test_one_census_per_process(monkeypatch):
+    # one action per generator and conic: 4 x 800 for the census closure,
+    # 4 x 16 for the Kummer closure, and none for the permutation closures
     calls = []
-    orbit_of_conic = pipeline.orbit_of_conic
+    act_on_conic = group.act_on_conic
 
-    def counted(gens, conic):
+    def counted(m, conic):
         calls.append(conic.key)
-        return orbit_of_conic(gens, conic)
+        return act_on_conic(m, conic)
 
-    monkeypatch.setattr(pipeline, "orbit_of_conic", counted)
-    pipeline._census_orbits.cache_clear()
+    monkeypatch.setattr(group, "act_on_conic", counted)
+    pipeline._census_closure.cache_clear()
     pipeline.orbit_census()
     pipeline.kummer_report()
-    assert len(calls) == 3
+    pipeline.census_keys()
+    pipeline.census_orbit_labels()
+    assert len(calls) == 3264
+
+
+def test_seed_in_an_earlier_orbit_fails_disjointness(monkeypatch):
+    c1, _, c3 = catalog.seed_conics()
+    image = group.act_on_conic(catalog.symmetry_generators()[1], c1)
+    assert image.key != c1.key
+    monkeypatch.setattr(catalog, "seed_conics", lambda: (c1, image, c3))
+    pipeline._census_closure.cache_clear()
+    try:
+        with pytest.raises(VerificationFailed) as err:
+            pipeline.orbit_census()
+    finally:
+        pipeline._census_closure.cache_clear()
+    checks = {name: (ok, detail) for name, ok, detail in err.value.report.checks}
+    assert checks["orbits pairwise disjoint"] == (False, "")
+    assert checks["census size"] == (False, "640")
+    assert checks["orbit sizes"][0] is False
 
 
 def test_singular_parameter_locus():
@@ -255,8 +276,10 @@ def test_verify_sections_and_parses_each_once(census, monkeypatch):
         texts.clear()
         cert = read_certificate(str(census.path))
         assert len(texts) == len(records) + meta
+    texts.clear()
     pipeline.verify_certificate(cert)
     assert len(sections) == len(cert.conics) == 800
+    assert texts == []  # the generator and seed lines are not parsed again
 
 
 def test_orbit_census_report_lines(census):

@@ -13,7 +13,7 @@ from conic_census.field import KElem, ONE, ZERO, kelem
 from conic_census.geometry import intersection_number
 from conic_census.group import act_on_conic
 from conic_census.groebner import buchberger, normal_form, s_polynomial
-from conic_census.poly import DEGREVLEX, LEX, PolyRing
+from conic_census.poly import DEGREVLEX, LEX, Poly, PolyRing
 
 FIELD_CASES = 300
 GB_CASES = 200
@@ -70,7 +70,7 @@ def _random_system(rng):
                 terms[mono] = terms.get(mono, ZERO) + kelem(coeff)
         terms = {m: c for m, c in terms.items() if c}
         if terms:
-            gens.append(ring.poly(terms))
+            gens.append(Poly(ring, terms))
     if not gens:
         gens = [ring.var(0)]
     return ring, gens
@@ -142,8 +142,7 @@ def action_composition_suite(cases=ACTION_CASES, seed=404):
 @functools.lru_cache(maxsize=None)
 def intersection_suite(cases=INTERSECTION_CASES, seed=505):
     rng = random.Random(seed)
-    orbits = pipeline._census_orbits()
-    pool = [c for orbit in orbits.values() for c in orbit.values()]
+    pool = pipeline._census_closure()[0]
     gens = catalog.symmetry_generators()
     failures = []
     for k in range(cases):

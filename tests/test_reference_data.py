@@ -47,11 +47,11 @@ def test_packaged_basis_file_matches_table():
     cert = load_packaged(NS_BASIS_FILE)
     assert cert.kind == "spanning-basis"
     assert list(cert.conics) == list(reference_data.ns_basis_conics())
-    assert list(cert.labels) == [f"B-{k:02d}" for k in range(1, 21)]
+    assert [lab for lab, _ in cert.entries] == [f"B-{k:02d}" for k in range(1, 21)]
 
 
 def test_packaged_kummer_file_matches_table():
     cert = load_packaged(KUMMER_FILE)
     assert cert.kind == "kummer"
     assert list(cert.conics) == list(reference_data.kummer_conics())
-    assert list(cert.labels) == [f"K-{k:02d}" for k in range(1, 17)]
+    assert [lab for lab, _ in cert.entries] == [f"K-{k:02d}" for k in range(1, 17)]
