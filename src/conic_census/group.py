@@ -11,6 +11,18 @@ is substitution of M*z into both equations, so it composes contravariantly
 canonicaliser in geometry.  Orbits only ever compare canonical conic keys,
 so the convention drops out of every reported result.
 
+generate_group runs its BFS on rows, not on matrices: row i of m*g is row
+i of m times g, and the elements of a finite group share few rows (the
+7680 elements of the census group have 160).  So an element is the 4-tuple
+of its row positions in a closure of rows under v -> v*g, and its product
+with a generator is four lookups in that generator's move on the row
+positions, recorded as conic_closure records its moves on conics.  A row's
+image is computed when an element first needs it, one vector-matrix
+product per row and generator, so an infinite group stops on the element
+budget having moved no more rows than its elements hold.
+projective_classes likewise scales each distinct row once per leading
+entry.
+
 conic_closure is the one BFS over conics: it closes seed conics under the
 generators and records, with each image it computes, that image's position
 in the closed list.  So each generator is also a permutation of the list
@@ -104,26 +116,44 @@ def generate_group(gens, max_size=100000):
     """BFS closure of the generators; deterministic element order.
 
     Raises SingularMatrix if a generator is singular; every element is then
-    known to be invertible.
+    known to be invertible.  Raises ResourceBudgetExceeded when the group
+    passes max_size elements.  The BFS runs on 4-tuples of row positions
+    (see the module docstring), so the elements and their order are those
+    of the BFS on matrix products m * g, and each new element is built from
+    the shared row tuples.
     """
     gens = list(gens)
-    frontier = [GroupMatrix.identity()]
-    for m in frontier + gens:
+    identity = GroupMatrix.identity()
+    for m in [identity] + gens:
         m.require_invertible()
-    seen = {}
-    order = []
-    for m in frontier:
-        seen[m.key] = m
-        order.append(m)
+    rows = list(identity.rows)
+    index = {r: i for i, r in enumerate(rows)}  # row -> position
+    edges = [(tuple(zip(*g.rows)), {}) for g in gens]  # (columns, row moves)
+
+    def image(cols, move, i):
+        j = move.get(i)
+        if j is None:
+            r = tuple(dot(rows[i], c) for c in cols)
+            j = move[i] = index.setdefault(r, len(rows))
+            if j == len(rows):
+                rows.append(r)
+        return j
+
+    frontier = [tuple(range(4))]
+    seen = set(frontier)
+    order = [identity]
     while frontier:
         nxt = []
-        for m in frontier:
-            for g in gens:
-                p = m * g
-                if p.key not in seen:
-                    seen[p.key] = p
-                    order.append(p)
-                    nxt.append(p)
+        for p in frontier:
+            for cols, move in edges:
+                q = tuple(image(cols, move, i) for i in p)
+                if q not in seen:
+                    seen.add(q)
+                    m = GroupMatrix.__new__(GroupMatrix)
+                    m._set([rows[i] for i in q])
+                    m.invertible = True
+                    order.append(m)
+                    nxt.append(q)
                     if len(order) > max_size:
                         raise ResourceBudgetExceeded(
                             f"group closure exceeded {max_size} elements"
@@ -133,13 +163,33 @@ def generate_group(gens, max_size=100000):
 
 
 def projective_classes(elements):
-    """One representative per scalar class, in first-seen order."""
+    """One representative per scalar class, in first-seen order.
+
+    Two elements are in one class iff their projective_key() agree: the
+    entries scaled so the first nonzero one (row-major) is 1.  Each distinct
+    leading entry is inverted once per call and each distinct pair of a row
+    and a leading entry scaled once, since a group's elements share few rows.
+    """
+    inverses = {}  # leading entry -> its inverse
+    scaled = {}  # (row, leading entry) -> position of the scaled row
+    positions = {}  # scaled row -> position
     seen = set()
     reps = []
     for m in elements:
-        k = m.projective_key()
-        if k not in seen:
-            seen.add(k)
+        first = next(x for x in m.key if x)
+        key = []
+        for row in m.rows:
+            k = scaled.get((row, first))
+            if k is None:
+                if first not in inverses:
+                    inverses[first] = first.inverse()
+                inv = inverses[first]
+                k = positions.setdefault(tuple(x * inv for x in row), len(positions))
+                scaled[row, first] = k
+            key.append(k)
+        key = tuple(key)
+        if key not in seen:
+            seen.add(key)
             reps.append(m)
     return reps
 

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conic_census import catalog, pipeline
+from conic_census import catalog, group, pipeline
 from conic_census.certificates import KUMMER_FILE, load_packaged
 from conic_census.errors import ResourceBudgetExceeded, SingularMatrix, VerificationFailed
-from conic_census.field import I, ONE, ZERO, kelem
+from conic_census.field import I, ONE, ZERO, dot, kelem
 from conic_census.geometry import Conic
 from conic_census.group import (
     GroupMatrix,
@@ -55,10 +55,73 @@ def test_generate_group_small():
     assert len(generate_group([s3, ie])) == 8
 
 
+def _matrix_bfs(gens):
+    # the reference closure: a BFS on matrix products m * g
+    order = [GroupMatrix.identity()]
+    seen = set(order)
+    frontier = order[:]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                p = m * g
+                if p not in seen:
+                    seen.add(p)
+                    order.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return order
+
+
+def test_generate_group_matches_the_matrix_bfs():
+    s3 = catalog.symmetry_generators()[2]
+    ie = GroupMatrix([[I, 0, 0, 0], [0, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I]])
+    for gens in ([s3], [ie], [s3, ie], catalog.kummer_generators()):
+        G = generate_group(gens)
+        assert [m.key for m in G] == [m.key for m in _matrix_bfs(gens)]
+        assert all(m.invertible for m in G)
+
+
+def test_full_group_is_closed_on_a_stride_sample():
+    gens = catalog.symmetry_generators()
+    G = generate_group(gens)
+    elements = set(G)
+    assert len(elements) == len(G) == catalog.GROUP_ORDER
+    sample = G[:: len(G) // 64]
+    assert len(sample) == 64
+    assert all(m * g in elements for m in sample for g in gens)
+
+
+def test_projective_classes_match_projective_keys():
+    G = generate_group(catalog.kummer_generators())
+    reps = projective_classes(G)
+    first = {}
+    for m in G:
+        first.setdefault(m.projective_key(), m)
+    assert reps == list(first.values())
+    assert len(reps) == catalog.KUMMER_PROJECTIVE_ORDER
+
+
 def test_generate_group_size_cap():
     gens = catalog.symmetry_generators()
     with pytest.raises(ResourceBudgetExceeded):
         generate_group(gens, max_size=100)
+
+
+def test_infinite_group_stops_on_the_element_budget(monkeypatch):
+    # diag(2, 1, 1, 1) has infinite order: each new element needs one new
+    # row image, 2^k * e0, and the three fixed rows are moved once
+    calls = []
+
+    def counting_dot(xs, ys):
+        calls.append(1)
+        return dot(xs, ys)
+
+    monkeypatch.setattr(group, "dot", counting_dot)
+    m = GroupMatrix([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ResourceBudgetExceeded, match="group closure exceeded 2000 elements"):
+        generate_group([m], max_size=2000)
+    assert len(calls) == 4 * (2000 + 3)
 
 
 def test_action_is_a_group_action():
