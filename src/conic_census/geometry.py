@@ -11,7 +11,13 @@ re-reading canonical records costs little.  Two pairs cut out the same conic
 iff their canonical fields agree, because the plane of a plane conic is
 unique and the reduced quadric is unique up to the scalar that monic-ization
 fixes.  Conics built from polynomials, from certificate records and by the
-group action all pass through it.
+group action all pass through it.  A Conic keeps the canonical coefficients
+and compares and hashes by them: K elements are stored reduced, so this is
+the same relation as comparing the text fields.  The text key and the plane
+and quadric polynomials are views built the first time they are read, so a
+conic that is only compared, such as a group image already listed, builds
+neither.  The images of a conic under a group share few leading
+coefficients, so their inverses are memoised (a bounded memo).
 
 The plane section of a surface f = 0 is worked out in coefficient form.  On
 the plane the pivot variable is z_p = L = -sum b_j z_j (j != p), so the
@@ -175,6 +181,16 @@ _TERNARY_QUAD = tuple(
 )
 
 
+@functools.lru_cache(maxsize=4096)
+def _inverse(x):
+    """x.inverse(), memoised for the 4096 values most recently inverted.
+
+    The images of one conic under a group share few leading coefficients:
+    the census closure scales by 460 distinct values, 3,224 times.
+    """
+    return x.inverse()
+
+
 def _canonical(b, a):
     """(pivot, plane, quadric) in canonical form from 4 + 10 coefficients."""
     pivot = next((i for i in range(4) if b[i]), None)
@@ -184,7 +200,7 @@ def _canonical(b, a):
         raise DegenerateConic("quadric must be a nonzero quadratic form")
     lead = b[pivot]
     if lead != K1:
-        inv = lead.inverse()
+        inv = _inverse(lead)
         b = [x * inv for x in b]
     row = [a[k] for k in _QIDX[pivot]]  # coefficients of z_pivot * z_j
     if any(row):
@@ -208,7 +224,7 @@ def _canonical(b, a):
     if lead is None:
         raise DegenerateConic("quadric vanishes on the plane")
     if lead != K1:
-        inv = lead.inverse()
+        inv = _inverse(lead)
         a = [x * inv for x in a]
     return pivot, tuple(b), tuple(a)
 
@@ -217,11 +233,12 @@ class Conic:
     """An irreducible-or-not plane conic in canonical form.
 
     coeffs holds the 14 canonical coefficients in record order a00..a33,
-    b0..b3, key their text form; plane and quadric are the same data as
-    polynomials.
+    b0..b3, and defines equality and the hash.  key (their text form), plane
+    and quadric (the same data as polynomials) are read-only views, each
+    computed the first time it is read.
     """
 
-    __slots__ = ("plane", "quadric", "pivot", "coeffs", "key", "_last")
+    __slots__ = ("pivot", "coeffs", "_key", "_plane", "_quadric", "_last")
 
     def __init__(self, plane, quadric):
         if plane.ring.names != ZRING.names or quadric.ring.names != ZRING.names:
@@ -236,12 +253,9 @@ class Conic:
         )
 
     def _set(self, b, a):
-        pivot, b, a = _canonical(b, a)
-        self.pivot = pivot
-        self.plane = Poly(ZRING, {m: x for m, x in zip(_PLANE_MONOS, b) if x})
-        self.quadric = Poly(ZRING, {m: x for m, x in zip(_QUAD_MONOS, a) if x})
+        self.pivot, b, a = _canonical(b, a)
         self.coeffs = a + b
-        self.key = tuple(x.to_text() for x in self.coeffs)
+        self._key = self._plane = self._quadric = None
         self._last = None  # (f, quotient) of the last surface asked about
 
     @classmethod
@@ -253,11 +267,34 @@ class Conic:
         c._set(coeffs[10:], coeffs[:10])
         return c
 
+    @property
+    def key(self):
+        """The 14 canonical coefficients as text, in record order."""
+        if self._key is None:
+            self._key = tuple(x.to_text() for x in self.coeffs)
+        return self._key
+
+    @property
+    def plane(self):
+        """The canonical plane as a linear form."""
+        if self._plane is None:
+            b = self.coeffs[10:]
+            self._plane = Poly(ZRING, {m: x for m, x in zip(_PLANE_MONOS, b) if x})
+        return self._plane
+
+    @property
+    def quadric(self):
+        """The canonical reduced quadric as a quadratic form."""
+        if self._quadric is None:
+            a = self.coeffs[:10]
+            self._quadric = Poly(ZRING, {m: x for m, x in zip(_QUAD_MONOS, a) if x})
+        return self._quadric
+
     def __eq__(self, other):
-        return isinstance(other, Conic) and self.key == other.key
+        return isinstance(other, Conic) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.key)
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Conic({self.plane}; {self.quadric})"
@@ -414,7 +451,7 @@ def intersection_number(c1, c2):
     Both conics must be irreducible; reducible inputs can share a line, which
     is reported as CommonComponent rather than a number.
     """
-    if c1.key == c2.key:
+    if c1 == c2:
         return -2
     if c1.coeffs[10:] == c2.coeffs[10:]:
         # Distinct irreducible conics in one plane: Bezout, no common part.

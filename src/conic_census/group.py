@@ -3,13 +3,17 @@
 Elements are exact 4x4 matrices over K.  generate_group closes generators
 by BFS with exact deduplication, so the element list is deterministic for a
 fixed generator list.  A matrix M moves a conic to its preimage under
-z -> M*z, computed on coefficients: the plane row vector b goes to b*M and
-the quadric z^T U z (U upper triangular, U_ij = a_ij) to z^T M^T U M z, whose
-coefficient on z_k*z_l is W_kl + W_lk for W = M^T U M (W_kk on z_k^2).  This
-is substitution of M*z into both equations, so it composes contravariantly
-(act(M*N) = act(M) then act(N)); the result goes through the one conic
-canonicaliser in geometry.  Orbits only ever compare canonical conic keys,
-so the convention drops out of every reported result.
+z -> M*z: M*z is substituted into both equations, so the action composes
+contravariantly (act(M*N) = act(M) then act(N)).  On the 14 record
+coefficients this is a linear map, Sym^2(M) on the 10 quadric coefficients
+and M on the 4 plane coefficients (the row vector b goes to b*M).  Each
+matrix builds the map the first time it acts and keeps it, as the source
+positions and nonzero factors of every output coefficient, so an action is
+14 short dot products, and under a signed permutation matrix (three of the
+four census generators) each output coefficient is one copy or one
+scaling.  The result goes through the one conic canonicaliser in geometry.
+Orbits only ever compare canonical coefficients, so the convention drops
+out of every reported result.
 
 generate_group runs its BFS on rows, not on matrices: row i of m*g is row
 i of m times g, and the elements of a finite group share few rows (the
@@ -41,7 +45,7 @@ from itertools import chain
 
 from .errors import ResourceBudgetExceeded, SingularMatrix
 from .field import ONE as K1, ZERO as K0, KElem, dot, kelem
-from .geometry import Conic
+from .geometry import _QUAD_PAIRS, Conic
 from .linalg import mat_det, mat_mul
 
 
@@ -53,7 +57,7 @@ class GroupMatrix:
     invertible is known to be invertible, since det(MN) = det(M) det(N).
     """
 
-    __slots__ = ("rows", "key", "invertible")
+    __slots__ = ("rows", "key", "invertible", "_conic_map")
 
     def __init__(self, rows):
         rows = [[kelem(x) for x in r] for r in rows]
@@ -66,6 +70,7 @@ class GroupMatrix:
         self.rows = tuple(map(tuple, rows))
         self.key = tuple(chain.from_iterable(rows))
         self.invertible = None
+        self._conic_map = None
 
     def __mul__(self, other):
         p = GroupMatrix.__new__(GroupMatrix)
@@ -89,6 +94,37 @@ class GroupMatrix:
             self.invertible = bool(mat_det(self.rows))
         if not self.invertible:
             raise SingularMatrix("group matrix is singular")
+
+    def conic_map(self):
+        """The action on conic coefficients: one (sources, factors) per output.
+
+        Output n of the map on a record a (a00..a33, b0..b3) is
+        sum f * a[i] over i, f in zip(sources, factors); an output with one
+        source and factor 1 is stored as (i, None), the copy a[i].  Q(M*z)
+        has coefficient sum a_ij (M_ik M_jl + M_il M_jk) on z_k*z_l (k < l)
+        and sum a_ij M_ik M_jk on z_k^2, and the plane b goes to b*M.  Built
+        on the first call, after require_invertible(), and kept.
+        """
+        if self._conic_map is None:
+            self.require_invertible()
+            m = self.rows
+            rows = [
+                [
+                    m[i][k] * m[j][k]
+                    if k == l
+                    else dot((m[i][k], m[i][l]), (m[j][l], m[j][k]))
+                    for i, j in _QUAD_PAIRS
+                ]
+                for k, l in _QUAD_PAIRS
+            ]
+            rows += [[K0] * 10 + [m[i][k] for i in range(4)] for k in range(4)]
+            entries = []
+            for row in rows:
+                srcs = tuple(i for i, f in enumerate(row) if f)
+                facs = tuple(row[i] for i in srcs)
+                entries.append((srcs[0], None) if facs == (K1,) else (srcs, facs))
+            self._conic_map = tuple(entries)
+        return self._conic_map
 
     def projective_key(self):
         """Entries scaled so the first nonzero one (row-major) is 1."""
@@ -196,23 +232,10 @@ def projective_classes(elements):
 
 def act_on_conic(m, conic):
     """The preimage of conic under z -> M*z, in canonical form."""
-    m.require_invertible()
-    cols = tuple(zip(*m.rows))
     a = conic.coeffs
-    plane = [dot(a[10:], col) for col in cols]
-    upper = (
-        a[0:4],
-        (K0,) + a[4:7],
-        (K0, K0) + a[7:9],
-        (K0, K0, K0, a[9]),
+    return Conic.from_coeffs(
+        [a[i] if f is None else dot([a[j] for j in i], f) for i, f in m.conic_map()]
     )
-    um = tuple(zip(*[[dot(u, col) for col in cols] for u in upper]))  # columns of U*M
-    quad = [
-        dot(cols[k], um[k]) if k == l else dot(cols[k] + cols[l], um[l] + um[k])
-        for k in range(4)
-        for l in range(k, 4)
-    ]
-    return Conic.from_coeffs(quad + plane)
 
 
 def conic_closure(gens, seeds):
@@ -222,19 +245,21 @@ def conic_closure(gens, seeds):
     one contiguous run of conics, its orbit in discovery order; a seed
     already reached adds nothing.  moves[g][i] is the position of
     act_on_conic(gens[g], conics[i]), recorded when that image is computed:
-    one action per generator and conic.
+    one action per generator and conic.  Images are looked up by their
+    canonical coefficients, so one already listed builds no text or
+    polynomial.
     """
-    index = {}  # key -> position; a new key gets the next one
+    index = {}  # canonical coeffs -> position; new coeffs get the next one
     conics = []
     moves = [[] for _ in gens]
     done = 0
     for seed in seeds:
-        if index.setdefault(seed.key, len(conics)) == len(conics):
+        if index.setdefault(seed.coeffs, len(conics)) == len(conics):
             conics.append(seed)
         while done < len(conics):
             for g, move in zip(gens, moves):
                 image = act_on_conic(g, conics[done])
-                j = index.setdefault(image.key, len(conics))
+                j = index.setdefault(image.coeffs, len(conics))
                 if j == len(conics):
                     conics.append(image)
                 move.append(j)

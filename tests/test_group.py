@@ -7,8 +7,8 @@ import pytest
 from conic_census import catalog, group, pipeline
 from conic_census.certificates import KUMMER_FILE, load_packaged
 from conic_census.errors import ResourceBudgetExceeded, SingularMatrix, VerificationFailed
-from conic_census.field import I, ONE, ZERO, dot, kelem
-from conic_census.geometry import Conic
+from conic_census.field import I, ONE, SQRT10, ZERO, KElem, dot, kelem
+from conic_census.geometry import ZRING, Conic
 from conic_census.group import (
     GroupMatrix,
     act_on_conic,
@@ -298,6 +298,98 @@ def test_coefficient_action_equals_substitution_on_group_sample():
     for m in random.Random(2108).sample(G, 200):
         for c in catalog.seed_conics():
             _assert_same_as_substitution(m, c)
+
+
+def _act_by_formula(m, conic):
+    # the explicit formula: the plane b goes to b*M and the quadric z^T U z
+    # (U upper triangular, U_ij = a_ij) to z^T M^T U M z, whose coefficient
+    # on z_k*z_l is W_kl + W_lk for W = M^T U M (W_kk on z_k^2)
+    cols = tuple(zip(*m.rows))
+    a = conic.coeffs
+    plane = [dot(a[10:], col) for col in cols]
+    upper = (a[0:4], (ZERO,) + a[4:7], (ZERO, ZERO) + a[7:9], (ZERO, ZERO, ZERO, a[9]))
+    um = tuple(zip(*[[dot(u, col) for col in cols] for u in upper]))  # columns of U*M
+    quad = [
+        dot(cols[k], um[k]) if k == l else dot(cols[k] + cols[l], um[l] + um[k])
+        for k in range(4)
+        for l in range(k, 4)
+    ]
+    return Conic.from_coeffs(quad + plane)
+
+
+def test_action_equals_the_explicit_formula_exhaustively():
+    # every census conic under every census generator, every Kummer conic
+    # under every Kummer generator, the seeds under a stride sample of the
+    # group (dense matrices, as products of the generators)
+    census, _, _ = pipeline._census_closure()
+    G = generate_group(catalog.symmetry_generators())
+    sample = G[:: len(G) // 128]
+    assert len(sample) == 128
+    cases = [
+        (catalog.symmetry_generators(), census),
+        (catalog.kummer_generators(), load_packaged(KUMMER_FILE).conics),
+        (sample, catalog.seed_conics()),
+    ]
+    for gens, conics in cases:
+        for m in gens:
+            for c in conics:
+                got, want = act_on_conic(m, c), _act_by_formula(m, c)
+                assert got.coeffs == want.coeffs
+                assert got.pivot == want.pivot
+
+
+def test_closure_builds_no_text_for_its_images(monkeypatch):
+    # images are looked up by canonical coefficients, so the 3,200 images
+    # (2,400 of them already listed) and the seeds build no text key
+    calls = []
+    to_text = KElem.to_text
+
+    def counting_to_text(x):
+        calls.append(1)
+        return to_text(x)
+
+    monkeypatch.setattr(KElem, "to_text", counting_to_text)
+    conics, moves = conic_closure(catalog.symmetry_generators(), catalog.seed_conics())
+    assert len(conics) == catalog.CENSUS_SIZE
+    assert sum(map(len, moves)) == 4 * catalog.CENSUS_SIZE
+    assert calls == []
+
+
+def test_equal_coefficients_exactly_when_keys_are_equal():
+    census, _, _ = pipeline._census_closure()
+    kummer = load_packaged(KUMMER_FILE).conics
+    listed = list(census) + list(kummer)
+    # equal conics built apart: re-read from their fields, and images that
+    # the closure finds already listed
+    reread = [Conic.from_fields(c.fields()) for c in listed]
+    images = [act_on_conic(g, c) for g in catalog.kummer_generators() for c in kummer]
+    by_coeffs, by_key = {}, {}
+    for c in listed + reread + images:
+        assert by_coeffs.setdefault(c.coeffs, c.key) == c.key
+        assert by_key.setdefault(c.key, c.coeffs) == c.coeffs
+    assert len(by_coeffs) == len(by_key) == catalog.CENSUS_SIZE
+    for c, d in zip(listed, reread):
+        assert c is not d and c == d and hash(c) == hash(d)
+    assert len(set(listed + reread + images)) == catalog.CENSUS_SIZE
+
+
+def test_views_read_after_construction():
+    z0, z1, z2, z3 = ZRING.gens()
+    # a monic plane and a monic quadric free of z0: both already canonical
+    plane = z0 + z1 + z2
+    quadric = z1**2 + z1 * z2 + z2**2 + ((3 + SQRT10) / 2) * z3**2
+    c = Conic(plane, quadric)
+    assert c.plane == plane and c.quadric == quadric
+    assert c.key == tuple(x.to_text() for x in c.coeffs)
+    assert c.plane is c.plane and c.key is c.key
+    for name in ("key", "plane", "quadric"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+    # on action images, each view gives back the same conic
+    for m in catalog.symmetry_generators():
+        image = act_on_conic(m, catalog.seed_conics()[2])
+        assert Conic(image.plane, image.quadric) == image
+        assert Conic.from_fields(image.key) == image
 
 
 @pytest.mark.parametrize(
