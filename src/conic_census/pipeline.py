@@ -114,8 +114,8 @@ def _census_closure():
     seed, its orbit when every seed starts a run of its own.
     """
     conics, moves = conic_closure(catalog.symmetry_generators(), catalog.seed_conics())
-    index = {c.key: i for i, c in enumerate(conics)}
-    starts = [index[s.key] for s in catalog.seed_conics()] + [len(conics)]
+    index = {c: i for i, c in enumerate(conics)}
+    starts = [index[s] for s in catalog.seed_conics()] + [len(conics)]
     runs = {n: range(a, b) for n, a, b in zip(catalog.SEED_LABELS, starts, starts[1:])}
     return conics, moves, runs
 
@@ -222,8 +222,8 @@ def _mutual_residuals(f, pair):
         return False
     try:
         return (
-            pair[0].residual(f).key == pair[1].key
-            and pair[1].residual(f).key == pair[0].key
+            pair[0].residual(f) == pair[1]
+            and pair[1].residual(f) == pair[0]
         )
     except CensusError:
         return False
@@ -490,13 +490,13 @@ def fiber_survey(budget=None, census=None):
         if okay:
             ca, cb = shape.conics
             okay = (
-                ca.key != cb.key
+                ca != cb
                 and all(_conic_valid(c) for c in shape.conics)
-                and ca.residual(f).key == cb.key
-                and cb.residual(f).key == ca.key
+                and ca.residual(f) == cb
+                and cb.residual(f) == ca
                 and all(c.key in keys for c in shape.conics)
             )
-            seen_c3 = seen_c3 or c3.key in (ca.key, cb.key)
+            seen_c3 = seen_c3 or c3 in (ca, cb)
         rep.add(name, okay, "two mutual-residual conics in the census" if okay else "")
     rep.add("seed conic C3 appears in its fiber", seen_c3)
 
@@ -741,7 +741,7 @@ def kummer_report(conics=None, generators=None, census=None):
     rep.add("pairwise disjoint", disjoint, f"{n * (n - 1) // 2} pairs")
 
     closure, moves = conic_closure(gens, conics)
-    stable = len(closure) == len({c.key for c in conics})  # the closure added no conic
+    stable = len(closure) == len(set(conics))  # the closure added no conic
     rep.add("configuration stable under the group", stable)
     P, kernel = permutation_action(gens, moves)
     lift = len(kernel or ())
