@@ -9,9 +9,9 @@ coefficients this is a linear map, Sym^2(M) on the 10 quadric coefficients
 and M on the 4 plane coefficients (the row vector b goes to b*M).  Each
 matrix builds the map the first time it acts and keeps it, as the source
 positions and nonzero factors of every output coefficient, so an action is
-14 short dot products, and under a signed permutation matrix (three of the
-four census generators) each output coefficient is one copy or one
-scaling.  The result goes through the one conic canonicaliser in geometry.
+one dot product of at most 10 terms per output coefficient, and under a
+signed permutation matrix (three of the four census generators) each
+output coefficient is one copy or one scaling.  The result goes through the one conic canonicaliser in geometry.
 Orbits only ever compare canonical coefficients, so the convention drops
 out of every reported result.
 
@@ -234,7 +234,7 @@ def act_on_conic(m, conic):
     """The preimage of conic under z -> M*z, in canonical form."""
     a = conic.coeffs
     return Conic.from_coeffs(
-        [a[i] if f is None else dot([a[j] for j in i], f) for i, f in m.conic_map()]
+        [a[src] if f is None else dot([a[i] for i in src], f) for src, f in m.conic_map()]
     )
 
 
