@@ -123,7 +123,8 @@ class ConicCertificate:
         return [c for _, c in self.entries]
 
     def keys(self):
-        return {c.key for _, c in self.entries}
+        """Conic -> label prefix (text before the first dash), the census type."""
+        return {c: lab.split("-", 1)[0] for lab, c in self.entries}
 
     def label_counts(self):
         """Count entries by label prefix (text before the first dash)."""

@@ -11,13 +11,12 @@ re-reading canonical records costs little.  Two pairs cut out the same conic
 iff their canonical fields agree, because the plane of a plane conic is
 unique and the reduced quadric is unique up to the scalar that monic-ization
 fixes.  Conics built from polynomials, from certificate records and by the
-group action all pass through it.  A Conic keeps the canonical coefficients
-and compares and hashes by them: K elements are stored reduced, so this is
-the same relation as comparing the text fields.  The text key and the plane
-and quadric polynomials are views built the first time they are read, so a
-conic that is only compared, such as a group image already listed, builds
-neither.  The images of a conic under a group share few leading
-coefficients, so their inverses are memoised (a bounded memo).
+group action all pass through it.  A Conic compares and hashes by its
+canonical coefficients, the only conic identity.  The text key is the record
+and sort view, not an identity; it and the plane and quadric polynomials are
+built on first read, so a conic that is only compared, such as a group image
+already listed, builds none of them.  The images of a conic under a group
+share few leading coefficients, so their inverses are memoised (bounded).
 
 The plane section of a surface f = 0 is worked out in coefficient form.  On
 the plane the pivot variable is z_p = L = -sum b_j z_j (j != p), so the
@@ -232,10 +231,9 @@ def _canonical(b, a):
 class Conic:
     """An irreducible-or-not plane conic in canonical form.
 
-    coeffs holds the 14 canonical coefficients in record order a00..a33,
-    b0..b3, and defines equality and the hash.  key (their text form), plane
-    and quadric (the same data as polynomials) are read-only views, each
-    computed the first time it is read.
+    coeffs holds the 14 canonical coefficients a00..a33, b0..b3 (the plane
+    is coeffs[10:]) and defines equality and the hash.  key (their text, for
+    records and sorting), plane and quadric are views built on first read.
     """
 
     __slots__ = ("pivot", "coeffs", "_key", "_plane", "_quadric", "_last")
@@ -375,9 +373,6 @@ class Conic:
         monos = _monos(d - 2)[0]
         return Poly(ZRING, {m[:p] + (0,) + m[p:]: x for m, x in zip(monos, r) if x})
 
-    def plane_coeffs(self):
-        return list(self.coeffs[10:])
-
     def point_on_plane_line(self, other):
         """Two independent points spanning the line plane(self) = plane(other) = 0.
 
@@ -385,7 +380,7 @@ class Conic:
         p_jk e_i + p_ki e_j + p_ij e_k lies on both (Cramer's rule); p_ij != 0
         and k each of the other two columns give two independent points.
         """
-        b, c = self.plane_coeffs(), other.plane_coeffs()
+        b, c = self.coeffs[10:], other.coeffs[10:]
         p = [[K0] * 4 for _ in range(4)]
         for i, j in _PLANE_PAIRS:
             p[i][j] = dot((b[i], b[j]), (c[j], -c[i]))

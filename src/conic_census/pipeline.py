@@ -120,15 +120,13 @@ def _census_closure():
     return conics, moves, runs
 
 
-def census_keys():
-    """The canonical keys of all conics in the census."""
-    return {c.key for c in _census_closure()[0]}
-
-
 def census_orbit_labels():
-    """conic key -> orbit label for the full census."""
+    """Conic -> orbit label ("C1", "C2", "C3"), the default of each census=.
+
+    ConicCertificate.keys() gives the same type from a certificate.
+    """
     conics, _, runs = _census_closure()
-    return {conics[i].key: name for name, run in runs.items() for i in run}
+    return {conics[i]: name for name, run in runs.items() for i in run}
 
 
 # -- orbit census ------------------------------------------------------------
@@ -241,7 +239,7 @@ def plane_census(cert):
     f = _surface()
     groups = {}
     for c in conics:
-        groups.setdefault(c.key[10:14], []).append(c)
+        groups.setdefault(c.coeffs[10:], []).append(c)
     rep.add(
         "every plane carries two conics",
         all(len(g) == 2 for g in groups.values()),
@@ -445,9 +443,9 @@ def analyze_nodal_fiber(alpha, budget=None):
                 coords[old] = pt[new]
             pivot = next(v for v in coords if v)
             inv = pivot.inverse()
-            points.add(tuple((v * inv).to_text() for v in coords))
+            points.add(tuple(v * inv for v in coords))
     rep.add("chart solving complete over K", solved)
-    want = {tuple(kelem(v).to_text() for v in catalog.NODAL_POINT)}
+    want = {tuple(kelem(v) for v in catalog.NODAL_POINT)}
     rep.add(
         "unique singular point (0 : 0 : 1)",
         points == want,
@@ -480,7 +478,7 @@ def fiber_survey(budget=None, census=None):
     )
 
     f = _surface()
-    keys = census if census is not None else census_keys()
+    census = census if census is not None else census_orbit_labels()
     c3 = catalog.seed_conics()[2]
     seen_c3 = False
     for alpha in catalog.split_parameters():
@@ -492,9 +490,8 @@ def fiber_survey(budget=None, census=None):
             okay = (
                 ca != cb
                 and all(_conic_valid(c) for c in shape.conics)
-                and ca.residual(f) == cb
-                and cb.residual(f) == ca
-                and all(c.key in keys for c in shape.conics)
+                and _mutual_residuals(f, shape.conics)
+                and all(c in census for c in shape.conics)
             )
             seen_c3 = seen_c3 or c3 in (ca, cb)
         rep.add(name, okay, "two mutual-residual conics in the census" if okay else "")
@@ -588,11 +585,12 @@ def enumerate_case(case, budget=None, census=None):
         f"{len(sol.points)} points",
     )
     conics = _solution_conics(case, system, sol.points)
-    planes = {c.key[10:14] for c in conics}
+    planes = {c.coeffs[10:] for c in conics}
+    distinct = len(set(conics))
     rep.add(
         "distinct conics",
-        len({c.key for c in conics}) == catalog.EXPECTED_CONICS[case],
-        f"{len({c.key for c in conics})}",
+        distinct == catalog.EXPECTED_CONICS[case],
+        f"{distinct}",
     )
     rep.add(
         "distinct planes",
@@ -600,10 +598,10 @@ def enumerate_case(case, budget=None, census=None):
         f"{len(planes)}",
     )
     rep.add("conics irreducible and on the surface", all(_conic_valid(c) for c in conics))
-    keys = census if census is not None else census_keys()
+    census = census if census is not None else census_orbit_labels()
     rep.add(
         "all conics appear in the orbit census",
-        all(c.key in keys for c in conics),
+        all(c in census for c in conics),
     )
     rep.require()
     return rep, conics
@@ -762,8 +760,8 @@ def kummer_report(conics=None, generators=None, census=None):
         f"order {lift}",
     )
 
-    labels = census if census is not None else census_orbit_labels()
-    members = [labels.get(c.key) for c in conics]
+    census = census if census is not None else census_orbit_labels()
+    members = [census.get(c) for c in conics]
     counts = {}
     for lab in members:
         counts[lab] = counts.get(lab, 0) + 1
@@ -816,9 +814,9 @@ def verify_certificate(source):
         rep.add(f"generator {i} preserves the surface", substitute_linear(f, m.rows) == f)
 
     seeds = cert.typed_values("seed")
-    keys = cert.keys()
+    census = cert.keys()
     if seeds:
-        rep.add("seed conics listed in the census", all(c.key in keys for _, c in seeds))
+        rep.add("seed conics listed in the census", all(c in census for _, c in seeds))
 
     if cert.kind == "orbit-census" and len(conics) == catalog.CENSUS_SIZE:
         rep.add(
@@ -833,7 +831,7 @@ def verify_certificate(source):
     if gens and conics:
         n = len(conics)
         sample_ok = all(
-            act_on_conic(gens[k % len(gens)], conics[k * n // 32]).key in keys
+            act_on_conic(gens[k % len(gens)], conics[k * n // 32]) in census
             for k in range(32)
         )
         rep.add("sampled generator action stays in the census", sample_ok, "32 samples")

@@ -85,7 +85,7 @@ def test_fiber_classification(census):
         for c in fac.conics:
             assert c.is_irreducible()
             assert c.on_surface(f)
-            assert c.key in keys
+            assert c in keys
         assert fac.conics[0].residual(f) == fac.conics[1]
         if c3 in fac.conics:
             seen_c3 = True

@@ -82,7 +82,7 @@ def test_fiber_at_is_a_plane_quartic():
     # C3 lies on z2 + a*z3 = 0 (b3 = a), so it is in the fiber at t = -a
     a = catalog.split_parameters()[0]
     c3 = catalog.seed_conics()[2]
-    assert c3.plane_coeffs()[3] == a
+    assert c3.coeffs[10:][3] == a
 
 
 def test_component_generators_shape():

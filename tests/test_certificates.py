@@ -44,7 +44,7 @@ def test_file_round_trip(demo, tmp_path):
 def test_keys(demo):
     keys = demo.keys()
     assert len(keys) == 3
-    assert catalog.seed_conics()[2].key in keys
+    assert keys[catalog.seed_conics()[2]] == "B"
 
 
 def test_reserved_meta_keys_rejected():

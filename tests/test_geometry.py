@@ -181,7 +181,7 @@ def test_hypersurface_smooth():
 
 def test_plane_coeffs():
     c3 = catalog.seed_conics()[2]
-    coeffs = c3.plane_coeffs()
+    coeffs = c3.coeffs[10:]
     assert len(coeffs) == 4
     assert coeffs[0] == ZERO
     assert coeffs[1] == ZERO
@@ -232,9 +232,9 @@ def _oracle_intersection(c1, c2):
     """Sylvester determinant and proportionality of the restrictions to the line."""
     if c1.key == c2.key:
         return -2
-    if c1.plane_coeffs() == c2.plane_coeffs():
+    if c1.coeffs[10:] == c2.coeffs[10:]:
         return 4
-    s, t = _oracle_nullspace([c1.plane_coeffs(), c2.plane_coeffs()], 4)
+    s, t = _oracle_nullspace([c1.coeffs[10:], c2.coeffs[10:]], 4)
     st = [a + b for a, b in zip(s, t)]
     qs = []
     for q in (c1.quadric, c2.quadric):

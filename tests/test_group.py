@@ -221,7 +221,7 @@ def test_permutation_action_needs_a_scalar_kernel():
     # the same group, with gens[1] a scalar of order 2 or not a scalar at all
     g1, g2, g3, g4 = catalog.kummer_generators()
     conics = load_packaged(KUMMER_FILE).conics
-    labels = {c.key: "C3" for c in conics}
+    labels = {c: "C3" for c in conics}
     for second in (g2 * g2, g2 * g1):
         with pytest.raises(VerificationFailed) as err:
             pipeline.kummer_report(generators=[g1, second, g3, g4, g2], census=labels)

@@ -5,6 +5,8 @@ that each stage reports honestly: good inputs pass, corrupted inputs fail
 with the offending check named.
 """
 
+import pathlib
+
 import pytest
 
 from conic_census import catalog, geometry, group, pipeline, reference_data
@@ -14,6 +16,8 @@ from conic_census.field import ONE, ZERO, KElem, kelem
 from conic_census.geometry import Conic, ZRING
 from conic_census.groebner import Budget
 from conic_census.poly import ring_map
+
+CENSUS800 = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "census800.cert"
 
 
 def test_report_bookkeeping():
@@ -62,7 +66,6 @@ def test_one_census_per_process(monkeypatch):
     pipeline._census_closure.cache_clear()
     pipeline.orbit_census()
     pipeline.kummer_report()
-    pipeline.census_keys()
     pipeline.census_orbit_labels()
     assert len(calls) == 3264
 
@@ -223,6 +226,25 @@ def test_dot_graph():
 def test_kummer_report_on_packaged_configuration():
     rep = pipeline.kummer_report()
     assert rep.ok
+
+
+def test_census_is_one_conic_to_label_dict():
+    # a certificate and the closure give the same census, looked up by value
+    cert = read_certificate(CENSUS800)
+    census = cert.keys()
+    labels = pipeline.census_orbit_labels()
+    assert census == labels
+    for label, c in cert.entries[::50]:
+        rebuilt = Conic.from_coeffs([2 * x for x in c.coeffs])
+        assert rebuilt in census
+        assert census[rebuilt] == labels[rebuilt] == label.split("-", 1)[0]
+
+    def kummer_detail(rep):
+        return next(d for n, _, d in rep.checks if n == "all sixteen appear in the orbit census")
+
+    assert kummer_detail(pipeline.kummer_report(census=census)) == kummer_detail(
+        pipeline.kummer_report()
+    )
 
 
 def test_kummer_report_detects_intersecting_conic():
