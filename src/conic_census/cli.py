@@ -35,11 +35,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive(text):
+    """A budget flag's value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _add_common(p, budget=False):
     if budget:  # only the stages that run Buchberger
-        p.add_argument("--budget-pairs", type=int, metavar="N",
+        p.add_argument("--budget-pairs", type=_positive, metavar="N",
                        help="raise the Groebner S-pair budget")
-        p.add_argument("--budget-terms", type=int, metavar="N",
+        p.add_argument("--budget-terms", type=_positive, metavar="N",
                        help="raise the Groebner term budget")
     p.add_argument("--format", choices=("text", "machine"), default="text",
                    help="report format")
@@ -96,8 +107,10 @@ def _budget(args):
     terms = args.budget_terms
     if pairs is None and terms is None:
         return None
-    pairs = pairs or DEFAULT_BUDGET.max_pairs
-    terms = terms or DEFAULT_BUDGET.max_terms
+    if pairs is None:
+        pairs = DEFAULT_BUDGET.max_pairs
+    if terms is None:
+        terms = DEFAULT_BUDGET.max_terms
     # let the basis cap grow with whichever budget was raised
     scale = max(pairs / DEFAULT_BUDGET.max_pairs, terms / DEFAULT_BUDGET.max_terms, 1.0)
     return Budget(pairs, int(DEFAULT_BUDGET.max_basis * scale), terms)

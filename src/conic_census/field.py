@@ -17,6 +17,11 @@ inverse of x comes from the tower of relative norms down to Q, one
 automorphism per level.  Square roots are found by descending the quadratic
 tower Q < Q(s2) < Q(s2, s5) < K, solving y = a + b*gen coordinatewise at
 each level.  All values are immutable and hashable.
+
+K also maps to the prime field F_P, P = 1073741561 < 2^30: P = 1 mod 40,
+so -1, 2 and 5 are squares mod P, and sending i, s2, s5 to fixed square
+roots of -1, 2, 5 is a ring map on every element whose denominator P does
+not divide (mod_p).
 """
 
 import re
@@ -319,6 +324,24 @@ def dot(xs, ys):
     if acc is None:
         return ZERO
     return _make(acc, den)
+
+
+P = 1073741561  # the largest prime below 2^30 that is 1 mod 40
+_ROOTS = (487957686, 282416752, 246295460)  # square roots of -1, 2, 5 mod P
+for _r, _sq in zip(_ROOTS, (-1, 2, 5)):
+    assert (_r * _r - _sq) % P == 0
+# _PHI[j] = image of basis_j in F_P, by the same bits as _MUL
+_PHI = tuple(
+    _ROOTS[0] ** (j & 1) * _ROOTS[1] ** (j >> 1 & 1) * _ROOTS[2] ** (j >> 2) % P
+    for j in range(_N)
+)
+
+
+def mod_p(x):
+    """The image of x in F_P as an int in [0, P), or None when P divides x.den."""
+    if x.den % P == 0:
+        return None
+    return sum(n * f for n, f in zip(x.num, _PHI)) * pow(x.den, -1, P) % P
 
 
 def _make(nums, den):

@@ -20,6 +20,26 @@ divisor in the basis, basis length scanned); the basis only grows by
 appending, so a recorded divisor stays the first one, and a monomial with
 none is rescanned only over the elements added since.
 
+S-pairs are filtered modulo the prime P of field.mod_p, a Groebner trace in
+the sense of Traverso (ISSAC 1988) and Arnold (J. Symb. Comp. 35, 2003).
+A run engages the filter when a basis element gets a coefficient whose
+numerator or denominator is longer than P.bit_length() bits; runs that
+never get there do no modular work.  From then on every basis element
+(monic) also has an F_P entry, the images of its tail, and each S-pair is
+first reduced over F_P by the same loop, its coefficients summed as
+integer products mod P, stopping at the first irreducible term.  The
+divisor of a monomial depends on the monomial only, so the F_P remainder
+is the image of the K remainder: a pair that reduces to zero over K
+vanishes mod P, and a pair that does not vanish is reduced over K exactly
+as without the filter.  A pair that vanishes mod P is counted as a zero
+reduction and not reduced over K; the filter is off for the rest of the
+run once P divides a denominator.  A skipped pair may still be nonzero over
+K, so when any was skipped a closing run of plain Buchberger over K, with
+no filter, starts from the reduced basis followed by the input generators.
+These generate the same ideal, so the result is its reduced basis whatever
+P is; an unlucky P costs time only (on case ii every closing pair reduces
+to zero).
+
 For zero-dimensional ideals an FGLM order conversion is provided: it turns a
 reduced basis in any order into the (unique) reduced lex basis by linear
 algebra in the quotient, which is far cheaper in this implementation than a
@@ -29,7 +49,7 @@ direct lex run on the larger systems.
 import heapq
 import time
 from dataclasses import dataclass
-from operator import ge
+from operator import add, ge, mul, sub
 
 from .errors import (
     NotZeroDimensional,
@@ -37,7 +57,7 @@ from .errors import (
     OrderNotLex,
     ResourceBudgetExceeded,
 )
-from .field import ZERO as K0, ONE as K1, dot, sqrt_in_k
+from .field import P, ZERO as K0, ONE as K1, dot, mod_p, sqrt_in_k
 from .poly import (
     LEX,
     Poly,
@@ -65,6 +85,10 @@ class Budget:
 
 DEFAULT_BUDGET = Budget()
 
+# The F_P filter engages once a basis coefficient has a numerator or
+# denominator longer than this.
+_HEIGHT = P.bit_length()
+
 
 @dataclass
 class GroebnerTrace:
@@ -75,6 +99,8 @@ class GroebnerTrace:
     zero_reductions: int = 0
     basis_max: int = 0
     terms_max: int = 0
+    pairs_mod_p: int = 0  # zero reductions found mod P, not reduced over K
+    pairs_closing: int = 0  # pairs of the closing run over K
     seconds: float = 0.0
 
     def lines(self):
@@ -84,6 +110,8 @@ class GroebnerTrace:
             f"reductions to zero {self.zero_reductions}",
             f"peak basis size {self.basis_max}",
             f"peak term count {self.terms_max}",
+            f"reductions to zero found mod p {self.pairs_mod_p}",
+            f"pairs in the closing run {self.pairs_closing}",
             f"wall time {self.seconds:.2f}s",
         ]
 
@@ -123,14 +151,39 @@ def _lcm(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _prep(g):
     m, c = g.lead_term()
     tail = [(tm, tc) for tm, tc in g.terms.items() if tm != m]
     return (m, -c.inverse(), tail, g)
+
+
+def _prep_mod_p(entry):
+    """The F_P entry (lm, -1, tail images, None) of a monic prepared entry,
+    or None when P divides a denominator of its tail."""
+    m, _, tail, _ = entry
+    images = []
+    for tm, tc in tail:
+        v = mod_p(tc)
+        if v is None:
+            return None
+        if v:
+            images.append((tm, v))
+    return (m, -1, images, None)
+
+
+def _tall(tail):
+    """True when a coefficient of tail has a numerator or denominator longer
+    than _HEIGHT bits."""
+    height = _HEIGHT
+    return any(
+        c.den.bit_length() > height or max(map(int.bit_length, c.num)) > height
+        for _, c in tail
+    )
+
+
+def _dot_p(xs, ys):
+    """The coefficient sum over F_P: dot of integer images, reduced mod P."""
+    return sum(map(mul, xs, ys)) % P
 
 
 def normal_form(p, divisors):
@@ -157,9 +210,9 @@ def _s_pending(f, g):
     work = {}
     # (lcm/mf) f / lc(f) - (lcm/mg) g / lc(g); the lead terms cancel
     for m, x, tail in ((mf, -ninv_f, tail_f), (mg, ninv_g, tail_g)):
-        u = tuple(a - b for a, b in zip(lcm, m))
+        u = tuple(map(sub, lcm, m))
         for tm, tc in tail:
-            nm = _mono_mul(tm, u)
+            nm = tuple(map(add, tm, u))
             entry = work.get(nm)
             if entry is None:
                 work[nm] = ([x], [tc])
@@ -170,27 +223,34 @@ def _s_pending(f, g):
 
 
 def _normal_form_prepared(ring, work, prepared, memo=None):
-    """Remainder of the pending polynomial work over divisors split by _prep.
+    """Remainder over K of the pending polynomial work, see _remainder."""
+    memo = {} if memo is None else memo
+    return Poly(ring, dict(_remainder(ring.negkey, work, prepared, memo, dot)))
 
-    work maps each monomial to two factor lists whose dot product is its
-    coefficient; the reduction appends to them and sums them (one gcd
+
+def _remainder(negkey, work, prepared, memo, total):
+    """The terms of the remainder of work over divisors split by _prep,
+    leading term first, as (monomial, coefficient) pairs.
+
+    work maps each monomial to two factor lists whose coefficient sum
+    total(xs, ys) is its coefficient: field.dot over K, _dot_p over F_P.
+    The reduction appends to the lists and sums them (over K, one gcd
     normalisation) only when the monomial is reached, a zero sum meaning
-    the terms cancelled.  work is consumed.  memo maps a monomial to (index
-    of its first divisor or -1, divisors scanned); it stays valid across
-    calls as long as prepared only grows by appending.
+    the terms cancelled.  work is consumed as the terms are drawn, so a
+    caller that only asks whether the remainder is zero stops at the first
+    term.  memo maps a monomial to (index of its first divisor or -1,
+    divisors scanned); it stays valid across calls as long as prepared only
+    grows by appending, and is shared by lists with the same lead monomials.
     """
-    negkey = ring.negkey
     heap = [(negkey(m), m) for m in work]
     heapq.heapify(heap)
-    out = {}
-    memo = {} if memo is None else memo
     count = len(prepared)
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
         m = pop(heap)[1]
         xs, ys = work.pop(m)
-        c = dot(xs, ys)
+        c = total(xs, ys)
         if not c:
             continue
         idx, start = memo.get(m, (-1, 0))
@@ -201,14 +261,14 @@ def _normal_form_prepared(ring, work, prepared, memo=None):
                     break
             memo[m] = (idx, count)
         if idx < 0:
-            out[m] = c
+            yield m, c
             continue
         gm, ninv, gtail, _ = prepared[idx]
         nqc = c * ninv
-        qm = tuple(a - b for a, b in zip(m, gm))
+        qm = tuple(map(sub, m, gm))
         shift = any(qm)
         for tm, tc in gtail:
-            nm = _mono_mul(tm, qm) if shift else tm
+            nm = tuple(map(add, tm, qm)) if shift else tm
             entry = work.get(nm)
             if entry is None:
                 work[nm] = ([nqc], [tc])
@@ -216,7 +276,6 @@ def _normal_form_prepared(ring, work, prepared, memo=None):
             else:
                 entry[0].append(nqc)
                 entry[1].append(tc)
-    return Poly(ring, out)
 
 
 def s_polynomial(f, g):
@@ -245,14 +304,41 @@ def buchberger(gens, order=None, budget=None):
 
     t0 = time.perf_counter()
     trace = GroebnerTrace()
+    basis = _run(ring, polys, budget, trace, t0, closing=False)
+    if trace.pairs_mod_p:
+        # a skipped pair may be nonzero over K: close the reduced basis and
+        # the input generators over K, without the filter
+        gens = _reduce_basis(basis, ring) + polys
+        basis = _run(ring, gens, budget, trace, t0, closing=True)
+    basis = _reduce_basis(basis, ring)
+    trace.seconds = time.perf_counter() - t0
+    return GroebnerBasis(ring, basis, trace)
+
+
+def _run(ring, polys, budget, trace, t0, closing):
+    """One Buchberger run over K on polys; returns the basis polynomials.
+
+    The first run keeps trace's five counts and may skip pairs that vanish
+    mod P (see the module docstring); the closing run skips none and counts
+    only its pairs, in pairs_closing.  The pair cap covers both runs.
+    """
     key = ring.key
+    negkey = ring.negkey
+    # the closing run reports only its pairs
+    counts = GroebnerTrace() if closing else trace
 
     G = []  # prepared entries (lm, -1/lc, tail, poly)
     lms = []
+    images = None  # F_P entries parallel to G once the filter engages
+    filtering = not closing  # False for good once P divides a denominator
     total_terms = 0  # terms over all of G
-    memo = {}  # monomial -> first divisor in G, see _normal_form_prepared
+    memo = {}  # monomial -> first divisor in G, see _remainder
     alive = {}  # (i, j) -> lcm monomial
     heap = []  # (deg, key(lcm), i, j)
+
+    def stop(message):
+        trace.seconds = time.perf_counter() - t0
+        raise ResourceBudgetExceeded(message, stats=vars(trace))
 
     def push_pair(i, j, lcm):
         alive[(i, j)] = lcm
@@ -260,7 +346,7 @@ def buchberger(gens, order=None, budget=None):
 
     def add_element(h):
         # Gebauer-Moeller update of the pair set with the new element h.
-        nonlocal total_terms
+        nonlocal total_terms, images, filtering
         t = len(G)
         lmh = h.lead_monomial()
         # Chain (B) criterion on existing pairs.
@@ -271,7 +357,7 @@ def buchberger(gens, order=None, budget=None):
                 and _lcm(lms[j], lmh) != lcm_ij
             ):
                 del alive[(i, j)]
-                trace.pairs_discarded += 1
+                counts.pairs_discarded += 1
         # New pairs, grouped by lcm.  M/F criteria: a group goes when a kept
         # lcm divides its own; a proper divisor has lower total degree, so it
         # sorts earlier, and distinct lcms of equal degree never divide.
@@ -287,26 +373,29 @@ def buchberger(gens, order=None, budget=None):
             coprime = any(
                 all(x == 0 or y == 0 for x, y in zip(lms[i], lmh)) for i in members
             )
-            trace.pairs_discarded += len(members) - (0 if coprime else 1)
+            counts.pairs_discarded += len(members) - (0 if coprime else 1)
             if not coprime:
                 push_pair(members[0], t, lcm)
-        G.append(_prep(h))
+        entry = _prep(h)
+        G.append(entry)
         lms.append(lmh)
+        off = False
+        if images is not None:
+            images.append(_prep_mod_p(entry))
+            off = images[-1] is None
+        elif filtering and _tall(entry[2]):
+            images = [_prep_mod_p(e) for e in G]
+            off = None in images
+        if off:  # P divides a denominator: no filter for the rest of the run
+            images = None
+            filtering = False
         total_terms += len(h.terms)
-        trace.basis_max = max(trace.basis_max, len(G))
-        trace.terms_max = max(trace.terms_max, total_terms)
+        counts.basis_max = max(counts.basis_max, len(G))
+        counts.terms_max = max(counts.terms_max, total_terms)
         if len(G) > budget.max_basis:
-            trace.seconds = time.perf_counter() - t0
-            raise ResourceBudgetExceeded(
-                f"basis size {len(G)} exceeded budget {budget.max_basis}",
-                stats=vars(trace),
-            )
+            stop(f"basis size {len(G)} exceeded budget {budget.max_basis}")
         if total_terms > budget.max_terms:
-            trace.seconds = time.perf_counter() - t0
-            raise ResourceBudgetExceeded(
-                f"term count {total_terms} exceeded budget {budget.max_terms}",
-                stats=vars(trace),
-            )
+            stop(f"term count {total_terms} exceeded budget {budget.max_terms}")
 
     for p in polys:
         r = _normal_form_prepared(ring, _pending(p), G, memo)
@@ -318,22 +407,24 @@ def buchberger(gens, order=None, budget=None):
         if (i, j) not in alive:
             continue
         del alive[(i, j)]
-        trace.pairs_processed += 1
-        if trace.pairs_processed > budget.max_pairs:
-            trace.seconds = time.perf_counter() - t0
-            raise ResourceBudgetExceeded(
-                f"pair count exceeded budget {budget.max_pairs}",
-                stats=vars(trace),
-            )
+        if trace.pairs_processed + trace.pairs_closing >= budget.max_pairs:
+            stop(f"pair count exceeded budget {budget.max_pairs}")
+        if closing:
+            trace.pairs_closing += 1
+        else:
+            trace.pairs_processed += 1
+        if images is not None:
+            work = _s_pending(images[i], images[j])
+            if next(_remainder(negkey, work, images, memo, _dot_p), None) is None:
+                counts.zero_reductions += 1
+                trace.pairs_mod_p += 1
+                continue
         r = _normal_form_prepared(ring, _s_pending(G[i], G[j]), G, memo)
         if r:
             add_element(r.monic())
         else:
-            trace.zero_reductions += 1
-
-    basis = _reduce_basis([e[3] for e in G], ring)
-    trace.seconds = time.perf_counter() - t0
-    return GroebnerBasis(ring, basis, trace)
+            counts.zero_reductions += 1
+    return [e[3] for e in G]
 
 
 def _reduce_basis(polys, ring):

@@ -118,7 +118,16 @@ def test_enumerate_case_i_budget_exit(capsys):
     assert rc == cli.EXIT_BUDGET
     err = capsys.readouterr().err
     assert "budget" in err
-    assert "pairs processed" in err
+    # the pair that trips the cap is not counted: it was never reduced
+    assert "  pairs processed 30\n" in err
+
+
+@pytest.mark.parametrize("flag", ["--budget-pairs", "--budget-terms"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_budget_below_one_is_a_usage_error(flag, value):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["enumerate", "--case", "ii", flag, value])
+    assert err.value.code == cli.EXIT_USAGE
 
 
 def test_census_from_certificate(capsys, census):

@@ -203,3 +203,19 @@ def test_text_form_matches_reduced_fractions():
 def test_from_text_accepts_only_plain_rationals(token):
     with pytest.raises(ValueError):
         KElem.from_text(",".join([token] + ["0"] * 7))
+
+
+def test_mod_p_is_a_ring_map():
+    from conic_census.field import P, mod_p
+
+    xs = _seeded_elements(13, 60)
+    ys = _seeded_elements(14, 60)
+    for x, y in zip(xs, ys):
+        assert mod_p(x + y) == (mod_p(x) + mod_p(y)) % P
+        assert mod_p(x * y) == mod_p(x) * mod_p(y) % P
+        if x:
+            assert mod_p(x.inverse()) * mod_p(x) % P == 1
+    for g, square in ((I, -1), (SQRT2, 2), (SQRT5, 5), (I_SQRT10, -10)):
+        assert mod_p(g) ** 2 % P == square % P
+    assert mod_p(kelem(P)) == 0
+    assert mod_p(kelem(Fraction(1, P))) is None

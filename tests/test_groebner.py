@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conic_census import catalog
+from conic_census import catalog, groebner
 from conic_census.errors import NotZeroDimensional, ResourceBudgetExceeded
-from conic_census.field import I, ONE, SQRT2, SQRT5, ZERO, kelem
+from conic_census.field import I, ONE, P, SQRT2, SQRT5, ZERO, kelem
 from conic_census.groebner import (
     Budget,
     DEFAULT_BUDGET,
@@ -85,6 +85,19 @@ def test_budget_trips(lex2):
             buchberger(gens, budget=budget)
         # a budget stop reports the time it spent, not 0.0
         assert err.value.stats["seconds"] > 0
+
+
+def test_pair_budget_counts_only_reduced_pairs(lex2):
+    ring, x, y = lex2
+    gens = [x**3 - y, x**2 * y - x, y**3 - x * y]
+    spent = buchberger(gens).trace.pairs_processed
+    assert spent > 2
+    for cap in (1, 2):
+        with pytest.raises(ResourceBudgetExceeded) as err:
+            buchberger(gens, budget=Budget(max_pairs=cap))
+        assert err.value.stats["pairs_processed"] == cap
+    G = buchberger(gens, budget=Budget(max_pairs=spent))
+    assert G.trace.pairs_processed == spent
 
 
 def test_budget_scaled():
@@ -305,16 +318,69 @@ def test_normal_form_matches_oracle_on_case_ii_s_polynomials(case_ii):
             assert not normal_form(s, G.polys)
 
 
+@pytest.fixture
+def filter_forced(monkeypatch):
+    """Engage the mod-P filter at the first basis element with a tail."""
+    monkeypatch.setattr(groebner, "_HEIGHT", 0)
+
+
+def test_unlucky_prime_is_mended_by_the_closing_run(lex2, filter_forced):
+    ring, x, y = lex2
+    # S(x^2 - P*y, x*y) = -P*y^2 vanishes mod P but not over K
+    G = buchberger([x**2 - P * y, x * y])
+    assert list(G.polys) == [y**2, x * y, x**2 - P * y]
+    t = G.trace
+    assert t.pairs_mod_p == 1 and t.pairs_closing > 0
+    # the pair cap covers both runs
+    spent = t.pairs_processed + t.pairs_closing
+    buchberger([x**2 - P * y, x * y], budget=Budget(max_pairs=spent))
+    with pytest.raises(ResourceBudgetExceeded) as err:
+        buchberger([x**2 - P * y, x * y], budget=Budget(max_pairs=spent - 1))
+    assert err.value.stats["pairs_mod_p"] == 1
+
+
+def test_unforced_filter_stays_off_below_its_height(lex2):
+    ring, x, y = lex2
+    G = buchberger([x**2 - P * y, x * y])
+    assert list(G.polys) == [y**2, x * y, x**2 - P * y]
+    assert (G.trace.pairs_mod_p, G.trace.pairs_closing) == (0, 0)
+
+
+def test_denominator_divisible_by_p_turns_the_filter_off(lex2, monkeypatch):
+    ring, x, y = lex2
+    gens = [x**2 * y - kelem(Fraction(1, P)), x * y**2 - 1, x**3 - y]
+    want = buchberger(gens)
+    monkeypatch.setattr(groebner, "_HEIGHT", 0)
+    G = buchberger(gens)
+    assert G.polys == want.polys
+    assert (G.trace.pairs_mod_p, G.trace.pairs_closing) == (0, 0)
+
+
+def test_filtered_split_fiber_systems_give_the_default_basis(monkeypatch):
+    systems = [
+        catalog.gauge_fixed_system("iii", a=-alpha)[0]
+        for alpha in catalog.split_parameters()
+    ]
+    want = [buchberger(polys).polys for polys in systems]
+    monkeypatch.setattr(groebner, "_HEIGHT", 0)
+    skipped = 0
+    for polys, basis in zip(systems, want):
+        G = buchberger(polys)
+        assert G.polys == basis
+        skipped += G.trace.pairs_mod_p
+    assert skipped > 0
+
+
 # work counts and outputs of the ansatz systems, pinned so that a change to
 # the reduction loop or the pair criteria cannot alter them unnoticed
 PINNED = {
     "ii": (
-        (776, 2786, 519, 266, 4642),
+        (776, 2786, 519, 266, 4642, 518, 305),
         "3b5860822c55224ee37c214fe82e6170d1946effa6e912356b4b8b2979fdc6aa",
         "bb1a8b4b82b221dcce6e45a9a6ca12854812aa55c4bb7317d0f7bca721d2905a",
     ),
     "iii": (
-        (65, 99, 43, 31, 144),
+        (65, 99, 43, 31, 144, 0, 0),
         "32f068d60a9e71f66afa035a27b363e93360aaaeb8edd27fad28e6c3fd9ea883",
         "786795624913e318b47f54fcee5f9d999e3b58c8ca690548497bc41fb2af5619",
     ),
@@ -326,7 +392,15 @@ def test_ansatz_trace_basis_and_points_pinned(case, case_ii):
     counts, basis_sha, points_sha = PINNED[case]
     G = case_ii[1] if case == "ii" else buchberger(catalog.gauge_fixed_system(case)[0])
     t = G.trace
-    got = (t.pairs_processed, t.pairs_discarded, t.zero_reductions, t.basis_max, t.terms_max)
+    got = (
+        t.pairs_processed,
+        t.pairs_discarded,
+        t.zero_reductions,
+        t.basis_max,
+        t.terms_max,
+        t.pairs_mod_p,
+        t.pairs_closing,
+    )
     assert got == counts
     assert _digest(str(g) for g in G.polys) == basis_sha
     sol = solve_zero_dim(fglm(G), hints=catalog.solver_hints(case))
