@@ -308,8 +308,8 @@ def buchberger(gens, order=None, budget=None):
     if trace.pairs_mod_p:
         # a skipped pair may be nonzero over K: close the reduced basis and
         # the input generators over K, without the filter
-        gens = _reduce_basis(basis, ring) + polys
-        basis = _run(ring, gens, budget, trace, t0, closing=True)
+        start = _reduce_basis(basis, ring) + polys
+        basis = _run(ring, start, budget, trace, t0, closing=True)
     basis = _reduce_basis(basis, ring)
     trace.seconds = time.perf_counter() - t0
     return GroebnerBasis(ring, basis, trace)
