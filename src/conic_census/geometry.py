@@ -32,7 +32,9 @@ the residual conic.  Monomial-index tables (per degree) drive every product,
 and each output coefficient costs one normalised dot product (field.dot).
 Each conic keeps the quotient for the last surface it was asked about, so
 on_surface and residual on the same f (the same object or an equal form)
-share one section and one division.
+share one section and one division.  A plane carrying two conics needs only
+one: the pipeline divides by one quadric, and a residual equal to the other
+conic puts both on the surface (pipeline._coplanar_on_surface).
 
 Intersection numbers between members of the census follow the plane geometry:
 equal conics have self-intersection -2 (smooth rational curve on a K3),

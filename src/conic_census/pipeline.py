@@ -21,7 +21,7 @@ from .certificates import (
     read_certificate,
     write_certificate,
 )
-from .errors import CensusError, NonPrincipal, VerificationFailed
+from .errors import NonPrincipal, VerificationFailed
 from .field import KElem, ONE, ZERO, kelem
 from .geometry import Conic, hypersurface_smooth, intersection_number
 from .groebner import (
@@ -102,8 +102,39 @@ def _surface():
     return catalog.surface()
 
 
-def _conic_valid(conic):
-    return conic.is_irreducible() and conic.on_surface(_surface())
+def _by_plane(conics):
+    """Plane coefficients -> the conics on that plane, in order."""
+    planes = {}
+    for c in conics:
+        planes.setdefault(c.coeffs[10:], []).append(c)
+    return planes
+
+
+def _coplanar_on_surface(group):
+    """(every conic of group lies on the surface, group is two mutual residuals).
+
+    group holds the conics of one plane.  Two conics a and b cost one
+    section S, one division S = Q_a * q (Conic._quotient, so a quotient kept
+    on a is reused), Q_a being a's monic reduced quadric, and one residual
+    Conic(plane, q) compared with b.  If it equals b, then Q_b = q / lc(q),
+    so S = lc(q) * Q_a * Q_b: b lies on the surface, and S / Q_b = lc(q) * Q_a
+    gives back a, so b's residual is a with no second section or division.
+    Other groups, and a pair whose residual is not b, fall back to each
+    conic's on_surface.
+    """
+    f = _surface()
+    if len(group) == 2:
+        q = group[0]._quotient(f)
+        if q is not None and Conic(group[0].plane, q) == group[1]:
+            return True, True
+    return all(c.on_surface(f) for c in group), False
+
+
+def _conics_valid(conics):
+    """Every conic is irreducible and on the surface, one plane at a time."""
+    return all(c.is_irreducible() for c in conics) and all(
+        _coplanar_on_surface(g)[0] for g in _by_plane(conics).values()
+    )
 
 
 @functools.lru_cache(maxsize=1)
@@ -169,7 +200,7 @@ def orbit_census(out=None):
     rep.add("orbits pairwise disjoint", disjoint)
     rep.add("census size", len(conics) == catalog.CENSUS_SIZE, f"{len(conics)}")
 
-    valid = all(_conic_valid(c) for c in conics)
+    valid = _conics_valid(conics)
     rep.add("all conics irreducible and on the surface", valid, f"{len(conics)} checked")
 
     P, kernel = permutation_action(gens, moves)
@@ -215,37 +246,24 @@ def orbit_census(out=None):
 # -- plane census ------------------------------------------------------------
 
 
-def _mutual_residuals(f, pair):
-    if len(pair) != 2:
-        return False
-    try:
-        return (
-            pair[0].residual(f) == pair[1]
-            and pair[1].residual(f) == pair[0]
-        )
-    except CensusError:
-        return False
-
-
 def plane_census(cert):
     """Group the certified conics by their plane and check the pairing.
 
-    Every plane must carry exactly two conics that are mutual residuals.
-    For the full census this means 400 planes; the support histogram
-    (number of nonzero plane coefficients) is reported alongside.
+    Every plane must carry exactly two conics that are mutual residuals,
+    shown by one section, one division and one residual per plane
+    (_coplanar_on_surface).  For the full census this means 400 planes; the
+    support histogram (number of nonzero plane coefficients) is reported
+    alongside.
     """
     rep = Report("plane census")
     conics = cert.conics
-    f = _surface()
-    groups = {}
-    for c in conics:
-        groups.setdefault(c.coeffs[10:], []).append(c)
+    groups = _by_plane(conics)
     rep.add(
         "every plane carries two conics",
         all(len(g) == 2 for g in groups.values()),
         f"{len(groups)} planes, {len(conics)} conics",
     )
-    paired = all(_mutual_residuals(f, g) for g in groups.values())
+    paired = all(_coplanar_on_surface(g)[1] for g in groups.values())
     rep.add("coplanar conics are mutual residuals", paired)
     if len(conics) == catalog.CENSUS_SIZE:
         rep.add("plane count", len(groups) == catalog.PLANE_COUNT, f"{len(groups)}")
@@ -477,7 +495,6 @@ def fiber_survey(budget=None, census=None):
         locus == prod.monic(),
     )
 
-    f = _surface()
     census = census if census is not None else census_orbit_labels()
     c3 = catalog.seed_conics()[2]
     seen_c3 = False
@@ -489,9 +506,8 @@ def fiber_survey(budget=None, census=None):
             ca, cb = shape.conics
             okay = (
                 ca != cb
-                and all(_conic_valid(c) for c in shape.conics)
-                and _mutual_residuals(f, shape.conics)
-                and all(c in census for c in shape.conics)
+                and _coplanar_on_surface(shape.conics)[1]
+                and all(c.is_irreducible() and c in census for c in shape.conics)
             )
             seen_c3 = seen_c3 or c3 in (ca, cb)
         rep.add(name, okay, "two mutual-residual conics in the census" if okay else "")
@@ -597,7 +613,7 @@ def enumerate_case(case, budget=None, census=None):
         len(planes) == catalog.EXPECTED_PLANES[case],
         f"{len(planes)}",
     )
-    rep.add("conics irreducible and on the surface", all(_conic_valid(c) for c in conics))
+    rep.add("conics irreducible and on the surface", _conics_valid(conics))
     census = census if census is not None else census_orbit_labels()
     rep.add(
         "all conics appear in the orbit census",
@@ -729,7 +745,7 @@ def kummer_report(conics=None, generators=None, census=None):
     gens = generators if generators is not None else catalog.kummer_generators()
     n = len(conics)
     rep.add("sixteen conics", n == 16, f"{n}")
-    valid = all(_conic_valid(c) for c in conics)
+    valid = _conics_valid(conics)
     rep.add("all irreducible and on the surface", valid)
     disjoint = all(
         intersection_number(conics[i], conics[j]) == 0
@@ -781,7 +797,8 @@ def verify_certificate(source):
     """Re-verify a certificate file from its contents alone.
 
     Checks canonical parsing (done by the reader), irreducibility and
-    surface containment of every conic, agreement of the declared orbit
+    surface containment of every conic (one plane section per plane, see
+    _coplanar_on_surface), agreement of the declared orbit
     counts with the labels and of the declared stabilizer orders with the
     catalog (compared, not recomputed), and, for a full census, the plane
     pairing and seed/generator metadata.  The group-action spot check acts
@@ -793,7 +810,7 @@ def verify_certificate(source):
     rep = Report("certificate verification")
     conics = cert.conics
     rep.add("parsed in canonical form", True, f"{len(conics)} conics, kind {cert.kind}")
-    rep.add("all conics irreducible and on the surface", all(_conic_valid(c) for c in conics))
+    rep.add("all conics irreducible and on the surface", _conics_valid(conics))
 
     declared = dict(cert.typed_values("orbit"))
     if declared:

@@ -120,6 +120,23 @@ def test_enumerate_case_i_budget_exit(capsys):
     assert "budget" in err
     # the pair that trips the cap is not counted: it was never reduced
     assert "  pairs processed 30\n" in err
+    assert "case (i) needs a far larger budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--case", "ii", "--budget-pairs", "30"],
+        ["fibers", "--budget-pairs", "1"],
+        ["components", "--budget-pairs", "1"],
+    ],
+)
+def test_budget_stop_hint_names_case_i_only_for_case_i(capsys, argv):
+    rc = cli.main(argv)
+    assert rc == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "raise --budget-pairs and --budget-terms to continue\n" in err
+    assert "case (i)" not in err
 
 
 @pytest.mark.parametrize("flag", ["--budget-pairs", "--budget-terms"])

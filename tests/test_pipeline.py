@@ -300,8 +300,85 @@ def test_verify_sections_and_parses_each_once(census, monkeypatch):
         assert len(texts) == len(records) + meta
     texts.clear()
     pipeline.verify_certificate(cert)
-    assert len(sections) == len(cert.conics) == 800
+    # one section per plane: a pair's second conic follows from the division
+    assert len(sections) == len(cert.conics) // 2 == 400
     assert texts == []  # the generator and seed lines are not parsed again
+
+
+# -- oracle: the per-conic path, one section and one division per conic ------
+
+
+def _per_conic_on_surface(group):
+    """_coplanar_on_surface's answer with a section per conic and two residuals."""
+    f = catalog.surface()
+    quotients = [c._section_quotient(f) for c in group]
+    on_surface = all(q is not None for q in quotients)
+    paired = (
+        on_surface
+        and len(group) == 2
+        and all(Conic(c.plane, q) == d for c, q, d in zip(group, quotients, group[::-1]))
+    )
+    return on_surface, paired
+
+
+def test_one_division_per_plane_matches_the_per_conic_path(census_conics):
+    planes = pipeline._by_plane(census_conics)
+    assert len(planes) == 400
+    for group in planes.values():
+        assert _per_conic_on_surface(group) == (True, True)
+        assert pipeline._coplanar_on_surface(group) == (True, True)
+    # conics of two planes: on the surface, but not each other's residual
+    a, b = (group[0] for group in list(planes.values())[:2])
+    assert pipeline._coplanar_on_surface([a, b]) == _per_conic_on_surface([a, b]) == (True, False)
+
+
+def _moved(c):
+    """c with one plane coefficient after its pivot negated: another plane."""
+    b = list(c.coeffs[10:])
+    k = next(j for j in range(c.pivot + 1, 4) if b[j])
+    b[k] = -b[k]
+    return Conic.from_coeffs(list(c.coeffs[:10]) + b)
+
+
+def _off_surface(c):
+    """c with its last nonzero quadric coefficient shifted: same plane, off the surface."""
+    a = list(c.coeffs[:10])
+    k = max(k for k in range(10) if a[k])
+    a[k] = a[k] + ONE
+    return Conic.from_coeffs(a + list(c.coeffs[10:]))
+
+
+@pytest.mark.parametrize("edit", ["moved", "off_surface", "three_on_a_plane"])
+def test_verify_checks_match_the_per_conic_path(census, monkeypatch, edit):
+    cert = census.certificate
+    entries = list(cert.entries)
+    # the second record of its plane, so its pair is divided by the honest quadric
+    first = {}
+    for i, (_, d) in enumerate(entries):
+        first.setdefault(d.coeffs[10:], i)
+    k = next(i for i in range(137, len(entries)) if first[entries[i][1].coeffs[10:]] < i)
+    label, c = entries[k]
+    if edit == "moved":
+        entries[k] = (label, _moved(c))
+    elif edit == "off_surface":
+        entries[k] = (label, _off_surface(c))
+    else:  # a copy of a conic of another plane: that plane carries three
+        entries[k] = (label, next(d for _, d in entries if d.plane != c.plane))
+    bad = make_certificate(cert.kind, entries, cert.meta)
+
+    def checks():
+        with pytest.raises(VerificationFailed) as err:
+            pipeline.verify_certificate(bad)
+        return err.value.report.checks
+
+    got = checks()
+    monkeypatch.setattr(pipeline, "_coplanar_on_surface", _per_conic_on_surface)
+    assert got == checks()
+    failed = {name for name, ok, _ in got if not ok}
+    # a moved record lands on a plane of its own, off the surface
+    assert ("all conics irreducible and on the surface" in failed) == (edit != "three_on_a_plane")
+    assert ("every plane carries two conics" in failed) == (edit != "off_surface")
+    assert "coplanar conics are mutual residuals" in failed
 
 
 def test_orbit_census_report_lines(census):
