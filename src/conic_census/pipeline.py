@@ -124,8 +124,9 @@ def _coplanar_on_surface(group):
     """
     f = _surface()
     if len(group) == 2:
-        q = group[0]._quotient(f)
-        if q is not None and Conic(group[0].plane, q) == group[1]:
+        a, b = group
+        q = a._quotient(f)
+        if q is not None and Conic(a.plane, q) == b:
             return True, True
     return all(c.on_surface(f) for c in group), False
 

@@ -363,7 +363,7 @@ def test_verify_checks_match_the_per_conic_path(census, monkeypatch, edit):
     elif edit == "off_surface":
         entries[k] = (label, _off_surface(c))
     else:  # a copy of a conic of another plane: that plane carries three
-        entries[k] = (label, next(d for _, d in entries if d.plane != c.plane))
+        entries[k] = (label, next(d for _, d in entries if d.coeffs[10:] != c.coeffs[10:]))
     bad = make_certificate(cert.kind, entries, cert.meta)
 
     def checks():
