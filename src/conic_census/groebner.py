@@ -10,6 +10,21 @@ list and are guarded by explicit resource budgets.  A reduced basis is
 produced by minimalization plus full tail interreduction, so equal ideals
 yield identical bases.
 
+Inside this module a monomial is one int E of n one-byte fields (Monagan
+and Pearce, J. Symb. Comp. 46, 2011): top first, the degree and the partial
+sums s_{n-2}, ..., s_0 with s_j = e_0 + ... + e_j for degrevlex, and
+e_0, ..., e_{n-1} for lex.  Integer order is the ring's order and
+E(m m') = E(m) + E(m'), so the reduction heap holds -E and a term times a
+quotient is one addition.  Divisibility and lcm act on the exponent form D,
+one exponent per field: D = E for lex, D = (E - (E << 8)) & mask and
+E = (D * R) & mask for degrevlex, R having a 1 in every field.  With H the
+top (guard) bit of every field, a divides b exactly when
+((D_b | H) - D_a) & H == H, and an lcm takes a few more such operations.  A
+field holds at most _LIMIT, so a sum of two fields never carries: packed
+input, each lcm, and each term a reduction or the FGLM walk is about to use
+are checked, and a set guard bit raises ResourceBudgetExceeded naming the
+monomial.  Polys keep exponent tuples, packed on entry and unpacked on exit.
+
 Normal forms delay coefficient normalisation: a pending coefficient is a
 pair of factor lists, each reduction step appends one product to it, and it
 is summed by one field.dot (one gcd reduction) when its monomial becomes the
@@ -49,7 +64,8 @@ direct lex run on the larger systems.
 import heapq
 import time
 from dataclasses import dataclass
-from operator import add, ge, mul, sub
+from itertools import accumulate, product
+from operator import itemgetter, mul
 
 from .errors import (
     NotZeroDimensional,
@@ -88,6 +104,10 @@ DEFAULT_BUDGET = Budget()
 # The F_P filter engages once a basis coefficient has a numerator or
 # denominator longer than this.
 _HEIGHT = P.bit_length()
+
+# The largest value of a packed field: an exponent (lex) or a degree
+# (degrevlex).  Bit 7 of each byte is its guard bit.
+_LIMIT = 127
 
 
 @dataclass
@@ -140,27 +160,80 @@ class GroebnerBasis:
         return len(self.polys) == 1 and self.polys[0].total_degree() == 0
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+class _Pack:
+    """The packed monomials of one ring, see the module docstring."""
+
+    __slots__ = ("ring", "drl", "end", "low", "guard", "mask")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.drl = ring.order.kind == "degrevlex"
+        self.end = "little" if self.drl else "big"  # byte order of D
+        self.low = int.from_bytes(b"\1" * ring.n, "big")  # R
+        self.guard = self.low << 7  # H
+        self.mask = (1 << (8 * ring.n)) - 1
+
+    def pack(self, m):
+        """E of the exponent tuple m."""
+        try:
+            e = int.from_bytes(bytes(accumulate(m) if self.drl else m), self.end)
+        except ValueError:  # a field over 255
+            e = self.guard
+        if e & self.guard:
+            self.overflow(m)
+        return e
+
+    def unpack(self, e):
+        return tuple(self.expo(e).to_bytes(self.ring.n, self.end))
+
+    def overflow(self, m):
+        what = "its degree" if self.drl else "an exponent"
+        raise ResourceBudgetExceeded(f"monomial {m} of {self.ring!r}: {what} over {_LIMIT}")
+
+    def expo(self, e):
+        """The exponent form D of e."""
+        return (e - (e << 8)) & self.mask if self.drl else e
+
+    def enc(self, d):
+        """E of the exponent form d."""
+        return (d * self.low) & self.mask if self.drl else d
+
+    def divides(self, a, b):
+        """Whether the exponent form a divides b."""
+        h = self.guard
+        return ((b | h) - a) & h == h
+
+    def lcm(self, a, b):
+        """The lcm of two exponent forms: a + b exactly when they are coprime."""
+        h = self.guard
+        diff = (a | h) - b  # a_k - b_k + 128 in field k
+        ge = diff & h  # the guard bits of the fields where a_k >= b_k
+        return b + (diff & (ge - (ge >> 7)))
+
+    def terms(self, p):
+        """The terms of the Poly p as (E, coefficient) pairs."""
+        return [(self.pack(m), c) for m, c in p.terms.items()]
+
+    def poly(self, terms):
+        return Poly(self.ring, {self.unpack(m): c for m, c in terms})
 
 
-def _lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+def _prep(pk, terms):
+    """The divisor entry (lm, its exponent form, -1/lc, tail) of packed terms."""
+    m, c = max(terms, key=itemgetter(0))
+    return (m, pk.expo(m), -c.inverse(), [t for t in terms if t[0] != m])
 
 
-def _prep(g):
-    m, c = g.lead_term()
-    tail = [(tm, tc) for tm, tc in g.terms.items() if tm != m]
-    return (m, -c.inverse(), tail, g)
+def _monic(terms):
+    """Packed terms, leading first, divided by the leading coefficient."""
+    inv = terms[0][1].inverse()
+    return terms if inv == K1 else [(m, c * inv) for m, c in terms]
 
 
 def _prep_mod_p(entry):
-    """The F_P entry (lm, -1, tail images, None) of a monic prepared entry,
+    """The F_P entry (lm, D, -1, tail images) of a monic prepared entry,
     or None when P divides a denominator of its tail."""
-    m, _, tail, _ = entry
+    m, d, _, tail = entry
     images = []
     for tm, tc in tail:
         v = mod_p(tc)
@@ -168,7 +241,7 @@ def _prep_mod_p(entry):
             return None
         if v:
             images.append((tm, v))
-    return (m, -1, images, None)
+    return (m, d, -1, images)
 
 
 def _tall(tail):
@@ -193,26 +266,29 @@ def normal_form(p, divisors):
     first, and divisors are tried in list order.  Divisors must be nonzero
     polynomials of p's ring.
     """
-    prepared = [_prep(g) for g in divisors if g]
-    return _normal_form_prepared(p.ring, _pending(p), prepared)
+    pk = _Pack(p.ring)
+    prepared = [_prep(pk, pk.terms(g)) for g in divisors if g]
+    return pk.poly(_remainder(pk, _pending(pk.terms(p)), prepared, {}, dot))
 
 
-def _pending(p):
-    """p's terms as pending coefficients, monomial -> (xs, ys) with value dot(xs, ys)."""
-    return {m: ([c], [K1]) for m, c in p.terms.items()}
+def _pending(terms):
+    """Packed terms as pending coefficients, E -> (xs, ys) with value dot(xs, ys)."""
+    return {m: ([c], [K1]) for m, c in terms}
 
 
-def _s_pending(f, g):
+def _s_pending(pk, f, g):
     """The S-polynomial of two prepared entries as pending coefficients."""
-    mf, ninv_f, tail_f, _ = f
-    mg, ninv_g, tail_g, _ = g
-    lcm = _lcm(mf, mg)
+    mf, df, ninv_f, tail_f = f
+    mg, dg, ninv_g, tail_g = g
+    lcm = pk.enc(pk.lcm(df, dg))
+    if lcm & pk.guard:
+        pk.overflow(pk.unpack(lcm))
     work = {}
     # (lcm/mf) f / lc(f) - (lcm/mg) g / lc(g); the lead terms cancel
     for m, x, tail in ((mf, -ninv_f, tail_f), (mg, ninv_g, tail_g)):
-        u = tuple(map(sub, lcm, m))
+        u = lcm - m
         for tm, tc in tail:
-            nm = tuple(map(add, tm, u))
+            nm = tm + u
             entry = work.get(nm)
             if entry is None:
                 work[nm] = ([x], [tc])
@@ -222,15 +298,9 @@ def _s_pending(f, g):
     return work
 
 
-def _normal_form_prepared(ring, work, prepared, memo=None):
-    """Remainder over K of the pending polynomial work, see _remainder."""
-    memo = {} if memo is None else memo
-    return Poly(ring, dict(_remainder(ring.negkey, work, prepared, memo, dot)))
-
-
-def _remainder(negkey, work, prepared, memo, total):
+def _remainder(pk, work, prepared, memo, total):
     """The terms of the remainder of work over divisors split by _prep,
-    leading term first, as (monomial, coefficient) pairs.
+    leading term first, as packed (monomial, coefficient) pairs.
 
     work maps each monomial to two factor lists whose coefficient sum
     total(xs, ys) is its coefficient: field.dot over K, _dot_p over F_P.
@@ -242,37 +312,41 @@ def _remainder(negkey, work, prepared, memo, total):
     divisors scanned); it stays valid across calls as long as prepared only
     grows by appending, and is shared by lists with the same lead monomials.
     """
-    heap = [(negkey(m), m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
     count = len(prepared)
+    guard = pk.guard
+    divides = pk.divides
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
-        m = pop(heap)[1]
+        m = -pop(heap)
         xs, ys = work.pop(m)
         c = total(xs, ys)
         if not c:
             continue
+        if m & guard:
+            pk.overflow(pk.unpack(m))
         idx, start = memo.get(m, (-1, 0))
         if idx < 0 and start < count:
+            dm = pk.expo(m)
             for k in range(start, count):
-                if all(map(ge, m, prepared[k][0])):
+                if divides(prepared[k][1], dm):
                     idx = k
                     break
             memo[m] = (idx, count)
         if idx < 0:
             yield m, c
             continue
-        gm, ninv, gtail, _ = prepared[idx]
+        gm, _, ninv, gtail = prepared[idx]
         nqc = c * ninv
-        qm = tuple(map(sub, m, gm))
-        shift = any(qm)
+        qm = m - gm
         for tm, tc in gtail:
-            nm = tuple(map(add, tm, qm)) if shift else tm
+            nm = tm + qm
             entry = work.get(nm)
             if entry is None:
                 work[nm] = ([nqc], [tc])
-                push(heap, (negkey(nm), nm))
+                push(heap, -nm)
             else:
                 entry[0].append(nqc)
                 entry[1].append(tc)
@@ -280,9 +354,10 @@ def _remainder(negkey, work, prepared, memo, total):
 
 def s_polynomial(f, g):
     """S(f,g) = (L/LT(f)) f - (L/LT(g)) g with L = lcm of the lead monomials."""
-    work = _s_pending(_prep(f), _prep(g))
-    terms = {m: dot(xs, ys) for m, (xs, ys) in work.items()}
-    return Poly(f.ring, {m: c for m, c in terms.items() if c})
+    pk = _Pack(f.ring)
+    work = _s_pending(pk, _prep(pk, pk.terms(f)), _prep(pk, pk.terms(g)))
+    terms = ((m, dot(xs, ys)) for m, (xs, ys) in work.items())
+    return pk.poly((m, c) for m, c in terms if c)
 
 
 def buchberger(gens, order=None, budget=None):
@@ -300,61 +375,58 @@ def buchberger(gens, order=None, budget=None):
     for g in gens:
         if g.ring.names != ring.names:
             raise ValueError("generators live in different rings")
-    polys = [Poly(ring, g.terms) for g in gens]
+    pk = _Pack(ring)
+    polys = [pk.terms(g) for g in gens]
 
     t0 = time.perf_counter()
     trace = GroebnerTrace()
-    basis = _run(ring, polys, budget, trace, t0, closing=False)
+    basis = _run(pk, polys, budget, trace, t0, closing=False)
     if trace.pairs_mod_p:
         # a skipped pair may be nonzero over K: close the reduced basis and
         # the input generators over K, without the filter
-        start = _reduce_basis(basis, ring) + polys
-        basis = _run(ring, start, budget, trace, t0, closing=True)
-    basis = _reduce_basis(basis, ring)
+        start = _reduce_basis(pk, basis) + polys
+        basis = _run(pk, start, budget, trace, t0, closing=True)
+    basis = _reduce_basis(pk, basis)
     trace.seconds = time.perf_counter() - t0
-    return GroebnerBasis(ring, basis, trace)
+    return GroebnerBasis(ring, map(pk.poly, basis), trace)
 
 
-def _run(ring, polys, budget, trace, t0, closing):
-    """One Buchberger run over K on polys; returns the basis polynomials.
+def _run(pk, starts, budget, trace, t0, closing):
+    """One Buchberger run over K on packed term lists; returns monic entries.
 
     The first run keeps trace's five counts and may skip pairs that vanish
     mod P (see the module docstring); the closing run skips none and counts
     only its pairs, in pairs_closing.  The pair cap covers both runs.
     """
-    key = ring.key
-    negkey = ring.negkey
+    divides, lcm, enc, unpack = pk.divides, pk.lcm, pk.enc, pk.unpack
     # the closing run reports only its pairs
     counts = GroebnerTrace() if closing else trace
 
-    G = []  # prepared entries (lm, -1/lc, tail, poly)
-    lms = []
+    G = []  # monic prepared entries (lm, D, -1, tail)
+    lms = []  # the exponent forms D of their leads
     images = None  # F_P entries parallel to G once the filter engages
     filtering = not closing  # False for good once P divides a denominator
     total_terms = 0  # terms over all of G
     memo = {}  # monomial -> first divisor in G, see _remainder
-    alive = {}  # (i, j) -> lcm monomial
-    heap = []  # (deg, key(lcm), i, j)
+    alive = {}  # (i, j) -> exponent form of the lcm
+    heap = []  # (deg, packed lcm, i, j)
 
     def stop(message):
         trace.seconds = time.perf_counter() - t0
         raise ResourceBudgetExceeded(message, stats=vars(trace))
 
-    def push_pair(i, j, lcm):
-        alive[(i, j)] = lcm
-        heapq.heappush(heap, (sum(lcm), key(lcm), i, j))
-
-    def add_element(h):
-        # Gebauer-Moeller update of the pair set with the new element h.
+    def add_element(terms):
+        # Gebauer-Moeller update of the pair set with the new element.
         nonlocal total_terms, images, filtering
+        entry = _prep(pk, _monic(terms))
         t = len(G)
-        lmh = h.lead_monomial()
+        dh = entry[1]
         # Chain (B) criterion on existing pairs.
         for (i, j), lcm_ij in list(alive.items()):
             if (
-                _divides(lmh, lcm_ij)
-                and _lcm(lms[i], lmh) != lcm_ij
-                and _lcm(lms[j], lmh) != lcm_ij
+                divides(dh, lcm_ij)
+                and lcm(lms[i], dh) != lcm_ij
+                and lcm(lms[j], dh) != lcm_ij
             ):
                 del alive[(i, j)]
                 counts.pairs_discarded += 1
@@ -363,33 +435,31 @@ def _run(ring, polys, budget, trace, t0, closing):
         # sorts earlier, and distinct lcms of equal degree never divide.
         groups = {}
         for i in range(t):
-            groups.setdefault(_lcm(lms[i], lmh), []).append(i)
+            groups.setdefault(lcm(lms[i], dh), []).append(i)
         kept = []
-        for lcm in sorted(groups, key=lambda m: (sum(m), key(m))):
-            if any(_divides(k, lcm) for k in kept):
+        for deg, e, d in sorted((sum(unpack(enc(d))), enc(d), d) for d in groups):
+            if any(divides(k, d) for k in kept):
                 continue
-            kept.append(lcm)
-            members = groups[lcm]
-            coprime = any(
-                all(x == 0 or y == 0 for x, y in zip(lms[i], lmh)) for i in members
-            )
+            kept.append(d)
+            members = groups[d]
+            coprime = any(lms[i] + dh == d for i in members)
             counts.pairs_discarded += len(members) - (0 if coprime else 1)
             if not coprime:
-                push_pair(members[0], t, lcm)
-        entry = _prep(h)
+                alive[(members[0], t)] = d
+                heapq.heappush(heap, (deg, e, members[0], t))
         G.append(entry)
-        lms.append(lmh)
+        lms.append(dh)
         off = False
         if images is not None:
             images.append(_prep_mod_p(entry))
             off = images[-1] is None
-        elif filtering and _tall(entry[2]):
+        elif filtering and _tall(entry[3]):
             images = [_prep_mod_p(e) for e in G]
             off = None in images
         if off:  # P divides a denominator: no filter for the rest of the run
             images = None
             filtering = False
-        total_terms += len(h.terms)
+        total_terms += len(terms)
         counts.basis_max = max(counts.basis_max, len(G))
         counts.terms_max = max(counts.terms_max, total_terms)
         if len(G) > budget.max_basis:
@@ -397,10 +467,10 @@ def _run(ring, polys, budget, trace, t0, closing):
         if total_terms > budget.max_terms:
             stop(f"term count {total_terms} exceeded budget {budget.max_terms}")
 
-    for p in polys:
-        r = _normal_form_prepared(ring, _pending(p), G, memo)
+    for terms in starts:
+        r = list(_remainder(pk, _pending(terms), G, memo, dot))
         if r:
-            add_element(r.monic())
+            add_element(r)
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
@@ -414,36 +484,31 @@ def _run(ring, polys, budget, trace, t0, closing):
         else:
             trace.pairs_processed += 1
         if images is not None:
-            work = _s_pending(images[i], images[j])
-            if next(_remainder(negkey, work, images, memo, _dot_p), None) is None:
+            work = _s_pending(pk, images[i], images[j])
+            if next(_remainder(pk, work, images, memo, _dot_p), None) is None:
                 counts.zero_reductions += 1
                 trace.pairs_mod_p += 1
                 continue
-        r = _normal_form_prepared(ring, _s_pending(G[i], G[j]), G, memo)
+        r = list(_remainder(pk, _s_pending(pk, G[i], G[j]), G, memo, dot))
         if r:
-            add_element(r.monic())
+            add_element(r)
         else:
             counts.zero_reductions += 1
-    return [e[3] for e in G]
+    return G
 
 
-def _reduce_basis(polys, ring):
-    """Minimalize and tail-interreduce, returning the canonical reduced basis."""
-    key = ring.key
-    order = sorted(range(len(polys)), key=lambda i: key(polys[i].lead_monomial()))
+def _reduce_basis(pk, entries):
+    """Minimalize and tail-interreduce monic entries: the canonical reduced
+    basis as packed term lists, leading term first, by increasing lead."""
     kept = []
-    kept_lms = []
-    for i in order:
-        lm = polys[i].lead_monomial()
-        if not any(_divides(klm, lm) for klm in kept_lms):
-            kept.append(polys[i])
-            kept_lms.append(lm)
-    prepared = [_prep(g) for g in kept]
+    for e in sorted(entries, key=itemgetter(0)):
+        if not any(pk.divides(k[1], e[1]) for k in kept):
+            kept.append(e)
+    # a kept lead is divisible by no other, so it stays the lead
     out = []
-    for i, g in enumerate(kept):
-        r = _normal_form_prepared(ring, _pending(g), prepared[:i] + prepared[i + 1 :])
-        out.append(r.monic())
-    out.sort(key=lambda g: key(g.lead_monomial()))
+    for i, e in enumerate(kept):
+        work = _pending([(e[0], K1)] + e[3])
+        out.append(_monic(list(_remainder(pk, work, kept[:i] + kept[i + 1 :], {}, dot))))
     return out
 
 
@@ -488,26 +553,17 @@ def _pure_power_bounds(G):
 
 def standard_monomials(G):
     """Monomials outside the leading-term ideal; requires zero-dimensionality."""
-    ring = G.ring
-    if len(G) == 1 and G.polys[0].total_degree() == 0:
+    if G.is_trivial():
         return []
     bounds = _pure_power_bounds(G)
-    lms = G.lead_monomials()
+    pk = _Pack(G.ring)
+    leads = [pk.expo(pk.pack(m)) for m in G.lead_monomials()]
     out = []
-
-    def rec(prefix, i):
-        if i == ring.n:
-            m = tuple(prefix)
-            if not any(_divides(lm, m) for lm in lms):
-                out.append(m)
-            return
-        for e in range(bounds[i]):
-            prefix.append(e)
-            rec(prefix, i + 1)
-            prefix.pop()
-
-    rec([], 0)
-    out.sort(key=ring.key)
+    for m in product(*map(range, bounds)):
+        d = pk.expo(pk.pack(m))
+        if not any(pk.divides(lm, d) for lm in leads):
+            out.append(m)
+    out.sort(key=pk.pack)
     return out
 
 
@@ -531,48 +587,44 @@ def fglm(G, order=LEX):
     std = standard_monomials(G)
     if not std:
         return GroebnerBasis(ring_new, [ring_new.one])
+    old, new = _Pack(ring_old), _Pack(ring_new)
     D = len(std)
-    idx = {m: r for r, m in enumerate(std)}
-    n = ring_old.n
-    prepared = [_prep(g) for g in G.polys]
+    idx = {old.pack(m): r for r, m in enumerate(std)}  # 1 packs to 0
+    units = [x.lead_monomial() for x in ring_old.gens()]
+    prepared = [_prep(old, old.terms(g)) for g in G.polys]
     memo = {}
-
-    def nf_vector(poly):
-        r = _normal_form_prepared(ring_old, _pending(poly), prepared, memo)
-        v = [K0] * D
-        for m, c in r.terms.items():
-            v[idx[m]] = c
-        return v
 
     # Multiplication matrices: mul[i][b] = vector of x_i * std[b].
     mul = []
-    for i in range(n):
+    for u in map(old.pack, units):
         rows = []
-        for b in std:
-            m = b[:i] + (b[i] + 1,) + b[i + 1 :]
-            if m in idx:
-                v = [K0] * D
-                v[idx[m]] = K1
-                rows.append(v)
+        for b in idx:
+            v = [K0] * D
+            if b + u in idx:
+                v[idx[b + u]] = K1
             else:
-                rows.append(nf_vector(Poly(ring_old, {m: K1})))
+                for t, c in _remainder(old, {b + u: ([K1], [K1])}, prepared, memo, dot):
+                    v[idx[t]] = c
+            rows.append(v)
         mul.append(rows)
 
-    newkey = ring_new.key
-    zero_m = ring_old.zero_mono
     start_vec = [K0] * D
-    start_vec[idx[zero_m]] = K1
-    heap = [(newkey(zero_m), zero_m, None, None)]
-    seen = {zero_m}
-    new_std = []  # monomials in the new order
+    start_vec[idx[0]] = K1
+    new_units = [new.pack(u) for u in units]
+    heap = [(0, None, None)]  # (packed monomial, parent, variable index)
+    seen = {0}
+    new_std = []  # packed monomials in the new order
     vec_of = {}  # new_std monomial -> raw vector
     rows = []  # echelon rows: (pivot, unit vector u, lam dict new_std index -> coeff)
-    out_lms = []
-    out_polys = []
+    out_lms = []  # exponent forms of the new leads
+    out_polys = []  # found by increasing lead, as the walk pops
 
     while heap:
-        _, m, parent, vi = heapq.heappop(heap)
-        if any(_divides(lm, m) for lm in out_lms):
+        m, parent, vi = heapq.heappop(heap)
+        if m & new.guard:
+            new.overflow(new.unpack(m))
+        d = new.expo(m)
+        if any(new.divides(lm, d) for lm in out_lms):
             continue
         if parent is None:
             v = start_vec[:]
@@ -604,8 +656,8 @@ def fglm(G, order=LEX):
             for j, c in mu.items():
                 if c:
                     terms[new_std[j]] = -c
-            out_polys.append(Poly(ring_new, terms))
-            out_lms.append(m)
+            out_polys.append(new.poly(terms.items()))
+            out_lms.append(d)
         else:
             jnew = len(new_std)
             new_std.append(m)
@@ -615,15 +667,14 @@ def fglm(G, order=LEX):
             lam = {j: -c * cinv for j, c in mu.items()}
             lam[jnew] = cinv
             rows.append((nz, u, lam))
-            for i in range(n):
-                child = m[:i] + (m[i] + 1,) + m[i + 1 :]
+            for i, unit in enumerate(new_units):
+                child = m + unit
                 if child not in seen:
                     seen.add(child)
-                    heapq.heappush(heap, (newkey(child), child, m, i))
+                    heapq.heappush(heap, (child, m, i))
 
     if len(new_std) != D:
         raise NotZeroDimensional("FGLM walk did not close; basis not zero-dimensional")
-    out_polys.sort(key=lambda g: newkey(g.lead_monomial()))
     return GroebnerBasis(ring_new, out_polys, G.trace)
 
 
@@ -714,12 +765,12 @@ def _uni_monic(cs):
     return cs
 
 
-def _uni_roots(cs, hints, obstructions, var_name, assignment):
+def _uni_roots(cs, hints, obstructions, var_name, named):
     """K-rational roots of the coefficient list cs (made squarefree first).
 
     Degree 1 and 2 are solved directly, degree 4 when biquadratic; otherwise
     exact division by hint factors is attempted.  Unresolved factors are
-    recorded as obstructions, never silently dropped.
+    recorded as obstructions at the assignment named(), never dropped.
     """
     cs = _uni_monic(cs)
     if len(cs) <= 1:
@@ -749,7 +800,7 @@ def _uni_roots(cs, hints, obstructions, var_name, assignment):
             s = sqrt_in_k(b * b - 4 * a * c)
             if s is None:
                 obstructions.append(
-                    Obstruction(var_name, _uni_text(f, var_name), 2, dict(assignment))
+                    Obstruction(var_name, _uni_text(f, var_name), 2, named())
                 )
                 continue
             roots.append((-b + s) / (2 * a))
@@ -758,7 +809,7 @@ def _uni_roots(cs, hints, obstructions, var_name, assignment):
             continue
         if d == 4 and not f[1] and not f[3]:
             # Biquadratic: solve for y = x^2, then take K-square roots.
-            for y in _uni_roots([f[0], f[2], f[4]], (), obstructions, var_name + "^2", assignment):
+            for y in _uni_roots([f[0], f[2], f[4]], (), obstructions, var_name + "^2", named):
                 x = sqrt_in_k(y)
                 if x is None:
                     obstructions.append(
@@ -766,7 +817,7 @@ def _uni_roots(cs, hints, obstructions, var_name, assignment):
                             var_name,
                             f"{var_name}^2 - ({y})",
                             2,
-                            dict(assignment),
+                            named(),
                         )
                     )
                 else:
@@ -786,7 +837,7 @@ def _uni_roots(cs, hints, obstructions, var_name, assignment):
                     break
         if not split:
             obstructions.append(
-                Obstruction(var_name, _uni_text(f, var_name), d, dict(assignment))
+                Obstruction(var_name, _uni_text(f, var_name), d, named())
             )
     # Deduplicate (squarefree input makes duplicates impossible in exact runs).
     uniq = []
@@ -822,26 +873,20 @@ def solve_zero_dim(G, hints=()):
         return SolveResult([], [])
     _pure_power_bounds(G)  # raises NotZeroDimensional when not finite
     n = ring.n
-    polys = list(G.polys)
-    lows = [(min(g.variables()), g) for g in polys]
     powers = {}  # value -> its power table, shared by every substitution
     obstructions = []
     points = []
 
-    def rec(level, assignment):
+    def rec(level, assignment, polys):
         # level counts assigned trailing variables; next is var n-1-level.
+        # polys: (lowest variable, g specialised at the assignment) pairs
         if level == n:
-            if all(not specialize(g, assignment, powers=powers) for g in polys):
+            if not any(g for _, g in polys):
                 points.append(tuple(assignment[i] for i in range(n)))
             return
         vi = n - 1 - level
-        cands = []
-        for low, g in lows:
-            if low >= vi:
-                # every variable of g but vi is assigned
-                part = specialize(g, assignment, powers=powers)
-                if part:
-                    cands.append(uni_coeffs(part, vi))
+        # every variable of g but vi is assigned when low >= vi
+        cands = [uni_coeffs(g, vi) for low, g in polys if low >= vi and g]
         if not cands:
             raise NotZeroDimensional(
                 f"no univariate constraint for {ring.names[vi]} during back-substitution"
@@ -855,13 +900,16 @@ def solve_zero_dim(G, hints=()):
                     f"variable {ring.names[vi]} unconstrained on a branch"
                 )
             return  # gcd = 1: no common root on this branch
-        named = {ring.names[j]: str(v) for j, v in assignment.items()}
+        named = lambda: {ring.names[j]: str(v) for j, v in assignment.items()}
         for r in _uni_roots(g, hints, obstructions, ring.names[vi], named):
             assignment[vi] = r
-            rec(level + 1, assignment)
+            rec(level + 1, assignment, [
+                (low, specialize(h, {vi: r}, powers=powers) if h.degree_in(vi) > 0 else h)
+                for low, h in polys
+            ])
             del assignment[vi]
 
-    rec(0, {})
+    rec(0, {}, [(min(g.variables()), g) for g in G.polys])
     # Deterministic output order by textual form.
     points.sort(key=lambda pt: tuple(v.to_text() for v in pt))
     return SolveResult(points, obstructions)

@@ -132,10 +132,17 @@ def _coplanar_on_surface(group):
 
 
 def _conics_valid(conics):
-    """Every conic is irreducible and on the surface, one plane at a time."""
-    return all(c.is_irreducible() for c in conics) and all(
-        _coplanar_on_surface(g)[0] for g in _by_plane(conics).values()
-    )
+    """(every conic is irreducible and on the surface, checked one plane at a
+    time; every plane holds two mutual residuals, or None if not all valid)."""
+    if not all(c.is_irreducible() for c in conics):
+        return False, None
+    paired = True
+    for g in _by_plane(conics).values():
+        on, pair = _coplanar_on_surface(g)
+        if not on:
+            return False, None
+        paired = paired and pair
+    return True, paired
 
 
 @functools.lru_cache(maxsize=1)
@@ -201,7 +208,7 @@ def orbit_census(out=None):
     rep.add("orbits pairwise disjoint", disjoint)
     rep.add("census size", len(conics) == catalog.CENSUS_SIZE, f"{len(conics)}")
 
-    valid = _conics_valid(conics)
+    valid = _conics_valid(conics)[0]
     rep.add("all conics irreducible and on the surface", valid, f"{len(conics)} checked")
 
     P, kernel = permutation_action(gens, moves)
@@ -247,13 +254,14 @@ def orbit_census(out=None):
 # -- plane census ------------------------------------------------------------
 
 
-def plane_census(cert):
+def plane_census(cert, paired=None):
     """Group the certified conics by their plane and check the pairing.
 
     Every plane must carry exactly two conics that are mutual residuals,
     shown by one section, one division and one residual per plane
-    (_coplanar_on_surface).  For the full census this means 400 planes; the
-    support histogram (number of nonzero plane coefficients) is reported
+    (_coplanar_on_surface), or given as paired by a caller that has the
+    verdict from _conics_valid.  For the full census this means 400 planes;
+    the support histogram (number of nonzero plane coefficients) is reported
     alongside.
     """
     rep = Report("plane census")
@@ -264,7 +272,8 @@ def plane_census(cert):
         all(len(g) == 2 for g in groups.values()),
         f"{len(groups)} planes, {len(conics)} conics",
     )
-    paired = all(_coplanar_on_surface(g)[1] for g in groups.values())
+    if paired is None:
+        paired = all(_coplanar_on_surface(g)[1] for g in groups.values())
     rep.add("coplanar conics are mutual residuals", paired)
     if len(conics) == catalog.CENSUS_SIZE:
         rep.add("plane count", len(groups) == catalog.PLANE_COUNT, f"{len(groups)}")
@@ -614,7 +623,7 @@ def enumerate_case(case, budget=None, census=None):
         len(planes) == catalog.EXPECTED_PLANES[case],
         f"{len(planes)}",
     )
-    rep.add("conics irreducible and on the surface", _conics_valid(conics))
+    rep.add("conics irreducible and on the surface", _conics_valid(conics)[0])
     census = census if census is not None else census_orbit_labels()
     rep.add(
         "all conics appear in the orbit census",
@@ -746,7 +755,7 @@ def kummer_report(conics=None, generators=None, census=None):
     gens = generators if generators is not None else catalog.kummer_generators()
     n = len(conics)
     rep.add("sixteen conics", n == 16, f"{n}")
-    valid = _conics_valid(conics)
+    valid = _conics_valid(conics)[0]
     rep.add("all irreducible and on the surface", valid)
     disjoint = all(
         intersection_number(conics[i], conics[j]) == 0
@@ -811,7 +820,8 @@ def verify_certificate(source):
     rep = Report("certificate verification")
     conics = cert.conics
     rep.add("parsed in canonical form", True, f"{len(conics)} conics, kind {cert.kind}")
-    rep.add("all conics irreducible and on the surface", _conics_valid(conics))
+    valid, paired = _conics_valid(conics)
+    rep.add("all conics irreducible and on the surface", valid)
 
     declared = dict(cert.typed_values("orbit"))
     if declared:
@@ -843,7 +853,7 @@ def verify_certificate(source):
             == catalog.SEED_ORBIT_LENGTHS,
         )
         try:
-            rep.extend(plane_census(cert))
+            rep.extend(plane_census(cert, paired))
         except VerificationFailed as exc:
             rep.extend(getattr(exc, "report", Report("")))
     if gens and conics:

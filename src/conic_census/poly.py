@@ -27,12 +27,6 @@ class MonomialOrder:
             return lambda m: m
         return _drl_key
 
-    def negkey_fn(self):
-        # Mirror image of key_fn, for min-heaps that must pop the largest.
-        if self.kind == "lex":
-            return lambda m: tuple(-e for e in m)
-        return _drl_negkey
-
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
 
@@ -47,10 +41,6 @@ def _drl_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _drl_negkey(m):
-    return (-sum(m), tuple(reversed(m)))
-
-
 LEX = MonomialOrder("lex")
 DEGREVLEX = MonomialOrder("degrevlex")
 
@@ -58,14 +48,13 @@ DEGREVLEX = MonomialOrder("degrevlex")
 class PolyRing:
     """Polynomial ring over K with named variables and a monomial order."""
 
-    __slots__ = ("names", "n", "order", "key", "negkey", "zero_mono")
+    __slots__ = ("names", "n", "order", "key", "zero_mono")
 
     def __init__(self, names, order=DEGREVLEX):
         self.names = tuple(names)
         self.n = len(self.names)
         self.order = order
         self.key = order.key_fn()
-        self.negkey = order.negkey_fn()
         self.zero_mono = (0,) * self.n
 
     def __eq__(self, other):

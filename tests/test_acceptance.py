@@ -181,8 +181,10 @@ def test_property_suites():
     print(f"PASS property suites: {len(ALL_SUITES)} suites, >= 200 cases each, zero failures")
 
 
-def test_case_i_budget_gate():
-    """Case (i) is gated: by default it must stop at the resource budget.
+def test_case_i_budget_gate(capsys):
+    """Case (i) is gated: by default it must stop at the resource budget,
+    after exactly the pinned work, so that a change to the reduction loop or
+    the pair criteria cannot alter its pair sequence unnoticed.
 
     Set CONIC_CENSUS_CASE_I=1 to attempt the full three-parameter
     enumeration with a much larger budget (hours of runtime).
@@ -197,4 +199,14 @@ def test_case_i_budget_gate():
     rc = cli.main(["enumerate", "--case", "i"])
     elapsed = time.monotonic() - start
     assert rc == cli.EXIT_BUDGET
+    stop = capsys.readouterr().err.splitlines()
+    for line in (
+        "pairs processed 778",
+        "pairs discarded by criteria 3195",
+        "peak basis size 601",
+        "reductions to zero 186",
+        "peak term count 114811",
+        "reductions to zero found mod p 93",
+    ):
+        assert f"  {line}" in stop, line
     print(f"PASS case (i) gate: default budget exhausted cleanly in {elapsed:.1f}s (exit 3)")

@@ -3,18 +3,20 @@
 import hashlib
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from conic_census import catalog, groebner
 from conic_census.errors import NotZeroDimensional, ResourceBudgetExceeded
-from conic_census.field import I, ONE, P, SQRT2, SQRT5, ZERO, kelem
+from conic_census.field import I, ONE, P, SQRT2, SQRT5, ZERO, dot, kelem
 from conic_census.groebner import (
     Budget,
     DEFAULT_BUDGET,
-    _normal_form_prepared,
+    _Pack,
     _pending,
     _prep,
+    _remainder,
     buchberger,
     elimination_ideal,
     fglm,
@@ -221,6 +223,61 @@ def test_trace_counts_work():
     assert G.trace.pairs_processed > 0
 
 
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=repr)
+def test_packed_monomials_match_the_tuple_oracles(order):
+    """200 random pairs per order: packed order, product, divisibility, lcm
+    and coprimality against ring.key and componentwise <= and max, with
+    fields at the packing limit, and every overflow seen at a guard bit."""
+    rng = random.Random(31)
+    ring = PolyRing(("a", "b", "c", "d", "e"), order)
+    pk = _Pack(ring)
+    top = groebner._LIMIT
+    field = max if order == LEX else sum  # the largest packed field
+
+    def mono():
+        # the largest field small, about half the limit, or at the limit
+        cap = rng.choice((3, top // 2, top))
+        m = [0] * ring.n
+        for i in rng.sample(range(ring.n), ring.n):
+            room = cap - (0 if order == LEX else sum(m))
+            m[i] = rng.choice((0, room, rng.randint(0, room)))
+        return tuple(m)
+
+    for _ in range(200):
+        a, b = mono(), mono()
+        ea, eb = pk.pack(a), pk.pack(b)
+        da, db = pk.expo(ea), pk.expo(eb)
+        assert field(a) <= top and pk.unpack(ea) == a and pk.enc(da) == ea
+        assert (ea < eb) == (ring.key(a) < ring.key(b)) and (ea == eb) == (a == b)
+        assert pk.divides(da, db) == all(x <= y for x, y in zip(a, b))
+        prod = tuple(map(add, a, b))
+        if field(prod) <= top:
+            assert ea + eb == pk.pack(prod)
+        else:
+            assert (ea + eb) & pk.guard and pk.unpack(ea + eb) == prod
+        lcm = tuple(map(max, a, b))
+        e = pk.enc(pk.lcm(da, db))
+        assert pk.unpack(e) == lcm and bool(e & pk.guard) == (field(lcm) > top)
+        coprime = all(x == 0 or y == 0 for x, y in zip(a, b))
+        assert (pk.lcm(da, db) == da + db) == coprime
+
+
+def test_exponent_past_the_packing_limit_stops_the_run(lex2):
+    ring, x, y = lex2
+    top = groebner._LIMIT
+    assert buchberger([x**top - y, y**2 - 1]).polys[-1] == x**top - y
+    for gens in (
+        [x ** (top + 1) - y, y**2 - 1],  # an input exponent
+        [x - y**100, x**2 - 1],  # reducing x^2 reaches y^200
+    ):
+        with pytest.raises(ResourceBudgetExceeded, match="an exponent over 127"):
+            buchberger(gens)
+    drl = PolyRing(("x", "y"))
+    u, v = drl.gens()
+    with pytest.raises(ResourceBudgetExceeded, match="its degree"):
+        buchberger([u**64 * v**64 - 1])
+
 def oracle_normal_form(p, divisors):
     """Term-at-a-time division: the largest remaining term is reduced by the
     first divisor whose lead divides it, and every update is normalised at
@@ -292,10 +349,11 @@ def test_normal_form_matches_oracle_on_random_divisors(order):
         want = Poly(ring, {tuple(uf): 1 / cf}) * f - Poly(ring, {tuple(ug): 1 / cg}) * g
         assert s_polynomial(f, g) == want
         # one memo while the divisor list grows, as in buchberger
+        pk = _Pack(ring)
         prepared, memo = [], {}
         for k, g in enumerate(divisors, start=1):
-            prepared.append(_prep(g))
-            got = _normal_form_prepared(ring, _pending(p), prepared, memo)
+            prepared.append(_prep(pk, pk.terms(g)))
+            got = pk.poly(_remainder(pk, _pending(pk.terms(p)), prepared, memo, dot))
             assert got == oracle_normal_form(p, divisors[:k])
 
 

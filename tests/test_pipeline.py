@@ -286,6 +286,11 @@ def test_verify_sections_and_parses_each_once(census, monkeypatch):
     monkeypatch.setattr(
         geometry, "_section", lambda *args: sections.append(1) or section(*args)
     )
+    built = []
+    init = geometry.Conic.__init__
+    monkeypatch.setattr(
+        geometry.Conic, "__init__", lambda *args: built.append(1) or init(*args)
+    )
     lines = census.path.read_text().splitlines()
     records = {t for ln in lines if ln.startswith("conic ") for t in ln.split()[2:]}
     meta = sum(
@@ -302,6 +307,8 @@ def test_verify_sections_and_parses_each_once(census, monkeypatch):
     pipeline.verify_certificate(cert)
     # one section per plane: a pair's second conic follows from the division
     assert len(sections) == len(cert.conics) // 2 == 400
+    # one residual conic per plane, shared by the surface and pairing checks
+    assert len(built) == 400
     assert texts == []  # the generator and seed lines are not parsed again
 
 
