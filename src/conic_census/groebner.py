@@ -398,7 +398,7 @@ def _run(pk, starts, budget, trace, t0, closing):
     mod P (see the module docstring); the closing run skips none and counts
     only its pairs, in pairs_closing.  The pair cap covers both runs.
     """
-    divides, lcm, enc, unpack = pk.divides, pk.lcm, pk.enc, pk.unpack
+    divides, lcm, enc, n = pk.divides, pk.lcm, pk.enc, pk.ring.n
     # the closing run reports only its pairs
     counts = GroebnerTrace() if closing else trace
 
@@ -436,8 +436,8 @@ def _run(pk, starts, budget, trace, t0, closing):
         groups = {}
         for i in range(t):
             groups.setdefault(lcm(lms[i], dh), []).append(i)
-        kept = []
-        for deg, e, d in sorted((sum(unpack(enc(d))), enc(d), d) for d in groups):
+        kept = []  # the degree of an lcm is the byte sum of its exponent form
+        for deg, e, d in sorted((sum(d.to_bytes(n, "big")), enc(d), d) for d in groups):
             if any(divides(k, d) for k in kept):
                 continue
             kept.append(d)
