@@ -24,8 +24,15 @@ otherwise.  Those four keys are parsed once, and the certificate keeps the
 typed values for the verifier.
 
 A census repeats few field texts (11,200 fields, 329 distinct), so one parse
-maps each distinct record field text to its KElem once; a malformed text is
-not kept and raises at the first line carrying it.
+maps each distinct record field text to its KElem once, and keeps it only
+when to_text() gives the same text back: a malformed text raises at the
+first line carrying it, and a text that spells its value another way (2/4,
+01, -0, 1/1) is never kept, so every record carrying it fails the
+canonical-form check.  That check compares each record's values with the
+canonical coefficients from Conic.from_coeffs, with no text rendered.  A
+value has one canonical text, so the first field that is respelled or
+differs in value is the first whose text differs from the canonical text of
+its canonical value, and the ParseError names it.
 """
 
 import re
@@ -182,27 +189,35 @@ def _parse_conic_line(tokens, lineno, parsed):
     label = tokens[1]
     fields = tokens[2:]
     vals = []
-    for name, text in zip(RECORD_FIELDS, fields):
+    respelled = None  # position of the first field not spelled as to_text()
+    for k, (name, text) in enumerate(zip(RECORD_FIELDS, fields)):
         x = parsed.get(text)
         if x is None:
             try:
-                x = parsed[text] = KElem.from_text(text)
+                x = KElem.from_text(text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(str(exc), line=lineno, field=name) from None
+            if x.to_text() == text:
+                parsed[text] = x
+            elif respelled is None:
+                respelled = k
         vals.append(x)
     try:
         conic = Conic.from_coeffs(vals)
     except CensusError as exc:
         raise ParseError(str(exc), line=lineno) from None
-    # canonical form is part of the format: the stored fields must be
-    # exactly what canonicalization reproduces
-    rebuilt = conic.fields()
-    if list(fields) != rebuilt:
-        for name, got, want in zip(RECORD_FIELDS, fields, rebuilt):
-            if got != want:
-                raise ParseError(
-                    "coefficients not in canonical form", line=lineno, field=name
-                )
+    # canonical form is part of the format: each stored field must be the
+    # text of the canonical coefficient, that is, spelled as to_text() and
+    # equal in value; the first field that is not is named
+    if respelled is not None or conic.coeffs != tuple(vals):
+        k = next(
+            k
+            for k, (got, want) in enumerate(zip(vals, conic.coeffs))
+            if k == respelled or got != want
+        )
+        raise ParseError(
+            "coefficients not in canonical form", line=lineno, field=RECORD_FIELDS[k]
+        )
     return label, conic
 
 

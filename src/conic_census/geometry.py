@@ -22,14 +22,17 @@ The plane section of a surface f = 0 is worked out in coefficient form.  On
 the plane the pivot variable is z_p = L = -sum b_j z_j (j != p), so the
 section is a ternary form in the other three variables, held as a dense
 coefficient list in descending degrevlex order: writing f = sum_e g_e z_p^e,
-it is sum_e g_e * L^e, with only the powers of L that f uses formed.  The
+it is sum_e g_e * L^e, with only the powers of L that f uses formed.  It is
+the linear substitution that keeps the other variables and sends z_p to L,
+made by poly.dense_image, the kernel poly.substitute_linear uses too.  The
 conic lies on the surface iff its reduced quadric Q, which is monic, divides
 the section S: the quotient R comes from a triangular solve, largest
 monomial first (each coefficient of R is one coefficient of S minus products
 with coefficients of R already known, so no inverse is needed), and is
 accepted only if Q * R equals S on every coefficient.  R is the quadric of
-the residual conic.  Monomial-index tables (per degree) drive every product,
-and each output coefficient costs one normalised dot product (field.dot).
+the residual conic.  The monomial and product tables of poly drive every
+product, and each output coefficient costs one normalised dot product
+(field.dot).
 Each conic keeps the quotient for the last surface it was asked about, so
 on_surface and residual on the same f (the same object or an equal form)
 share one section and one division.  A plane carrying two conics needs only
@@ -55,7 +58,14 @@ import functools
 
 from .errors import CommonComponent, DegenerateConic, NotOnSurface, RingMismatch
 from .field import ONE as K1, ZERO as K0, KElem, dot
-from .poly import DEGREVLEX, Poly, PolyRing
+from .poly import (
+    DEGREVLEX,
+    Poly,
+    PolyRing,
+    dense_image,
+    dense_monomials,
+    product_table,
+)
 
 ZRING = PolyRing(("z0", "z1", "z2", "z3"), DEGREVLEX)
 
@@ -95,46 +105,9 @@ _LEAD_ORDER = tuple(
 # -- dense ternary forms ------------------------------------------------------
 #
 # On the plane of a conic the pivot variable is gone, so plane sections and
-# reduced quadrics are forms in the other three variables, kept in order.  A
-# dense ternary form of degree d is the list of its coefficients on
-# _monos(d)[0], largest monomial first in degrevlex (which is the order of the
-# four-variable monomials without the pivot).
-
-
-def _add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-@functools.cache
-def _monos(d):
-    """(ternary exponent triples of degree d, largest first; triple -> index)."""
-    monos = sorted(
-        ((a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)),
-        key=ZRING.key,
-        reverse=True,
-    )
-    return tuple(monos), {m: k for k, m in enumerate(monos)}
-
-
-@functools.cache
-def _product_table(d1, d2):
-    """Per monomial of degree d1 + d2: index tuples (is, js) of its factor pairs."""
-    out = [([], []) for _ in _monos(d1 + d2)[0]]
-    index = _monos(d1 + d2)[1]
-    for i, u in enumerate(_monos(d1)[0]):
-        for j, v in enumerate(_monos(d2)[0]):
-            ii, jj = out[index[_add(u, v)]]
-            ii.append(i)
-            jj.append(j)
-    return tuple((tuple(ii), tuple(jj)) for ii, jj in out)
-
-
-def _mul(a, da, b, db):
-    """Product of dense ternary forms a (degree da) and b (degree db)."""
-    return [
-        dot([a[i] for i in ii], [b[j] for j in jj])
-        for ii, jj in _product_table(da, db)
-    ]
+# reduced quadrics are dense forms (poly.dense_monomials) in the other three
+# variables, kept in order: degrevlex on the three remaining exponents is
+# the order of the four-variable monomials without the pivot.
 
 
 @functools.cache
@@ -147,10 +120,10 @@ def _division_table(d, lead):
     check lists (n, is, js) for the coefficients of S that solve did not use,
     where S_n must equal sum Q_i R_j.
     """
-    qmonos = _monos(2)[0]
+    qmonos = dense_monomials(3, 2)[0]
     lm = qmonos[lead]
-    rmonos, rindex = _monos(d - 2)
-    sindex = _monos(d)[1]
+    rmonos, rindex = dense_monomials(3, d - 2)
+    sindex = dense_monomials(3, d)[1]
     solve = []
     for r in rmonos:
         qs, rs = [], []
@@ -159,11 +132,12 @@ def _division_table(d, lead):
             if ZRING.key(q) < ZRING.key(lm) and min(r2) >= 0:
                 qs.append(qi)
                 rs.append(rindex[r2])
-        solve.append((sindex[_add(r, lm)], tuple(qs), tuple(rs)))
+        n = sindex[tuple(a + b for a, b in zip(r, lm))]
+        solve.append((n, tuple(qs), tuple(rs)))
     used = {n for n, _, _ in solve}
     check = tuple(
         (n, ii, jj)
-        for n, (ii, jj) in enumerate(_product_table(2, d - 2))
+        for n, (ii, jj) in enumerate(product_table(3, 2, d - 2))
         if n not in used
     )
     return tuple(solve), check
@@ -171,12 +145,16 @@ def _division_table(d, lead):
 
 # _OTHERS[p]: the variables other than z_p, the ternary variables of a plane
 # with pivot p; _TERNARY_QUAD[p]: record positions of a quadric's coefficients
-# on _monos(2) in those variables
+# on dense_monomials(3, 2) in those variables
 _OTHERS = tuple(tuple(j for j in range(4) if j != p) for p in range(4))
+# _KEEP[p][i]: z_i (i != p) as a linear form in the ternary variables of pivot p
+_KEEP = tuple(tuple([K1 if j == i else K0 for j in o] for i in range(4)) for o in _OTHERS)
 _TERNARY_QUAD = tuple(
     tuple(
         _QIDX[i][j]
-        for i, j in ([o[k] for k in range(3) for _ in range(m[k])] for m in _monos(2)[0])
+        for i, j in (
+            [o[k] for k in range(3) for _ in range(m[k])] for m in dense_monomials(3, 2)[0]
+        )
     )
     for o in _OTHERS
 )
@@ -372,7 +350,7 @@ class Conic:
         for n, ii, jj in check:
             if dot([quad[i] for i in ii], [r[j] for j in jj]) != sect[n]:
                 return None
-        monos = _monos(d - 2)[0]
+        monos = dense_monomials(3, d - 2)[0]
         return Poly(ZRING, {m[:p] + (0,) + m[p:]: x for m, x in zip(monos, r) if x})
 
     def point_on_plane_line(self, other):
@@ -412,34 +390,13 @@ def _degree(f):
 def _section(f, d, pivot, b):
     """f restricted to the plane z_pivot = -sum b_j z_j, dense in the other variables.
 
-    f = sum_e g_e z_pivot^e with g_e a ternary form of degree d - e, so the
-    section is sum_e g_e * L^e with L = -sum b_j z_j; only the powers of L
-    that f uses (and the halves that reach them) are formed.
+    The substitution keeps the other variables and sends z_pivot to
+    L = -sum b_j z_j: one dense row, so poly.dense_image groups f by the
+    exponent e of z_pivot and forms only the powers of L that f uses.
     """
-    g = {}
-    for m, c in f.terms.items():
-        e = m[pivot]
-        if e not in g:
-            g[e] = [K0] * len(_monos(d - e)[0])
-        g[e][_monos(d - e)[1][m[:pivot] + m[pivot + 1 :]]] = c
-    powers = {0: [K1], 1: [-b[j] for j in _OTHERS[pivot]]}
-
-    def power(e):
-        if e not in powers:
-            h = e // 2
-            powers[e] = _mul(power(h), h, power(e - h), e - h)
-        return powers[e]
-
-    parts = [(g[e], power(e), _product_table(d - e, e)) for e in sorted(g)]
-    sect = []
-    for n in range(len(_monos(d)[0])):
-        xs, ys = [], []
-        for ge, pe, table in parts:
-            ii, jj = table[n]
-            xs += [ge[i] for i in ii]
-            ys += [pe[j] for j in jj]
-        sect.append(dot(xs, ys))
-    return sect
+    rows = list(_KEEP[pivot])
+    rows[pivot] = [-b[j] for j in _OTHERS[pivot]]
+    return dense_image(f.terms, d, rows)
 
 
 def intersection_number(c1, c2):

@@ -23,7 +23,9 @@ top (guard) bit of every field, a divides b exactly when
 field holds at most _LIMIT, so a sum of two fields never carries: packed
 input, each lcm, and each term a reduction or the FGLM walk is about to use
 are checked, and a set guard bit raises ResourceBudgetExceeded naming the
-monomial.  Polys keep exponent tuples, packed on entry and unpacked on exit.
+monomial; inside a Buchberger run it carries the run's statistics, as the
+pair, basis and term stops do.  Polys keep exponent tuples, packed on entry
+and unpacked on exit.
 
 Normal forms delay coefficient normalisation: a pending coefficient is a
 pair of factor lists, each reduction step appends one product to it, and it
@@ -64,7 +66,7 @@ direct lex run on the larger systems.
 import heapq
 import time
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from operator import itemgetter, mul
 
 from .errors import (
@@ -396,7 +398,8 @@ def _run(pk, starts, budget, trace, t0, closing):
 
     The first run keeps trace's five counts and may skip pairs that vanish
     mod P (see the module docstring); the closing run skips none and counts
-    only its pairs, in pairs_closing.  The pair cap covers both runs.
+    only its pairs, in pairs_closing.  The pair cap covers both runs.  Every
+    budget stop, a packed-field overflow included, carries vars(trace).
     """
     divides, lcm, enc, n = pk.divides, pk.lcm, pk.enc, pk.ring.n
     # the closing run reports only its pairs
@@ -467,33 +470,38 @@ def _run(pk, starts, budget, trace, t0, closing):
         if total_terms > budget.max_terms:
             stop(f"term count {total_terms} exceeded budget {budget.max_terms}")
 
-    for terms in starts:
-        r = list(_remainder(pk, _pending(terms), G, memo, dot))
-        if r:
-            add_element(r)
+    try:
+        for terms in starts:
+            r = list(_remainder(pk, _pending(terms), G, memo, dot))
+            if r:
+                add_element(r)
 
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in alive:
-            continue
-        del alive[(i, j)]
-        if trace.pairs_processed + trace.pairs_closing >= budget.max_pairs:
-            stop(f"pair count exceeded budget {budget.max_pairs}")
-        if closing:
-            trace.pairs_closing += 1
-        else:
-            trace.pairs_processed += 1
-        if images is not None:
-            work = _s_pending(pk, images[i], images[j])
-            if next(_remainder(pk, work, images, memo, _dot_p), None) is None:
-                counts.zero_reductions += 1
-                trace.pairs_mod_p += 1
+        while heap:
+            _, _, i, j = heapq.heappop(heap)
+            if (i, j) not in alive:
                 continue
-        r = list(_remainder(pk, _s_pending(pk, G[i], G[j]), G, memo, dot))
-        if r:
-            add_element(r)
-        else:
-            counts.zero_reductions += 1
+            del alive[(i, j)]
+            if trace.pairs_processed + trace.pairs_closing >= budget.max_pairs:
+                stop(f"pair count exceeded budget {budget.max_pairs}")
+            if closing:
+                trace.pairs_closing += 1
+            else:
+                trace.pairs_processed += 1
+            if images is not None:
+                work = _s_pending(pk, images[i], images[j])
+                if next(_remainder(pk, work, images, memo, _dot_p), None) is None:
+                    counts.zero_reductions += 1
+                    trace.pairs_mod_p += 1
+                    continue
+            r = list(_remainder(pk, _s_pending(pk, G[i], G[j]), G, memo, dot))
+            if r:
+                add_element(r)
+            else:
+                counts.zero_reductions += 1
+    except ResourceBudgetExceeded as exc:
+        if exc.stats:
+            raise
+        stop(str(exc))  # a packed-field overflow: report the work spent
     return G
 
 
@@ -552,17 +560,34 @@ def _pure_power_bounds(G):
 
 
 def standard_monomials(G):
-    """Monomials outside the leading-term ideal; requires zero-dimensionality."""
+    """Monomials outside the leading-term ideal, in increasing ring order;
+    requires zero-dimensionality.
+
+    A walk up from 1 by variable steps, as the FGLM walk makes: a divisor of
+    a standard monomial is standard, so each is reached from a smaller one,
+    and only they and the steps that land on a leading-term multiple inside
+    the box of pure-power bounds are tested.
+    """
     if G.is_trivial():
         return []
     bounds = _pure_power_bounds(G)
     pk = _Pack(G.ring)
     leads = [pk.expo(pk.pack(m)) for m in G.lead_monomials()]
+    todo = [G.ring.zero_mono]
+    seen = set(todo)
     out = []
-    for m in product(*map(range, bounds)):
+    while todo:
+        m = todo.pop()
         d = pk.expo(pk.pack(m))
-        if not any(pk.divides(lm, d) for lm in leads):
-            out.append(m)
+        if any(pk.divides(lm, d) for lm in leads):
+            continue
+        out.append(m)
+        for i, e in enumerate(m):
+            if e + 1 < bounds[i]:
+                step = m[:i] + (e + 1,) + m[i + 1 :]
+                if step not in seen:
+                    seen.add(step)
+                    todo.append(step)
     out.sort(key=pk.pack)
     return out
 

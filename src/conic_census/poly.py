@@ -5,7 +5,19 @@ PolyRing that fixes variable names and a monomial order, lex or degrevlex.
 Term iteration is always in
 decreasing monomial order.  Polynomials are immutable by convention: term
 dicts are never mutated after construction.
+
+Linear substitutions run in dense form: a form of degree d in n variables
+is the list of its coefficients on the degree-d monomials, largest first in
+degrevlex, and products go through per-degree index tables, one field.dot
+per output coefficient.  dense_image substitutes linear forms into the
+terms of one degree; the rows with one nonzero entry only rename and scale
+a variable, and each product of the other rows' forms is formed once.
+substitute_linear (p(M*z), degree by degree) and geometry's plane sections
+are its two callers; ring_map remains for general maps.
 """
+
+import functools
+from itertools import compress, product
 
 from .errors import RingMismatch, SingularMatrix
 from .field import ZERO as K0, ONE as K1, KElem, dot, kelem
@@ -392,7 +404,10 @@ def substitute_linear(p, matrix):
 
     matrix is an n x n nested list of KElem-coercible entries and must be
     invertible (SingularMatrix otherwise).  Row i gives the linear form
-    substituted for variable i.
+    substituted for variable i.  Each degree of p is substituted on its own
+    in dense form (dense_image), so a row with one nonzero entry only
+    renames and scales its variable and a signed permutation forms no
+    product.
     """
     ring = p.ring
     n = ring.n
@@ -401,19 +416,150 @@ def substitute_linear(p, matrix):
         raise ValueError(f"matrix must be {n}x{n}")
     if not mat_det(rows):
         raise SingularMatrix("linear substitution matrix is singular")
-    images = [
-        Poly(ring, {m: c for m, c in zip(_unit_monos(ring), row) if c})
-        for row in rows
+    by_degree = {}
+    for m, c in p.terms.items():
+        by_degree.setdefault(sum(m), {})[m] = c
+    out = {}
+    for d, terms in by_degree.items():
+        for m, c in zip(dense_monomials(n, d)[0], dense_image(terms, d, rows)):
+            if c:
+                out[m] = c
+    return Poly(ring, out)
+
+
+# -- dense forms ----------------------------------------------------------------
+#
+# A dense form of degree d in n variables is the list of its coefficients on
+# dense_monomials(n, d)[0], largest monomial first in degrevlex.  Products
+# go through per-degree index tables, and each output coefficient costs one
+# normalised dot product (field.dot).
+
+
+@functools.cache
+def dense_monomials(n, d):
+    """(exponent n-tuples of degree d, largest first in degrevlex; tuple -> index)."""
+    monos = [m for m in product(range(d + 1), repeat=n) if sum(m) == d]
+    monos.sort(key=_drl_key, reverse=True)
+    return tuple(monos), {m: k for k, m in enumerate(monos)}
+
+
+@functools.cache
+def product_table(n, d1, d2):
+    """Per monomial of degree d1 + d2: index tuples (is, js) of its factor pairs."""
+    index = dense_monomials(n, d1 + d2)[1]
+    out = [([], []) for _ in index]
+    for i, u in enumerate(dense_monomials(n, d1)[0]):
+        for j, v in enumerate(dense_monomials(n, d2)[0]):
+            ii, jj = out[index[tuple(x + y for x, y in zip(u, v))]]
+            ii.append(i)
+            jj.append(j)
+    return tuple((tuple(ii), tuple(jj)) for ii, jj in out)
+
+
+def dense_mul(n, a, da, b, db):
+    """Product of dense forms a (degree da) and b (degree db) in n variables."""
+    return [
+        dot([a[i] for i in ii], [b[j] for j in jj])
+        for ii, jj in product_table(n, da, db)
     ]
-    return ring_map(p, ring, images)
 
 
-def _unit_monos(ring):
+@functools.lru_cache(maxsize=1024)
+def _grouping(monos, n, d, dense, moves):
+    """The terms of dense_image by their exponents mu on the dense rows.
+
+    One (mu, size of g_mu, ((term position, index in g_mu), ...)) per mu, in
+    order of first occurrence; it depends only on the monomials and on which
+    rows are sparse, so the plane sections of one surface share it.
+    """
+    groups = {}
+    for t, m in enumerate(monos):
+        mu = tuple([m[i] for i in dense])
+        nu = [0] * n
+        for i, j in moves:
+            nu[j] += m[i]
+        groups.setdefault(mu, []).append((t, dense_monomials(n, d - sum(mu))[1][tuple(nu)]))
+    return tuple(
+        (mu, len(dense_monomials(n, d - sum(mu))[0]), tuple(entries))
+        for mu, entries in groups.items()
+    )
+
+
+def dense_image(terms, d, rows):
+    """sum of c * prod_i L_i^(m_i) over terms, a dict m -> c of degree d, dense.
+
+    rows[i] is the linear form L_i substituted for variable i, as its
+    coefficients on the n output variables.  A row with one nonzero entry s
+    at j is sparse: its variable becomes s * z_j, which only moves a term's
+    exponent and scales its coefficient.  Grouping the terms by their
+    exponents mu on the dense rows gives
+    sum_mu g_mu * prod_{i dense} L_i^(mu_i), with g_mu the dense form that
+    the sparse rows give; each product over the dense rows is formed once
+    (pure powers by halving, others by splitting off one variable), and each
+    output coefficient is one dot over all mu.  A plane section has one
+    dense row, the pivot's; a signed permutation has none, so it forms no
+    product.
+    """
+    n = len(rows[0])
+    moves = []  # (i, j) for a sparse row i, nonzero at j
+    scales = []  # (i, s) for a sparse row i whose entry s is not 1
+    dense = []  # the variables with a dense row
+    for i, row in enumerate(rows):
+        nz = list(compress(range(n), row))
+        if len(nz) == 1:
+            s = row[nz[0]]
+            moves.append((i, nz[0]))
+            if s != K1:
+                scales.append((i, s))
+        else:
+            dense.append(i)
+    cs = list(terms.values())
+    if scales:
+        for t, m in enumerate(terms):
+            for i, s in scales:
+                if m[i]:
+                    cs[t] = cs[t] * s ** m[i]
+    groups = []  # (mu, g_mu)
+    for mu, size, entries in _grouping(tuple(terms), n, d, tuple(dense), tuple(moves)):
+        g = [K0] * size
+        for t, k in entries:
+            g[k] = g[k] + cs[t] if g[k] else cs[t]
+        groups.append((mu, g))
+    if groups and not dense:
+        return groups[0][1]  # one group, mu = ()
+    images = {(0,) * len(dense): [K1]}  # mu -> prod L_dense[k]^mu[k]
+
+    def image_of(mu, deg):
+        # the image of the monomial mu in the dense variables, degree deg:
+        # a row, a pure power by halves, or its first variable's power times
+        # the rest
+        v = images.get(mu)
+        if v is None:
+            k = 0
+            while not mu[k]:
+                k += 1
+            if deg == 1:
+                v = rows[dense[k]]
+            else:
+                e = mu[k] // 2 if mu[k] == deg else mu[k]
+                first = mu[:k] + (e,) + (0,) * (len(mu) - k - 1)
+                rest = mu[:k] + (mu[k] - e,) + mu[k + 1 :]
+                v = dense_mul(n, image_of(first, e), e, image_of(rest, deg - e), deg - e)
+            images[mu] = v
+        return v
+
+    parts = []
+    for mu, g in groups:
+        deg = sum(mu)
+        parts.append((g, image_of(mu, deg), product_table(n, d - deg, deg)))
     out = []
-    for i in range(ring.n):
-        m = [0] * ring.n
-        m[i] = 1
-        out.append(tuple(m))
+    for k in range(len(dense_monomials(n, d)[0])):
+        xs, ys = [], []
+        for g, pw, table in parts:
+            ii, jj = table[k]
+            xs += [g[i] for i in ii]
+            ys += [pw[j] for j in jj]
+        out.append(dot(xs, ys))
     return out
 
 

@@ -1,10 +1,13 @@
 """Certificate text format: round trips and rejection of malformed input."""
 
+import pathlib
+
 import pytest
 
 from conic_census import catalog
 from conic_census.certificates import (
     HEADER,
+    _parse_conic_line,
     certificate_text,
     make_certificate,
     parse_certificate,
@@ -12,6 +15,9 @@ from conic_census.certificates import (
     write_certificate,
 )
 from conic_census.errors import CensusError, ParseError
+from conic_census.geometry import RECORD_FIELDS, Conic
+
+CENSUS800 = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "census800.cert"
 
 
 @pytest.fixture
@@ -157,3 +163,90 @@ def test_missing_count(demo):
     ]
     with pytest.raises(ParseError):
         parse_certificate("\n".join(lines))
+
+
+# Changes to one field of a census record, each giving a text that is not
+# the canonical text of the record's canonical value: four spellings of the
+# same value that to_text() never writes, and a doubled plane pivot written
+# canonically.  Each takes the record's fields and returns the position
+# changed and the new text, or None when the record has no such field.
+
+
+def _respell(canonical, old, new):
+    def change(fields):
+        for k, text in enumerate(fields):
+            parts = text.split(",")
+            if (canonical is None or text == canonical) and old in parts:
+                parts[parts.index(old)] = new
+                return k, ",".join(parts)
+        return None
+
+    return change
+
+
+def _double_plane_pivot(fields):
+    k = next(k for k in range(10, 14) if fields[k] != "0,0,0,0,0,0,0,0")
+    return (k, "2,0,0,0,0,0,0,0") if fields[k] == "1,0,0,0,0,0,0,0" else None
+
+
+RESPELLINGS = {
+    "1/1": _respell("1,0,0,0,0,0,0,0", "1", "1/1"),
+    "01": _respell("1,0,0,0,0,0,0,0", "1", "01"),
+    "-0": _respell("0,0,0,0,0,0,0,0", "0", "-0"),
+    "2/4": _respell(None, "1/2", "2/4"),
+    "doubled pivot": _double_plane_pivot,
+}
+
+
+def _expected_location(lines, i):
+    """(line, field) of the record on lines[i] by the format's rule: the
+    first field whose text differs from the canonical text of its canonical
+    value, found by canonicalising and writing the record again."""
+    fields = lines[i].split()[2:]
+    want = Conic.from_fields(fields).fields()
+    k = next(k for k, (got, w) in enumerate(zip(fields, want)) if got != w)
+    return i + 1, RECORD_FIELDS[k]
+
+
+@pytest.mark.parametrize("name", sorted(RESPELLINGS))
+def test_non_canonical_spelling_names_its_line_and_field(name):
+    lines = CENSUS800.read_text().split("\n")
+    change = RESPELLINGS[name]
+    edits = []  # (line index, new line) of the first two records it applies to
+    for i, line in enumerate(lines):
+        if line.startswith("conic ") and len(edits) < 2:
+            toks = line.split(" ")
+            hit = change(toks[2:])
+            if hit is not None:
+                toks[2 + hit[0]] = hit[1]
+                edits.append((i, " ".join(toks), hit[1]))
+    (a, line_a, text_a), (b, line_b, text_b) = edits
+    for spelled in ([(a, line_a)], [(b, line_b)], [(a, line_a), (b, line_b)]):
+        bad = list(lines)
+        for i, line in spelled:
+            bad[i] = line
+        with pytest.raises(ParseError) as err:
+            parse_certificate("\n".join(bad))
+        assert (err.value.line, err.value.field) == _expected_location(bad, spelled[0][0])
+    # one memo across records, as in one parse: a rejected spelling is not
+    # kept, so it is rejected again wherever it appears
+    parsed = {}
+    first = next(i for i, line in enumerate(lines) if line.startswith("conic "))
+    _parse_conic_line(lines[first].split(), first + 1, parsed)
+    for i, line, text in ((a, line_a, text_a), (b, line_b, text_b), (a, line_a, text_a)):
+        with pytest.raises(ParseError) as err:
+            _parse_conic_line(line.split(), i + 1, parsed)
+        assert (err.value.line, err.value.field) == _expected_location(
+            lines[:i] + [line], i
+        )
+        assert (text in parsed) == (name == "doubled pivot")
+
+
+def test_memo_keeps_only_canonical_texts():
+    lines = CENSUS800.read_text().split("\n")
+    records = [line.split() for line in lines if line.startswith("conic ")]
+    parsed = {}
+    for lineno, toks in enumerate(records, start=1):
+        _parse_conic_line(toks, lineno, parsed)
+    assert len(parsed) == len({t for toks in records for t in toks[2:]}) == 329
+    assert all(x.to_text() == t for t, x in parsed.items())

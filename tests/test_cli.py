@@ -139,6 +139,26 @@ def test_budget_stop_hint_names_case_i_only_for_case_i(capsys, argv):
     assert "case (i)" not in err
 
 
+def test_packed_overflow_stop_prints_the_groebner_work(capsys, monkeypatch):
+    from conic_census.groebner import buchberger
+    from conic_census.poly import LEX, PolyRing
+
+    x, y = PolyRing(("x", "y"), LEX).gens()
+
+    def overflowing(*args, **kwargs):
+        buchberger([x - y**100, x**2 - 1])  # reducing x^2 reaches y^200
+
+    monkeypatch.setattr(cli.pipeline, "enumerate_case", overflowing)
+    rc = cli.main(["enumerate", "--case", "ii"])
+    assert rc == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "resource budget exceeded: monomial (0, 200)" in err
+    assert "an exponent over 127" in err
+    for line in ("pairs processed 0", "peak basis size 1", "peak term count 2"):
+        assert f"\n  {line}\n" in err
+    assert "raise --budget-pairs and --budget-terms to continue\n" in err
+
+
 @pytest.mark.parametrize("flag", ["--budget-pairs", "--budget-terms"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_budget_below_one_is_a_usage_error(flag, value):

@@ -15,7 +15,7 @@ from conic_census.geometry import (
     intersection_number,
 )
 from conic_census.linalg import mat_det
-from conic_census.poly import PolyRing, divide_exact
+from conic_census.poly import Poly, PolyRing, dense_monomials, divide_exact
 
 
 z0, z1, z2, z3 = ZRING.gens()
@@ -345,3 +345,30 @@ def test_quotient_is_kept_per_surface(census_conics, monkeypatch):
         assert c.residual(f) == Conic(c.plane, want)
         assert len(sections) == 4
         sections.clear()
+
+
+def test_section_matches_substitution_for_every_plane_shape():
+    """_section against Poly.substitute on planes with one to four nonzero
+    coefficients: a pivot row with one entry is sparse and lands on a kept
+    variable, one with none sends the pivot to 0."""
+    rng = random.Random(23)
+    units = (ONE, I, SQRT2, SQRT10, -ONE)
+    quartics = [catalog.surface()]
+    quartic_monos = dense_monomials(4, 4)[0]
+    for _ in range(2):
+        terms = {m: rng.choice(units) * kelem(rng.randint(1, 5)) for m in quartic_monos}
+        quartics.append(Poly(ZRING, {m: c for m, c in terms.items() if rng.random() < 0.6}))
+    monos = dense_monomials(3, 4)[0]
+    for f in quartics:
+        for pivot in range(4):
+            others = [j for j in range(4) if j != pivot]
+            for mask in range(8):
+                b = [ZERO] * 4
+                b[pivot] = ONE
+                for k, j in enumerate(others):
+                    if mask >> k & 1:
+                        b[j] = rng.choice(units) * kelem(rng.randint(1, 3))
+                line = sum((-b[j] * ZRING.var(j) for j in others), ZRING.zero())
+                want = f.substitute(pivot, line)
+                expect = [want.coeff(m[:pivot] + (0,) + m[pivot:]) for m in monos]
+                assert geometry._section(f, 4, pivot, b) == expect

@@ -1,6 +1,7 @@
 """Unit tests for Buchberger, FGLM, elimination and the solver."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from operator import add
@@ -278,6 +279,16 @@ def test_exponent_past_the_packing_limit_stops_the_run(lex2):
     with pytest.raises(ResourceBudgetExceeded, match="its degree"):
         buchberger([u**64 * v**64 - 1])
 
+
+def test_overflow_inside_a_run_carries_its_stats(lex2):
+    ring, x, y = lex2
+    with pytest.raises(ResourceBudgetExceeded, match="an exponent over 127") as err:
+        buchberger([x - y**100, x**2 - 1])  # reducing x^2 reaches y^200
+    stats = err.value.stats
+    assert set(stats) == set(vars(groebner.GroebnerTrace()))
+    assert (stats["pairs_processed"], stats["basis_max"], stats["terms_max"]) == (0, 1, 2)
+    assert stats["seconds"] > 0
+
 def oracle_normal_form(p, divisors):
     """Term-at-a-time division: the largest remaining term is reduced by the
     first divisor whose lead divides it, and every update is normalised at
@@ -464,3 +475,61 @@ def test_ansatz_trace_basis_and_points_pinned(case, case_ii):
     sol = solve_zero_dim(fglm(G), hints=catalog.solver_hints(case))
     assert sol.complete
     assert _digest(" ".join(v.to_text() for v in pt) for pt in sol.points) == points_sha
+
+
+def _box_scan(G):
+    """Standard monomials by testing every monomial below the pure-power
+    bounds, in increasing ring order."""
+    leads = G.lead_monomials()
+    bounds = [
+        min(m[i] for m in leads if m[i] and sum(m) == m[i]) for i in range(G.ring.n)
+    ]
+    out = [
+        m
+        for m in itertools.product(*map(range, bounds))
+        if not any(all(a >= b for a, b in zip(m, lm)) for lm in leads)
+    ]
+    return sorted(out, key=G.ring.key)
+
+
+def _random_zero_dim_bases(rng, count):
+    """Reduced bases of random zero-dimensional monomial ideals: a pure power
+    of every variable and a few monomials inside their box, which cut a
+    random staircase out of it."""
+    out = []
+    for k in range(count):
+        n = 2 + k % 3
+        ring = PolyRing(tuple("xyzw"[:n]), (LEX, DEGREVLEX)[k % 2])
+        tops = [rng.randint(2, 6) for _ in range(n)]
+        monos = [tuple(top if j == i else 0 for j in range(n)) for i, top in enumerate(tops)]
+        for _ in range(rng.randint(2, 5)):
+            m = tuple(rng.randrange(top) for top in tops)
+            if any(m):
+                monos.append(m)
+        out.append(buchberger([Poly(ring, {m: ONE}) for m in monos]))
+    return out
+
+
+def test_standard_monomials_match_the_box_scan(case_ii):
+    G_iii = buchberger(catalog.gauge_fixed_system("iii")[0])
+    bases = [case_ii[1], G_iii] + _random_zero_dim_bases(random.Random(41), 12)
+    sizes = []
+    for G in bases:
+        std = standard_monomials(G)
+        assert std == _box_scan(G)
+        assert zero_dim_degree(G) == len(std)
+        sizes.append(len(std))
+    assert sizes[:2] == [64, 16]
+    assert all(sizes[2:])
+
+
+def test_standard_monomials_walk_tests_only_the_border(case_ii, monkeypatch):
+    tested = []
+    pack = _Pack.pack
+    monkeypatch.setattr(_Pack, "pack", lambda self, m: tested.append(m) or pack(self, m))
+    G = case_ii[1]
+    std = standard_monomials(G)
+    leads = len(G.polys)
+    # each candidate is a standard monomial or one step past one
+    assert len(std) == 64
+    assert len(tested) - leads - len(std) <= len(std) * G.ring.n

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conic_census.field import I, ONE, SQRT2, ZERO, kelem
+from conic_census import catalog
+from conic_census.errors import SingularMatrix
+from conic_census.field import I, ONE, SQRT2, SQRT5, ZERO, kelem
+from conic_census.linalg import mat_det
 from conic_census.poly import (
     DEGREVLEX,
     LEX,
@@ -125,6 +128,81 @@ def test_substitute_linear_permutation(xyz):
     ]
     p = x**2 + x * z + y
     assert substitute_linear(p, rows) == y**2 - y * z + x
+
+
+def _ring_map_oracle(p, rows):
+    """p(M*z) through ring_map and Poly powers, row i the image of variable i."""
+    ring = p.ring
+    images = [sum((c * z for c, z in zip(row, ring.gens())), ring.zero()) for row in rows]
+    return ring_map(p, ring, images)
+
+
+def _random_k(rng):
+    """A small element of K with i, sqrt(2) and sqrt(5) parts."""
+    parts = (ONE, I, SQRT2, SQRT5, I * SQRT2, SQRT2 * SQRT5)
+    return sum(
+        (kelem(Fraction(rng.randint(-4, 4), rng.randint(1, 3))) * b for b in rng.sample(parts, 3)),
+        ZERO,
+    )
+
+
+def _random_matrix(rng, n, kind):
+    """n x n over K: dense, a scaled permutation, or some rows of each."""
+    perm = rng.sample(range(n), n)
+    rows = []
+    for i in range(n):
+        if kind == "dense" or (kind == "mixed" and rng.random() < 0.5):
+            rows.append([_random_k(rng) for _ in range(n)])
+        else:
+            row = [ZERO] * n
+            row[perm[i]] = rng.choice((ONE, -ONE, I, _random_k(rng)))
+            rows.append(row)
+    return rows
+
+
+def _random_poly(rng, ring, degrees=(0, 1, 2, 3, 4)):
+    terms = {}
+    for _ in range(8):
+        d = rng.choice(degrees)
+        m = [0] * ring.n
+        for _ in range(d):
+            m[rng.randrange(ring.n)] += 1
+        terms[tuple(m)] = _random_k(rng)
+    return Poly(ring, {m: c for m, c in terms.items() if c})
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX], ids=repr)
+def test_substitute_linear_matches_ring_map(n, order):
+    rng = random.Random(17 * n + len(repr(order)))
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)), order)
+    checked = 0
+    for kind in ("dense", "mixed", "sparse") * 4:
+        rows = _random_matrix(rng, n, kind)
+        p = _random_poly(rng, ring)
+        if not mat_det(rows):
+            with pytest.raises(SingularMatrix):
+                substitute_linear(p, rows)
+            continue
+        got = substitute_linear(p, rows)
+        assert got.ring == ring
+        assert got == _ring_map_oracle(p, rows)
+        checked += 1
+    assert checked >= 10
+
+
+def test_substitute_linear_singular_matrix(xyz):
+    ring, x, y, z = xyz
+    rows = [[ONE, I, SQRT2], [SQRT5, ZERO, ONE], [ONE + SQRT5, I, SQRT2 + ONE]]
+    assert not mat_det(rows)  # row 3 = row 1 + row 2
+    with pytest.raises(SingularMatrix):
+        substitute_linear(x**2 + y, rows)
+
+
+def test_symmetry_generators_preserve_the_surface():
+    f = catalog.surface()
+    for m in catalog.symmetry_generators() + catalog.kummer_generators():
+        assert substitute_linear(f, m.rows) == _ring_map_oracle(f, m.rows) == f
 
 
 def test_specialize(xyz):
