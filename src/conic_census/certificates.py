@@ -20,8 +20,10 @@ order.  Reading re-validates that every record is in canonical form, that
 the count and the metadata the verifier reads (orbit, stabilizer,
 generator, seed) are well formed, and that no orbit, stabilizer or seed
 label repeats, and raises ParseError with line and field diagnostics
-otherwise.  Those four keys are parsed once, and the certificate keeps the
-typed values for the verifier.
+otherwise.  Seed and generator fields follow the record rule: each must be
+the text to_text() writes, and a seed's fields the canonical record of its
+conic, so a certificate has one accepted text.  Those four keys are parsed
+once, and the certificate keeps the typed values for the verifier.
 
 A census repeats few field texts (11,200 fields, 329 distinct), so one parse
 maps each distinct record field text to its KElem once, and keeps it only
@@ -77,17 +79,36 @@ def stabilizer_value(value):
     return tokens[0], _count(tokens[1])
 
 
+# the 16 entries of a generator line, row by row
+GENERATOR_FIELDS = tuple(f"m{i}{j}" for i in range(4) for j in range(4))
+
+
+def _require_written(what, fields, written, names):
+    """Raise ParseError naming the first of fields that is not the text in
+    written, the texts to_text() gives for the parsed values."""
+    for name, got, want in zip(names, fields, written):
+        if got != want:
+            raise ParseError(f"{what} not in canonical form", field=name)
+
+
 def generator_value(value):
-    """The matrix of a ``generator`` metadata line (16 fields, row by row)."""
-    return GroupMatrix.from_fields(value.split())
+    """The matrix of a ``generator`` metadata line (16 fields, row by row),
+    each field spelled as to_text() writes it."""
+    fields = value.split()
+    m = GroupMatrix.from_fields(fields)
+    _require_written("entries", fields, m.fields(), GENERATOR_FIELDS)
+    return m
 
 
 def seed_value(value):
-    """(label, Conic) from the value of a ``seed`` metadata line."""
+    """(label, Conic) from the value of a ``seed`` metadata line, whose 14
+    fields must be the canonical record of the conic, as on a conic line."""
     tokens = value.split()
     if len(tokens) != 1 + len(RECORD_FIELDS):
         raise ValueError(f"seed takes a label and {len(RECORD_FIELDS)} fields")
-    return tokens[0], Conic.from_fields(tokens[1:])
+    conic = Conic.from_fields(tokens[1:])
+    _require_written("coefficients", tokens[1:], conic.fields(), RECORD_FIELDS)
+    return tokens[0], conic
 
 
 # metadata keys whose values the verifier reads, checked when parsed
@@ -268,6 +289,10 @@ def parse_certificate(text: str) -> ConicCertificate:
             value = line[len(word) + 1 :]
             try:
                 typed.append(_typed_value(word, value, labelled))
+            except ParseError as exc:
+                raise ParseError(
+                    f"malformed {word} line: {exc}", line=lineno, field=exc.field
+                ) from None
             except (ValueError, ZeroDivisionError, CensusError) as exc:
                 raise ParseError(f"malformed {word} line: {exc}", line=lineno) from None
             meta.append((word, value))

@@ -31,12 +31,15 @@ conic_closure is the one BFS over conics: it closes seed conics under the
 generators and records, with each image it computes, that image's position
 in the closed list.  So each generator is also a permutation of the list
 positions, at one action per generator and conic; orbit_of_conic is a view
-of the closure.  permutation_action closes those permutations by BFS,
-acting on no conic, keeping one matrix per permutation along the BFS tree
-(a Schreier transversal), and checks on every other edge that the Schreier
-generator is a scalar; the scalars generate the kernel of the action
-(Schreier's lemma; Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 2005, ch. 4).  So one
+of the closure.  label_orbits runs the same BFS from one conic but stops at
+the first image whose label is known, so labelling a few conics by their
+orbits costs far fewer actions than closing every orbit.  Both stop at an
+explicit bound on the conics they list.  permutation_action closes those
+permutations by BFS, acting on no conic, keeping one matrix per
+permutation along the BFS tree (a Schreier transversal), and checks on
+every other edge that the Schreier generator is a scalar; the scalars
+generate the kernel of the action (Schreier's lemma; Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  So one
 closure gives the group order |P| * |kernel|, the projective order |P|,
 and stabilizers counted on integers, with no group element inverted.
 """
@@ -238,7 +241,7 @@ def act_on_conic(m, conic):
     )
 
 
-def conic_closure(gens, seeds):
+def conic_closure(gens, seeds, max_size=100000):
     """(conics, moves): the closure of the seeds under gens, by one BFS.
 
     Seeds are closed one at a time, so each seed not reached before starts
@@ -247,7 +250,8 @@ def conic_closure(gens, seeds):
     act_on_conic(gens[g], conics[i]), recorded when that image is computed:
     one action per generator and conic.  Images are looked up by their
     canonical coefficients, so one already listed builds no text or
-    polynomial.
+    polynomial.  Raises ResourceBudgetExceeded when the closure passes
+    max_size conics, as it does under a generator of infinite order.
     """
     index = {}  # canonical coeffs -> position; new coeffs get the next one
     conics = []
@@ -262,9 +266,52 @@ def conic_closure(gens, seeds):
                 j = index.setdefault(image.coeffs, len(conics))
                 if j == len(conics):
                     conics.append(image)
+                    if len(conics) > max_size:
+                        raise ResourceBudgetExceeded(
+                            f"conic closure exceeded {max_size} conics"
+                        )
                 move.append(j)
             done += 1
     return conics, [tuple(move) for move in moves]
+
+
+def _orbit_search(gens, conic, labels, max_size):
+    """(visited, label): a BFS from conic under gens up to the first image
+    in labels, and that image's label; None when the orbit holds none."""
+    visited = [conic]
+    seen = {conic}
+    for c in visited:
+        for g in gens:
+            image = act_on_conic(g, c)
+            if image in labels:
+                return visited, labels[image]
+            if image not in seen:
+                seen.add(image)
+                visited.append(image)
+                if len(visited) > max_size:
+                    raise ResourceBudgetExceeded(
+                        f"orbit search exceeded {max_size} conics"
+                    )
+    return visited, None
+
+
+def label_orbits(gens, conics, labels, max_size=100000):
+    """Extend labels, a dict conic -> orbit label, to every one of conics.
+
+    Each conic not yet in labels starts a BFS under gens, one action per
+    generator and visited conic, that stops at the first image already in
+    labels.  Every conic it visited lies in that image's orbit, so each gets
+    that image's label.  A BFS that closes its orbit without meeting a
+    labelled conic gives every conic of the orbit the label None, so a later
+    search that meets one stops there too.  Raises ResourceBudgetExceeded
+    when one search lists more than max_size conics; that search records no
+    label.  Returns labels.
+    """
+    for conic in conics:
+        if conic not in labels:
+            visited, label = _orbit_search(gens, conic, labels, max_size)
+            labels.update(dict.fromkeys(visited, label))
+    return labels
 
 
 def orbit_of_conic(gens, conic):

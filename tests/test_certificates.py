@@ -6,6 +6,7 @@ import pytest
 
 from conic_census import catalog
 from conic_census.certificates import (
+    GENERATOR_FIELDS,
     HEADER,
     _parse_conic_line,
     certificate_text,
@@ -250,3 +251,55 @@ def test_memo_keeps_only_canonical_texts():
         _parse_conic_line(toks, lineno, parsed)
     assert len(parsed) == len({t for toks in records for t in toks[2:]}) == 329
     assert all(x.to_text() == t for t, x in parsed.items())
+
+
+# the same spellings on the metadata lines the verifier reads
+META_RESPELLINGS = ("1/1", "01", "-0")
+
+
+@pytest.mark.parametrize("key", ["seed", "generator"])
+@pytest.mark.parametrize("name", META_RESPELLINGS)
+def test_metadata_spelling_names_its_line_and_field(key, name):
+    lines = CENSUS800.read_text().split("\n")
+    start, names = (2, RECORD_FIELDS) if key == "seed" else (1, GENERATOR_FIELDS)
+    change = RESPELLINGS[name]
+    i, (k, text) = next(
+        (i, hit)
+        for i, line in enumerate(lines)
+        if line.startswith(key + " ")
+        for hit in [change(line.split(" ")[start:])]
+        if hit is not None
+    )
+    toks = lines[i].split(" ")
+    toks[start + k] = text
+    bad = lines[:i] + [" ".join(toks)] + lines[i + 1 :]
+    with pytest.raises(ParseError) as err:
+        parse_certificate("\n".join(bad))
+    assert (err.value.line, err.value.field) == (i + 1, names[k])
+    assert f"malformed {key} line" in str(err.value)
+    assert "not in canonical form" in str(err.value)
+    if key == "seed":
+        assert _expected_location(bad, i) == (i + 1, names[k])
+
+
+def test_seed_with_a_plane_not_monic_names_its_line_and_field():
+    lines = CENSUS800.read_text().split("\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith("seed "))
+    toks = lines[i].split(" ")
+    seed = Conic.from_fields(toks[2:])
+    doubled = list(seed.coeffs[:10]) + [2 * x for x in seed.coeffs[10:]]
+    assert Conic.from_coeffs(doubled) == seed
+    bad = list(lines)
+    bad[i] = " ".join(toks[:2] + [x.to_text() for x in doubled])
+    with pytest.raises(ParseError) as err:
+        parse_certificate("\n".join(bad))
+    pivot = next(k for k in range(10, 14) if seed.coeffs[k])
+    assert (err.value.line, err.value.field) == _expected_location(bad, i)
+    assert err.value.field == RECORD_FIELDS[pivot]
+    assert "coefficients not in canonical form" in str(err.value)
+
+
+def test_canonical_metadata_still_parses():
+    cert = read_certificate(CENSUS800)
+    assert [c for _, c in cert.typed_values("seed")] == list(catalog.seed_conics())
+    assert cert.typed_values("generator") == list(catalog.symmetry_generators())

@@ -14,6 +14,7 @@ from conic_census.group import (
     act_on_conic,
     conic_closure,
     generate_group,
+    label_orbits,
     orbit_of_conic,
     permutation_action,
     projective_classes,
@@ -408,3 +409,49 @@ def test_singular_matrix_rejected_by_action(rows):
     assert m.invertible is False
     with pytest.raises(SingularMatrix):
         generate_group([catalog.symmetry_generators()[0], m])
+
+
+def _capped(monkeypatch, limit):
+    """Count actions, failing the test past limit instead of looping."""
+    calls = []
+    act = group.act_on_conic
+
+    def counted(m, conic):
+        calls.append(1)
+        assert len(calls) <= limit, "no stop at the cap"
+        return act(m, conic)
+
+    monkeypatch.setattr(group, "act_on_conic", counted)
+    return calls
+
+
+def test_closure_and_search_stop_at_their_cap(monkeypatch):
+    # diag(2,1,1,1) has infinite order, and a conic through z0 has an
+    # infinite orbit under it
+    doubling = GroupMatrix([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    c1, c2, c3 = catalog.seed_conics()
+    conic = next(c for c in (c1, c2, c3) if act_on_conic(doubling, c) != c)
+    calls = _capped(monkeypatch, 1000)
+    with pytest.raises(ResourceBudgetExceeded, match="exceeded 50 conics"):
+        conic_closure([doubling], [conic], max_size=50)
+    assert len(calls) == 50
+    labels = {c: "C" for c in (c1, c2, c3) if c != conic}
+    before = dict(labels)
+    del calls[:]
+    with pytest.raises(ResourceBudgetExceeded, match="exceeded 50 conics"):
+        label_orbits([doubling], [conic], labels, max_size=50)
+    assert len(calls) == 50
+    assert labels == before  # the stopped search recorded no label
+
+
+def test_search_labels_what_it_visits():
+    gens = catalog.symmetry_generators()
+    c1, c2, c3 = catalog.seed_conics()
+    images = [act_on_conic(g, c3) for g in gens]
+    labels = label_orbits(gens, images, {c1: "C1", c3: "C3"})
+    assert all(labels[d] == "C3" for d in images)
+    assert labels[c1] == "C1"
+    # an orbit with no labelled conic is closed and labelled None
+    labels = label_orbits(gens, [c2], {c1: "C1"})
+    assert len(labels) == 1 + catalog.SEED_ORBIT_LENGTHS[1]
+    assert {v for d, v in labels.items() if d != c1} == {None}

@@ -66,7 +66,7 @@ def test_one_census_per_process(monkeypatch):
     pipeline._census_closure.cache_clear()
     pipeline.orbit_census()
     pipeline.kummer_report()
-    pipeline.census_orbit_labels()
+    pipeline.census_labels(pipeline._census_closure()[0])
     assert len(calls) == 3264
 
 
@@ -232,7 +232,7 @@ def test_census_is_one_conic_to_label_dict():
     # a certificate and the closure give the same census, looked up by value
     cert = read_certificate(CENSUS800)
     census = cert.keys()
-    labels = pipeline.census_orbit_labels()
+    labels = pipeline.census_labels(cert.conics)
     assert census == labels
     for label, c in cert.entries[::50]:
         rebuilt = Conic.from_coeffs([2 * x for x in c.coeffs])
@@ -245,6 +245,88 @@ def test_census_is_one_conic_to_label_dict():
     assert kummer_detail(pipeline.kummer_report(census=census)) == kummer_detail(
         pipeline.kummer_report()
     )
+
+
+@pytest.fixture
+def unlabelled():
+    """A process state with only the seeds labelled, as before any orbit_census."""
+    pipeline._known_labels.cache_clear()
+    yield
+    pipeline._known_labels.cache_clear()
+
+
+def _count_actions(monkeypatch):
+    calls = []
+    act_on_conic = group.act_on_conic
+
+    def counted(m, conic):
+        calls.append(1)
+        return act_on_conic(m, conic)
+
+    monkeypatch.setattr(group, "act_on_conic", counted)
+    return calls
+
+
+def test_orbit_search_labels_the_census_as_the_certificate(unlabelled, monkeypatch):
+    cert = read_certificate(CENSUS800)
+    calls = _count_actions(monkeypatch)
+    assert pipeline.census_labels(cert.conics) == cert.keys()
+    assert 0 < len(calls) < 4 * catalog.CENSUS_SIZE
+    # conics built apart from doubled coefficients are the same conics
+    pipeline._known_labels.cache_clear()
+    del calls[:]
+    rebuilt = [Conic.from_coeffs([2 * x for x in c.coeffs]) for c in cert.conics]
+    assert [c is d for c, d in zip(rebuilt, cert.conics)] == [False] * len(rebuilt)
+    labels = pipeline.census_labels(rebuilt)
+    assert labels == cert.keys()
+    assert [labels[c] for c in rebuilt] == [lab.split("-")[0] for lab, _ in cert.entries]
+    # every conic is now labelled, so labelling them again acts on none
+    n = len(calls)
+    assert pipeline.census_labels(cert.conics) == cert.keys()
+    assert len(calls) == n
+
+
+def test_orbit_search_leaves_out_a_conic_outside_the_census(unlabelled, monkeypatch):
+    # z0 + 2*z1 = 0, z2^2 + z3^2 = 0: not on the surface, so in no census orbit
+    outside = Conic.from_coeffs([kelem(v) for v in (0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 2, 0, 0)])
+    census = read_certificate(CENSUS800).keys()
+    assert outside not in census
+    c1, c2, _ = catalog.seed_conics()
+    images = [group.act_on_conic(m, outside) for m in catalog.symmetry_generators()]
+    image = next(d for d in images if d != outside)
+    assert image not in census
+    calls = _count_actions(monkeypatch)
+    assert pipeline.census_labels([outside, c1]) == {c1: "C1"}
+    # the whole orbit is known to lie outside: none of it is searched again
+    n = len(calls)
+    assert n > 0
+    assert pipeline.census_labels([image, outside, c2]) == {c2: "C2"}
+    assert len(calls) == n
+    assert pipeline._known_labels()[image] is None
+
+
+def test_kummer_report_alone_labels_by_a_bounded_search(unlabelled, monkeypatch):
+    # 64 actions for the Kummer closure, the rest to label the 16 conics;
+    # closing the census first took 3,200 more
+    calls = _count_actions(monkeypatch)
+    rep = pipeline.kummer_report()
+    checks = {name: detail for name, _, detail in rep.checks}
+    assert checks["all sixteen appear in the orbit census"] == "C3:16"
+    assert len(calls) <= 900
+
+
+def test_reports_equal_with_and_without_a_census(unlabelled):
+    census = read_certificate(CENSUS800).keys()
+    runs = {
+        "kummer": lambda census: pipeline.kummer_report(census=census),
+        "enumerate iii": lambda census: pipeline.enumerate_case("iii", census=census)[0],
+        "fibers": lambda census: pipeline.fiber_survey(census=census),
+    }
+    for name, run in runs.items():
+        searched = run(None)
+        given = run(census)
+        assert searched.as_dict() == given.as_dict(), name
+        assert searched.render() == given.render(), name
 
 
 def test_kummer_report_detects_intersecting_conic():
