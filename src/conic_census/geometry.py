@@ -36,8 +36,15 @@ product, and each output coefficient costs one normalised dot product
 Each conic keeps the quotient for the last surface it was asked about, so
 on_surface and residual on the same f (the same object or an equal form)
 share one section and one division.  A plane carrying two conics needs only
-one: the pipeline divides by one quadric, and a residual equal to the other
-conic puts both on the surface (pipeline._coplanar_on_surface).
+one: a division S = Q_a * q that succeeds on a quartic f is recorded under
+the canonical plane, and a conic b of that plane asked about the same f
+first tests whether q = lc(q) * Q_b (at most six products).  If so, b is a's
+residual: S / Q_b = lc(q) * Q_a and b's residual is a, with no section or
+division of its own.  The record holds the divided conic by weak reference
+only, so it answers while that conic lives and never grows past the live
+conics; it answers only for the residual, never for the divided conic.  On
+a surface of another degree the quotient is no quadric: nothing is
+recorded, and residual raises ValueError naming the degree.
 
 Intersection numbers between members of the census follow the plane geometry:
 equal conics have self-intersection -2 (smooth rational curve on a K3),
@@ -55,6 +62,7 @@ proportional quadratics (2), anything else one common point (1).
 """
 
 import functools
+import weakref
 
 from .errors import CommonComponent, DegenerateConic, NotOnSurface, RingMismatch
 from .field import ONE as K1, ZERO as K0, KElem, dot
@@ -160,6 +168,10 @@ _TERNARY_QUAD = tuple(
 )
 
 
+# canonical plane -> the conic last divided there by a quartic, held weakly
+_DIVIDED = weakref.WeakValueDictionary()
+
+
 @functools.lru_cache(maxsize=4096)
 def _inverse(x):
     """x.inverse(), memoised for the 4096 values most recently inverted.
@@ -216,7 +228,7 @@ class Conic:
     records and sorting), plane and quadric are views built on first read.
     """
 
-    __slots__ = ("pivot", "coeffs", "_key", "_plane", "_quadric", "_last")
+    __slots__ = ("pivot", "coeffs", "_key", "_plane", "_quadric", "_last", "__weakref__")
 
     def __init__(self, plane, quadric):
         if plane.ring.names != ZRING.names or quadric.ring.names != ZRING.names:
@@ -308,23 +320,59 @@ class Conic:
 
     def on_surface(self, f):
         """Whether the conic is a component of the plane section of V(f)."""
-        return self._quotient(f) is not None
+        return self._divided(f) is not None
 
     def residual(self, f):
-        """The other half of the plane section: f|plane = quadric * residual."""
-        q = self._quotient(f)
-        if q is None:
+        """The other half of the plane section of a quartic: f|plane = quadric * residual."""
+        x, a = self._divided(f) or (None, None)
+        if a is not None:
+            return a
+        if x is None:
             raise NotOnSurface("conic does not lie on the surface")
-        return Conic(self.plane, q)
+        d = sum(next(iter(x.terms))) + 2  # x has degree deg f - 2
+        if d != 4:
+            raise ValueError(f"the residual is a conic only on a quartic, not on degree {d}")
+        return Conic(self.plane, x)
 
     def _quotient(self, f):
-        """_section_quotient(f), kept for the last f: the same object or an equal form."""
+        """The form q with f|plane = quadric * q, or None if there is none."""
+        x, a = self._divided(f) or (None, None)
+        if a is not None:
+            return Poly(ZRING, {m: x * y for m, y in zip(_QUAD_MONOS, a.coeffs) if y})
+        return x
+
+    def _divided(self, f):
+        """How f|plane = quadric * q is shown: None if it does not hold, else (x, a).
+
+        a None: x is q from this conic's own division, kept for the last f
+        (the same object or an equal form), else _section_quotient(f), which
+        a quartic f records under the plane.  a a conic: the plane's record
+        holds a, divided by f with quotient x * quadric, so q = x * Q_a.
+        """
         last = self._last
         if last is not None and (last[0] is f or last[0] == f):
-            return last[1]
+            return None if last[1] is None else (last[1], None)
+        a = _DIVIDED.get(self.coeffs[10:])
+        if a is not None and a is not self:
+            g, qa = a._last
+            if qa is not None and (g is f or g == f):
+                # qa = lc * quadric, lc at the monic quadric's lead
+                quad = [(m, y) for m, y in zip(_QUAD_MONOS, self.coeffs) if y]
+                lead = next(k for k in _LEAD_ORDER if self.coeffs[k])
+                lc = qa.terms.get(_QUAD_MONOS[lead])
+                if (
+                    lc is not None
+                    and len(qa.terms) == len(quad)
+                    and all(qa.terms.get(m) == lc * y for m, y in quad)
+                ):
+                    return lc, a
         q = self._section_quotient(f)
         self._last = (f, q)
-        return q
+        if q is None:
+            return None
+        if sum(next(iter(q.terms))) == 2:  # f is a quartic
+            _DIVIDED[self.coeffs[10:]] = self
+        return q, None
 
     def _section_quotient(self, f):
         """The form q with f|plane = quadric * q, or None if there is none.

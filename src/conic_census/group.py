@@ -129,12 +129,6 @@ class GroupMatrix:
             self._conic_map = tuple(entries)
         return self._conic_map
 
-    def projective_key(self):
-        """Entries scaled so the first nonzero one (row-major) is 1."""
-        first = next(x for x in self.key if x)
-        inv = first.inverse()
-        return tuple(x * inv for x in self.key)
-
     def fields(self):
         """Row-major list of the 16 entries as text."""
         return [x.to_text() for x in self.key]
@@ -204,10 +198,10 @@ def generate_group(gens, max_size=100000):
 def projective_classes(elements):
     """One representative per scalar class, in first-seen order.
 
-    Two elements are in one class iff their projective_key() agree: the
-    entries scaled so the first nonzero one (row-major) is 1.  Each distinct
-    leading entry is inverted once per call and each distinct pair of a row
-    and a leading entry scaled once, since a group's elements share few rows.
+    Two elements are in one class iff their entries agree once scaled so
+    the first nonzero one (row-major) is 1.  Each distinct leading entry is
+    inverted once per call and each distinct pair of a row and a leading
+    entry scaled once, since a group's elements share few rows.
     """
     inverses = {}  # leading entry -> its inverse
     scaled = {}  # (row, leading entry) -> position of the scaled row

@@ -33,7 +33,7 @@ from .groebner import (
     solve_zero_dim,
     zero_dim_degree,
 )
-from .group import GroupMatrix, act_on_conic, conic_closure, label_orbits, permutation_action
+from .group import act_on_conic, conic_closure, label_orbits, permutation_action
 from .linalg import mat_det
 from .poly import (
     compress_variables,
@@ -113,20 +113,18 @@ def _by_plane(conics):
 def _coplanar_on_surface(group):
     """(every conic of group lies on the surface, group is two mutual residuals).
 
-    group holds the conics of one plane.  Two conics a and b cost one
-    section S, one division S = Q_a * q (Conic._quotient, so a quotient kept
-    on a is reused), Q_a being a's monic reduced quadric, and one residual
-    Conic(plane, q) compared with b.  If it equals b, then Q_b = q / lc(q),
-    so S = lc(q) * Q_a * Q_b: b lies on the surface, and S / Q_b = lc(q) * Q_a
-    gives back a, so b's residual is a with no second section or division.
-    Other groups, and a pair whose residual is not b, fall back to each
-    conic's on_surface.
+    group holds the conics of one plane.  Two conics a and b are paired
+    first: a's on_surface makes one section and one division, and a's
+    residual, built from that quotient, is compared with b.  If it equals b,
+    both lie on the surface and each is the other's residual, so b needs no
+    section or division.  Other groups, and a pair whose residual is not b,
+    ask each conic's on_surface, which reads a conic's answer from the
+    plane's record (geometry) when it is the residual of one already divided.
     """
     f = _surface()
     if len(group) == 2:
         a, b = group
-        q = a._quotient(f)
-        if q is not None and Conic(a.plane, q) == b:
+        if a.on_surface(f) and a.residual(f) == b:
             return True, True
     return all(c.on_surface(f) for c in group), False
 
@@ -273,11 +271,11 @@ def plane_census(cert, paired=None):
     """Group the certified conics by their plane and check the pairing.
 
     Every plane must carry exactly two conics that are mutual residuals,
-    shown by one section, one division and one residual per plane
-    (_coplanar_on_surface), or given as paired by a caller that has the
-    verdict from _conics_valid.  For the full census this means 400 planes;
-    the support histogram (number of nonzero plane coefficients) is reported
-    alongside.
+    shown by one section, one division and one residual per plane (a's
+    residual compared with b, _coplanar_on_surface), or given as paired by a
+    caller that has the verdict from _conics_valid.  For the full census
+    this means 400 planes; the support histogram (number of nonzero plane
+    coefficients) is reported alongside.
     """
     rep = Report("plane census")
     conics = cert.conics
@@ -800,7 +798,8 @@ def kummer_report(conics=None, generators=None, census=None):
         f"{len(P)}",
     )
     lam = gens[1].key[0]
-    scalar_gen = gens[1].projective_key() == GroupMatrix.identity().key
+    diagonal = tuple(lam if k % 5 == 0 else ZERO for k in range(16))  # lam * I, row-major
+    scalar_gen = gens[1].key == diagonal
     rep.add(
         "pointwise fixer is the scalar subgroup",
         scalar_gen
@@ -830,7 +829,8 @@ def verify_certificate(source):
     """Re-verify a certificate file from its contents alone.
 
     Checks canonical parsing (done by the reader), irreducibility and
-    surface containment of every conic (one plane section per plane, see
+    surface containment of every conic (one plane section per plane: the
+    residual of one conic of a plane is compared with the other, see
     _coplanar_on_surface), agreement of the declared orbit
     counts with the labels and of the declared stabilizer orders with the
     catalog (compared, not recomputed), and, for a full census, the plane

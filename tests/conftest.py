@@ -6,11 +6,12 @@ result.
 """
 
 import time
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
-from conic_census import pipeline
+from conic_census import geometry, pipeline
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +31,14 @@ def census(tmp_path_factory):
 @pytest.fixture(scope="session")
 def census_conics(census):
     return list(census.certificate.conics)
+
+
+@pytest.fixture
+def fresh_plane_records(monkeypatch):
+    """An empty plane record (geometry._DIVIDED) for one test.
+
+    The record answers for the residual of any live conic divided on its
+    plane, and the session census keeps 800 conics alive, so a test that
+    counts sections or divisions starts from no record.
+    """
+    monkeypatch.setattr(geometry, "_DIVIDED", weakref.WeakValueDictionary())

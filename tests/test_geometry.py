@@ -1,11 +1,13 @@
 """Unit tests for conics as (plane, quadric) pairs."""
 
 import random
+import weakref
 
 import pytest
 
 from conic_census import catalog
 from conic_census import geometry
+from conic_census import group
 from conic_census.errors import CommonComponent, DegenerateConic, NotOnSurface
 from conic_census.field import I, ONE, SQRT2, SQRT10, ZERO, dot, kelem
 from conic_census.geometry import (
@@ -316,7 +318,7 @@ def test_common_line_lies_on_both_planes(census_conics):
         assert any(s[i] * t[j] - s[j] * t[i] for i in range(4) for j in range(i + 1, 4))
 
 
-def test_quotient_is_kept_per_surface(census_conics, monkeypatch):
+def test_quotient_is_kept_per_surface(census_conics, fresh_plane_records, monkeypatch):
     sections = []
     section = geometry._section
 
@@ -345,6 +347,118 @@ def test_quotient_is_kept_per_surface(census_conics, monkeypatch):
         assert c.residual(f) == Conic(c.plane, want)
         assert len(sections) == 4
         sections.clear()
+
+
+# -- the plane record: a division on a quartic answers for its residual -------
+
+
+def _count_sections(monkeypatch):
+    sections = []
+    section = geometry._section
+    monkeypatch.setattr(geometry, "_section", lambda *args: sections.append(1) or section(*args))
+    return sections
+
+
+def _plane_pairs(census_conics, n, seed):
+    """n census planes as fresh (a, b) copies: nothing kept, nothing recorded."""
+    by_plane = {}
+    for c in census_conics:
+        by_plane.setdefault(c.coeffs[10:], []).append(c)
+    pairs = random.Random(seed).sample(list(by_plane.values()), n)
+    return [tuple(Conic.from_coeffs(c.coeffs) for c in pair) for pair in pairs]
+
+
+def _shifted(c):
+    """c with its last nonzero quadric coefficient shifted: same plane, off the
+    surface (the _off_surface edit of test_pipeline)."""
+    a = list(c.coeffs[:10])
+    k = max(k for k in range(10) if a[k])
+    a[k] = a[k] + ONE
+    return Conic.from_coeffs(a + list(c.coeffs[10:]))
+
+
+def test_per_conic_on_surface_divides_once_per_plane(fresh_plane_records, monkeypatch):
+    sections = _count_sections(monkeypatch)
+    gens = catalog.symmetry_generators()
+    seeds = [Conic.from_coeffs(c.coeffs) for c in catalog.seed_conics()]
+    conics = [c for s in seeds for c in group.orbit_of_conic(gens, s).values()]
+    assert len(conics) == 800
+    f = catalog.surface()
+    assert all(c.on_surface(f) for c in conics)
+    # the first conic of each plane is divided, its residual read from the record
+    assert len(sections) == 400
+    assert all(c.residual(f).residual(f) == c for c in conics)
+    assert len(sections) == 400
+
+
+@pytest.mark.parametrize("edit", ["off_surface", "copy_of_divided", "copy_of_residual"])
+def test_the_record_answers_only_for_the_residual(
+    census_conics, fresh_plane_records, monkeypatch, edit
+):
+    sections = _count_sections(monkeypatch)
+    f = catalog.surface()
+    for a, b in _plane_pairs(census_conics, 10, 31):
+        assert a.on_surface(f)  # divided and recorded
+        d = {
+            "off_surface": lambda: _shifted(b),
+            "copy_of_divided": lambda: Conic.from_coeffs(a.coeffs),  # a third conic
+            "copy_of_residual": lambda: Conic.from_coeffs(b.coeffs),
+        }[edit]()
+        sections.clear()
+        want = _oracle_quotient(d, f)
+        assert d._quotient(f) == want
+        assert d.on_surface(f) == (want is not None)
+        if want is None:
+            with pytest.raises(NotOnSurface):
+                d.residual(f)
+        else:
+            assert d.residual(f) == (b if d == a else a)
+        # only a's residual is answered without a division of its own
+        assert len(sections) == (0 if edit == "copy_of_residual" else 1)
+
+
+def test_the_record_answers_only_for_its_surface(census_conics, fresh_plane_records, monkeypatch):
+    sections = _count_sections(monkeypatch)
+    f = catalog.surface()
+    fermat = z0**4 + z1**4 + z2**4 + z3**4
+    for a, b in _plane_pairs(census_conics, 10, 37):
+        assert a.on_surface(f)
+        sections.clear()
+        assert b.residual(f) is a
+        assert len(sections) == 0
+        # another surface, and f times a scalar, are worked out for b
+        assert _oracle_quotient(b, fermat) is None
+        assert not b.on_surface(fermat)
+        assert b._quotient(2 * f) == _oracle_quotient(b, 2 * f)
+        assert b.residual(2 * f) == a
+        assert len(sections) == 2
+
+
+def test_a_deleted_divided_conic_leaves_no_record(census_conics, fresh_plane_records, monkeypatch):
+    sections = _count_sections(monkeypatch)
+    f = catalog.surface()
+    pairs = _plane_pairs(census_conics, 5, 41)
+    while pairs:
+        a, b = pairs.pop()  # the list no longer holds a
+        assert a.on_surface(f)
+        plane, kept = a.coeffs[10:], weakref.ref(a)
+        assert geometry._DIVIDED[plane] is a
+        del a  # the record keeps no conic alive
+        assert kept() is None and plane not in geometry._DIVIDED
+        sections.clear()
+        assert b.on_surface(f)
+        assert len(sections) == 1
+
+
+def test_residual_needs_a_quartic(fresh_plane_records):
+    c1 = catalog.seed_conics()[0]
+    plane, quadric = c1.plane, c1.quadric
+    for f, d in ((plane * z0**2 + quadric * z1, 3), (plane * z0**4 + quadric * z1**3, 5)):
+        assert c1.on_surface(f)
+        with pytest.raises(ValueError, match=f"degree {d}"):
+            c1.residual(f)
+        # only a quartic's division is recorded
+        assert c1.coeffs[10:] not in geometry._DIVIDED
 
 
 def test_section_matches_substitution_for_every_plane_shape():

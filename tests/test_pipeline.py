@@ -360,7 +360,7 @@ def test_verify_certificate_rejects_tamper(census, tmp_path):
     assert not err.value.report.ok
 
 
-def test_verify_sections_and_parses_each_once(census, monkeypatch):
+def test_verify_sections_and_parses_each_once(census, fresh_plane_records, monkeypatch):
     texts = []
     from_text = KElem.from_text
     monkeypatch.setattr(
