@@ -6,7 +6,6 @@ result.
 """
 
 import time
-import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -41,4 +40,4 @@ def fresh_plane_records(monkeypatch):
     plane, and the session census keeps 800 conics alive, so a test that
     counts sections or divisions starts from no record.
     """
-    monkeypatch.setattr(geometry, "_DIVIDED", weakref.WeakValueDictionary())
+    monkeypatch.setattr(geometry, "_DIVIDED", type(geometry._DIVIDED)())  # same kind, empty

@@ -400,10 +400,10 @@ def test_the_record_answers_only_for_the_residual(
     for a, b in _plane_pairs(census_conics, 10, 31):
         assert a.on_surface(f)  # divided and recorded
         d = {
-            "off_surface": lambda: _shifted(b),
-            "copy_of_divided": lambda: Conic.from_coeffs(a.coeffs),  # a third conic
-            "copy_of_residual": lambda: Conic.from_coeffs(b.coeffs),
-        }[edit]()
+            "off_surface": _shifted(b),
+            "copy_of_divided": Conic.from_coeffs(a.coeffs),  # a third conic on the plane
+            "copy_of_residual": Conic.from_coeffs(b.coeffs),
+        }[edit]
         sections.clear()
         want = _oracle_quotient(d, f)
         assert d._quotient(f) == want
