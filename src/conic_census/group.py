@@ -30,18 +30,31 @@ entry.
 conic_closure is the one BFS over conics: it closes seed conics under the
 generators and records, with each image it computes, that image's position
 in the closed list.  So each generator is also a permutation of the list
-positions, at one action per generator and conic; orbit_of_conic is a view
-of the closure.  label_orbits runs the same BFS from one conic but stops at
-the first image whose label is known, so labelling a few conics by their
-orbits costs far fewer actions than closing every orbit.  Both stop at an
-explicit bound on the conics they list.  permutation_action closes those
-permutations by BFS, acting on no conic, keeping one matrix per
-permutation along the BFS tree (a Schreier transversal), and checks on
-every other edge that the Schreier generator is a scalar; the scalars
-generate the kernel of the action (Schreier's lemma; Holt, Eick and
-O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  So one
-closure gives the group order |P| * |kernel|, the projective order |P|,
-and stabilizers counted on integers, with no group element inverted.
+positions; orbit_of_conic is a view of the closure.  label_orbits runs the
+same BFS from one conic but stops at the first image whose label is known,
+so labelling a few conics by their orbits costs far fewer actions than
+closing every orbit.  Both stop at an explicit bound on the conics they
+list.  permutation_action closes those permutations by BFS, acting on no
+conic, keeping one matrix per permutation along the BFS tree (a Schreier
+transversal), and checks on every other edge that the Schreier generator
+is a scalar; the scalars generate the kernel of the action (Schreier's
+lemma; Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005, ch. 4).  So one closure gives the group order |P| * |kernel|, the
+projective order |P|, and stabilizers counted on integers, with no group
+element inverted.
+
+All three BFSs act once per involution edge.  A generator g whose square
+is a scalar lambda*I (all four census and all four Kummer generators) acts
+on conics, and so on list positions, as an involution: an edge c -g-> c'
+also gives c' -g-> c.  Each BFS takes every generator's square once per
+call, one 4x4 product, and never computes such a reverse edge: the closure
+records its move, the label search skips it (its image is already seen and
+has no label), and the permutation closure adds lambda to its Schreier
+ratios: the reverse of an edge with ratio mu has ratio lambda / mu, so the
+ratios generate the same kernel.  A skipped edge finds nothing new, so
+every list, move, label, permutation and kernel is the one the plain BFS
+gives, in the same order.  A generator whose square is not scalar keeps
+every action.
 """
 
 from itertools import chain
@@ -235,6 +248,18 @@ def act_on_conic(m, conic):
     )
 
 
+def _square_scalars(gens):
+    """For each generator g, lambda when g*g = lambda*I with lambda nonzero,
+    else None: one 4x4 product per generator."""
+    out = []
+    for g in gens:
+        sq = (g * g).key
+        lam = sq[0]
+        scalar = lam and all(x == (lam if k % 5 == 0 else K0) for k, x in enumerate(sq))
+        out.append(lam if scalar else None)
+    return out
+
+
 def conic_closure(gens, seeds, max_size=100000):
     """(conics, moves): the closure of the seeds under gens, by one BFS.
 
@@ -242,20 +267,24 @@ def conic_closure(gens, seeds, max_size=100000):
     one contiguous run of conics, its orbit in discovery order; a seed
     already reached adds nothing.  moves[g][i] is the position of
     act_on_conic(gens[g], conics[i]), recorded when that image is computed:
-    one action per generator and conic.  Images are looked up by their
-    canonical coefficients, so one already listed builds no text or
-    polynomial.  Raises ResourceBudgetExceeded when the closure passes
-    max_size conics, as it does under a generator of infinite order.
+    one action per generator and conic, except that an involution's
+    computed edge i -> j also records j -> i, and that action is not made
+    (see the module docstring).  Images are looked up by their canonical
+    coefficients, so one already listed builds no text or polynomial.
+    Raises ResourceBudgetExceeded when the closure passes max_size conics,
+    as it does under a generator of infinite order.
     """
+    edges = [(g, lam is not None, {}) for g, lam in zip(gens, _square_scalars(gens))]
     index = {}  # canonical coeffs -> position; new coeffs get the next one
     conics = []
-    moves = [[] for _ in gens]
     done = 0
     for seed in seeds:
         if index.setdefault(seed.coeffs, len(conics)) == len(conics):
             conics.append(seed)
         while done < len(conics):
-            for g, move in zip(gens, moves):
+            for g, involution, move in edges:
+                if done in move:  # the reverse of an involution's edge
+                    continue
                 image = act_on_conic(g, conics[done])
                 j = index.setdefault(image.coeffs, len(conics))
                 if j == len(conics):
@@ -264,28 +293,38 @@ def conic_closure(gens, seeds, max_size=100000):
                         raise ResourceBudgetExceeded(
                             f"conic closure exceeded {max_size} conics"
                         )
-                move.append(j)
+                move[done] = j
+                if involution:
+                    move[j] = done
             done += 1
-    return conics, [tuple(move) for move in moves]
+    positions = range(len(conics))
+    return conics, [tuple(map(move.__getitem__, positions)) for _, _, move in edges]
 
 
-def _orbit_search(gens, conic, labels, max_size):
-    """(visited, label): a BFS from conic under gens up to the first image
-    in labels, and that image's label; None when the orbit holds none."""
+def _orbit_search(edges, conic, labels, max_size):
+    """(visited, label): a BFS from conic under the generators of edges, up
+    to the first image in labels, and that image's label; None when the
+    orbit holds none.  edges holds (g, involution) pairs; the reverse of an
+    involution's edge is not acted on."""
     visited = [conic]
-    seen = {conic}
-    for c in visited:
-        for g in gens:
+    seen = {conic: 0}  # conic -> position in visited
+    known = [set() for _ in edges]  # positions whose image under g is seen
+    for i, c in enumerate(visited):
+        for (g, involution), skip in zip(edges, known):
+            if i in skip:
+                continue
             image = act_on_conic(g, c)
             if image in labels:
                 return visited, labels[image]
-            if image not in seen:
-                seen.add(image)
+            j = seen.setdefault(image, len(visited))
+            if j == len(visited):
                 visited.append(image)
                 if len(visited) > max_size:
                     raise ResourceBudgetExceeded(
                         f"orbit search exceeded {max_size} conics"
                     )
+            if involution:
+                skip.add(j)
     return visited, None
 
 
@@ -293,17 +332,22 @@ def label_orbits(gens, conics, labels, max_size=100000):
     """Extend labels, a dict conic -> orbit label, to every one of conics.
 
     Each conic not yet in labels starts a BFS under gens, one action per
-    generator and visited conic, that stops at the first image already in
-    labels.  Every conic it visited lies in that image's orbit, so each gets
-    that image's label.  A BFS that closes its orbit without meeting a
+    generator and visited conic but none on the reverse of an involution's
+    edge (see the module docstring), that stops at the first image already
+    in labels.  Every conic it visited lies in that image's orbit, so each
+    gets that image's label.  A BFS that closes its orbit without meeting a
     labelled conic gives every conic of the orbit the label None, so a later
-    search that meets one stops there too.  Raises ResourceBudgetExceeded
-    when one search lists more than max_size conics; that search records no
-    label.  Returns labels.
+    search that meets one stops there too.  The generators' squares are
+    taken once per call, before the first search.  Raises
+    ResourceBudgetExceeded when one search lists more than max_size conics;
+    that search records no label.  Returns labels.
     """
+    edges = None
     for conic in conics:
         if conic not in labels:
-            visited, label = _orbit_search(gens, conic, labels, max_size)
+            if edges is None:
+                edges = [(g, lam is not None) for g, lam in zip(gens, _square_scalars(gens))]
+            visited, label = _orbit_search(edges, conic, labels, max_size)
             labels.update(dict.fromkeys(visited, label))
     return labels
 
@@ -324,38 +368,44 @@ def permutation_action(gens, moves, max_size=100000):
     i, and the product of p by a generator g maps i to g[p[i]] (act by p,
     then by g, as rep[p] * g).  kernel is the set of scalars lambda with
     lambda*I in the group, or None when some edge p -g-> q of the closure
-    has rep[p] * g not a scalar multiple of rep[q].  Raises
+    has rep[p] * g not a scalar multiple of rep[q].  The reverse of an
+    involution's edge is not walked: neither composed nor multiplied, its
+    ratio given by the square (see the module docstring).  Raises
     ResourceBudgetExceeded when P or the kernel passes max_size elements.
     """
+    squares = _square_scalars(gens)
     identity = tuple(range(len(moves[0]))) if moves else ()
-    edges = list(zip(gens, moves))
-    rep = {identity: GroupMatrix.identity()}
-    ratios = set()
+    perms = [identity]
+    index = {identity: 0}  # permutation -> position in perms
+    reps = [GroupMatrix.identity()]  # the transversal, one matrix per perm
+    known = [set() for _ in gens]  # positions whose image under g is walked
+    ratios = {lam for lam in squares if lam is not None}
     scalar = True
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            m = rep[p]
-            for g, move in edges:
-                q = tuple(map(move.__getitem__, p))
-                mg = m * g
-                r = rep.get(q)
-                if r is None:
-                    rep[q] = mg
-                    nxt.append(q)
-                    if len(rep) > max_size:
-                        raise ResourceBudgetExceeded(
-                            f"permutation closure exceeded {max_size} elements"
-                        )
-                elif scalar and mg.key != r.key:
-                    k = next(k for k, y in enumerate(r.key) if y)
-                    lam = mg.key[k] / r.key[k]
-                    scalar = all(x == lam * y for x, y in zip(mg.key, r.key))
-                    ratios.add(lam)
-        frontier = nxt
+    for i, p in enumerate(perms):
+        m = reps[i]
+        for g, move, lam, skip in zip(gens, moves, squares, known):
+            if i in skip:
+                continue
+            q = tuple(map(move.__getitem__, p))
+            mg = m * g
+            j = index.setdefault(q, len(perms))
+            if j == len(perms):
+                perms.append(q)
+                reps.append(mg)
+                if len(perms) > max_size:
+                    raise ResourceBudgetExceeded(
+                        f"permutation closure exceeded {max_size} elements"
+                    )
+            elif scalar and mg.key != reps[j].key:
+                r = reps[j]
+                k = next(k for k, y in enumerate(r.key) if y)
+                mu = mg.key[k] / r.key[k]
+                scalar = all(x == mu * y for x, y in zip(mg.key, r.key))
+                ratios.add(mu)
+            if lam is not None:
+                skip.add(j)
     if not scalar:
-        return list(rep), None
+        return perms, None
     kernel = {K1}
     new = [K1]
     while new:
@@ -363,5 +413,4 @@ def permutation_action(gens, moves, max_size=100000):
         kernel.update(new)
         if len(kernel) > max_size:
             raise ResourceBudgetExceeded(f"scalar kernel exceeded {max_size} elements")
-    return list(rep), kernel
-
+    return perms, kernel

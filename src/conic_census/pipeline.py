@@ -761,14 +761,14 @@ def kummer_report(conics=None, generators=None, census=None):
     """Verify the 16-conic Kummer configuration and its symmetry group.
 
     The 16 conics are closed under the generators as in orbit_census
-    (group.conic_closure): they are stable when the closure's 64 generator
+    (group.conic_closure): they are stable when the closure's 42 generator
     actions add no conic.  The group facts come from one closure of the
     generator permutations it recorded (group.permutation_action): |P| is
     the projective order, |P| times the kernel order the group order, and
     the kernel, which fixes every conic, must be the powers of the scalar
     generator gens[1].  The 16 conics must be in census, a Conic -> label
     dict used as given; with census None, census_labels labels them with
-    808 conic actions, where closing the census takes 3,200.
+    506 conic actions, where closing the census takes 1,712.
     """
     rep = Report("Kummer configuration")
     if conics is None:

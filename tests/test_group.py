@@ -347,8 +347,9 @@ def test_action_equals_the_explicit_formula_exhaustively():
 
 
 def test_closure_builds_no_text_for_its_images(monkeypatch):
-    # images are looked up by canonical coefficients, so the 3,200 images
-    # (2,400 of them already listed) and the seeds build no text key
+    # images are looked up by canonical coefficients, so the 1,712 images
+    # (915 of them already listed) and the seeds build no text key; the
+    # moves still hold one entry per generator and conic, 4 x 800
     calls = []
     to_text = KElem.to_text
 
@@ -462,3 +463,186 @@ def test_search_labels_what_it_visits():
     labels = label_orbits(gens, [c2], {c1: "C1"})
     assert len(labels) == 1 + catalog.SEED_ORBIT_LENGTHS[1]
     assert {v for d, v in labels.items() if d != c1} == {None}
+
+
+# -- one action per involution edge, against a plain BFS ---------------------
+
+
+def _involutions(gens):
+    """Per generator: is its square a nonzero scalar matrix?"""
+    out = []
+    for g in gens:
+        square = g * g
+        lam = square.rows[0][0]
+        scalar = GroupMatrix([[lam if i == j else 0 for j in range(4)] for i in range(4)])
+        out.append(bool(lam) and square == scalar)
+    return out
+
+
+def _plain_closure(gens, seeds):
+    """conic_closure as a BFS that acts on every edge.
+
+    Returns (conics, moves, actions, reverse): reverse counts the actions
+    on an edge j -g-> i of an involution g whose edge i -g-> j was walked
+    before it.
+    """
+    involution = _involutions(gens)
+    index, conics, moves, walked = {}, [], [[] for _ in gens], set()
+    actions = reverse = done = 0
+    for seed in seeds:
+        if index.setdefault(seed, len(conics)) == len(conics):
+            conics.append(seed)
+        while done < len(conics):
+            for k, g in enumerate(gens):
+                image = act_on_conic(g, conics[done])
+                actions += 1
+                j = index.setdefault(image, len(conics))
+                if j == len(conics):
+                    conics.append(image)
+                moves[k].append(j)
+                reverse += involution[k] and (k, j, done) in walked
+                walked.add((k, done, j))
+            done += 1
+    return conics, [tuple(move) for move in moves], actions, reverse
+
+
+def _plain_labels(gens, conics, labels):
+    """label_orbits as BFSs that act on every edge: (actions, reverse) as
+    in _plain_closure."""
+    involution = _involutions(gens)
+    actions = reverse = 0
+
+    def search(conic):
+        nonlocal actions, reverse
+        visited, seen, walked = [conic], {conic: 0}, set()
+        for i, c in enumerate(visited):
+            for k, g in enumerate(gens):
+                image = act_on_conic(g, c)
+                actions += 1
+                if image in labels:
+                    return visited, labels[image]
+                j = seen.setdefault(image, len(visited))
+                if j == len(visited):
+                    visited.append(image)
+                reverse += involution[k] and (k, j, i) in walked
+                walked.add((k, i, j))
+        return visited, None
+
+    for conic in conics:
+        if conic not in labels:
+            visited, label = search(conic)
+            labels.update(dict.fromkeys(visited, label))
+    return actions, reverse
+
+
+def _plain_permutation_action(gens, moves):
+    """permutation_action as a BFS that composes and multiplies on every
+    edge: (perms, kernel, products, reverse), reverse as in _plain_closure."""
+    involution = _involutions(gens)
+    identity = tuple(range(len(moves[0])))
+    rep = {identity: GroupMatrix.identity()}
+    ratios, scalar, walked = set(), True, set()
+    products = reverse = 0
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for k, (g, move) in enumerate(zip(gens, moves)):
+                q = tuple(move[i] for i in p)
+                mg = rep[p] * g
+                products += 1
+                reverse += involution[k] and (k, q, p) in walked
+                walked.add((k, p, q))
+                if q not in rep:
+                    rep[q] = mg
+                    nxt.append(q)
+                elif mg != rep[q]:
+                    lam = next(x / y for x, y in zip(mg.key, rep[q].key) if y)
+                    scalar = scalar and all(x == lam * y for x, y in zip(mg.key, rep[q].key))
+                    ratios.add(lam)
+        frontier = nxt
+    kernel = {ONE}
+    while True:
+        grown = kernel | {a * b for a in kernel for b in ratios}
+        if grown == kernel:
+            break
+        kernel = grown
+    return list(rep), kernel if scalar else None, products, reverse
+
+
+def _i_times(m):
+    return GroupMatrix([[I * x for x in row] for row in m.rows])
+
+
+def _involution_cases():
+    """(name, gens, seeds, labels): the census and Kummer generators, and
+    lists mixing an involution of square -I that moves conics with the
+    3-cycle z0 -> z1 -> z2 -> z0, whose square is not scalar."""
+    census_gens = catalog.symmetry_generators()
+    kummer_gens = catalog.kummer_generators()
+    seeds = catalog.seed_conics()
+    kummer = load_packaged(KUMMER_FILE).conics
+    flip = _i_times(census_gens[0])  # i * (z3 -> -z3): square -I
+    cycle = GroupMatrix([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    return [
+        ("census", census_gens, seeds, {seeds[0]: "C1", seeds[2]: "C3"}),
+        ("kummer", kummer_gens, kummer, {kummer[5]: "K"}),
+        ("mixed", [cycle, flip, kummer_gens[1]], seeds, {seeds[2]: "C3"}),
+        ("mixed swap", [flip, census_gens[2], cycle], seeds, {seeds[1]: "C2"}),
+        ("square -I", [flip], seeds[2:], {}),
+    ]
+
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    f = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return f(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_closure_acts_once_per_involution_edge(monkeypatch, case):
+    name, gens, seeds, _ = _involution_cases()[case]
+    want_conics, want_moves, actions, reverse = _plain_closure(gens, seeds)
+    calls = _counted(monkeypatch, group, "act_on_conic")
+    conics, moves = conic_closure(gens, seeds)
+    assert conics == want_conics, name
+    assert moves == want_moves, name
+    assert len(calls) == actions - reverse, name
+    if case < 4:
+        assert reverse > 0, name  # the rule saves actions on every list
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_search_acts_once_per_involution_edge(monkeypatch, case):
+    name, gens, seeds, labels = _involution_cases()[case]
+    closure, _ = conic_closure(gens, seeds)
+    conics = closure[::-3] + list(seeds)  # searches that stop and that close
+    want = dict(labels)
+    actions, reverse = _plain_labels(gens, conics, want)
+    calls = _counted(monkeypatch, group, "act_on_conic")
+    got = label_orbits(gens, conics, dict(labels))
+    assert list(got.items()) == list(want.items()), name
+    assert len(calls) == actions - reverse, name
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_permutation_closure_walks_once_per_involution_edge(monkeypatch, case):
+    name, gens, seeds, _ = _involution_cases()[case]
+    _, moves = conic_closure(gens, seeds)
+    want_perms, want_kernel, products, reverse = _plain_permutation_action(gens, moves)
+    calls = _counted(monkeypatch, GroupMatrix, "__mul__")
+    perms, kernel = permutation_action(gens, moves)
+    assert perms == want_perms, name
+    assert kernel == want_kernel, name
+    # one product per generator for its square, then one per walked edge
+    assert len(calls) == len(gens) + products - reverse, name
+    if name == "square -I":
+        # C3 and its image swap; only the reverse edge's ratio -1 shows
+        # the kernel, and that ratio comes from the square
+        assert (perms, kernel) == ([(0, 1), (1, 0)], {ONE, -ONE})

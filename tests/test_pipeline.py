@@ -53,8 +53,10 @@ def test_failed_census_writes_no_certificate(monkeypatch, tmp_path):
 
 
 def test_one_census_per_process(monkeypatch):
-    # one action per generator and conic: 4 x 800 for the census closure,
-    # 4 x 16 for the Kummer closure, and none for the permutation closures
+    # one action per generator and conic, less the reverse edges of the
+    # generators, all involutions: 1,712 of 4 x 800 for the census closure,
+    # 42 of 4 x 16 for the Kummer closure, and none for the permutation
+    # closures
     calls = []
     act_on_conic = group.act_on_conic
 
@@ -67,7 +69,7 @@ def test_one_census_per_process(monkeypatch):
     pipeline.orbit_census()
     pipeline.kummer_report()
     pipeline.census_labels(pipeline._census_closure()[0])
-    assert len(calls) == 3264
+    assert len(calls) == 1754
 
 
 def test_seed_in_an_earlier_orbit_fails_disjointness(monkeypatch):
@@ -305,29 +307,37 @@ def test_orbit_search_leaves_out_a_conic_outside_the_census(unlabelled, monkeypa
 
 
 def test_kummer_report_alone_labels_by_a_bounded_search(unlabelled, monkeypatch):
-    # 64 actions for the Kummer closure, the rest to label the 16 conics;
-    # closing the census first took 3,200 more
+    # 42 actions for the Kummer closure, the rest to label the 16 conics;
+    # closing the census first took 1,712 more
     calls = _count_actions(monkeypatch)
     rep = pipeline.kummer_report()
     checks = {name: detail for name, _, detail in rep.checks}
     assert checks["all sixteen appear in the orbit census"] == "C3:16"
-    assert len(calls) <= 900
+    assert len(calls) == 548
 
 
 def test_reports_equal_with_and_without_a_census(unlabelled, monkeypatch):
     census = read_certificate(CENSUS800).keys()
     calls = _count_actions(monkeypatch)
-    # (run, actions with a census given: only the Kummer closure's 64)
+    # (run, actions with a census given: only the Kummer closure's 42,
+    # actions when searched from the seeds alone)
     runs = {
-        "kummer": (lambda census: pipeline.kummer_report(census=census), 64),
-        "enumerate iii": (lambda census: pipeline.enumerate_case("iii", census=census)[0], 0),
-        "fibers": (lambda census: pipeline.fiber_survey(census=census), 0),
+        "kummer": (lambda census: pipeline.kummer_report(census=census), 42, 548),
+        "enumerate iii": (
+            lambda census: pipeline.enumerate_case("iii", census=census)[0],
+            0,
+            865,
+        ),
+        "fibers": (lambda census: pipeline.fiber_survey(census=census), 0, 810),
     }
-    for name, (run, actions) in runs.items():
+    for name, (run, actions, searching) in runs.items():
         del calls[:]
         given = run(census)
         assert len(calls) == actions, name
+        pipeline._known_labels.cache_clear()
+        del calls[:]
         searched = run(None)
+        assert len(calls) == searching, name
         assert searched.as_dict() == given.as_dict(), name
         assert searched.render() == given.render(), name
 
