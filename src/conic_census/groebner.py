@@ -354,14 +354,6 @@ def _remainder(pk, work, prepared, memo, total):
                 entry[1].append(tc)
 
 
-def s_polynomial(f, g):
-    """S(f,g) = (L/LT(f)) f - (L/LT(g)) g with L = lcm of the lead monomials."""
-    pk = _Pack(f.ring)
-    work = _s_pending(pk, _prep(pk, pk.terms(f)), _prep(pk, pk.terms(g)))
-    terms = ((m, dot(xs, ys)) for m, (xs, ys) in work.items())
-    return pk.poly((m, c) for m, c in terms if c)
-
-
 def buchberger(gens, order=None, budget=None):
     """Reduced Groebner basis of the ideal generated by gens.
 

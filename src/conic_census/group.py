@@ -34,27 +34,27 @@ positions; orbit_of_conic is a view of the closure.  label_orbits runs the
 same BFS from one conic but stops at the first image whose label is known,
 so labelling a few conics by their orbits costs far fewer actions than
 closing every orbit.  Both stop at an explicit bound on the conics they
-list.  permutation_action closes those permutations by BFS, acting on no
-conic, keeping one matrix per permutation along the BFS tree (a Schreier
-transversal), and checks on every other edge that the Schreier generator
-is a scalar; the scalars generate the kernel of the action (Schreier's
-lemma; Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-2005, ch. 4).  So one closure gives the group order |P| * |kernel|, the
-projective order |P|, and stabilizers counted on integers, with no group
-element inverted.
+list.
 
-All three BFSs act once per involution edge.  A generator g whose square
+Both conic BFSs act once per involution edge.  A generator g whose square
 is a scalar lambda*I (all four census and all four Kummer generators) acts
 on conics, and so on list positions, as an involution: an edge c -g-> c'
 also gives c' -g-> c.  Each BFS takes every generator's square once per
 call, one 4x4 product, and never computes such a reverse edge: the closure
-records its move, the label search skips it (its image is already seen and
-has no label), and the permutation closure adds lambda to its Schreier
-ratios: the reverse of an edge with ratio mu has ratio lambda / mu, so the
-ratios generate the same kernel.  A skipped edge finds nothing new, so
-every list, move, label, permutation and kernel is the one the plain BFS
-gives, in the same order.  A generator whose square is not scalar keeps
-every action.
+records its move, and the label search skips it (its image is already seen
+and has no label).  A skipped edge finds nothing new, so every list, move
+and label is the one the plain BFS gives, in the same order.  A generator
+whose square is not scalar keeps every action.
+
+Stabilizers and the kernel of the action are counted on the classes of
+projective_classes: the scalar matrices of a group make up one class, so
+every class holds len(G) // len(classes) matrices, and scalar multiples act
+alike on conics.  A stabilizer order is the number of class representatives
+that fix the conic, and the kernel on a conic list is the set of
+representatives that fix every conic of it.  fixes_conic tests the plane
+first, as b*M must be a multiple of b (four dot products), and acts on the
+conic only when it is, so a scan of the 1920 census classes builds the
+conic map of few of them.
 """
 
 from itertools import chain
@@ -248,6 +248,18 @@ def act_on_conic(m, conic):
     )
 
 
+def fixes_conic(m, conic):
+    """act_on_conic(m, conic) == conic, acting only when m fixes the plane.
+
+    The plane b goes to b*M, a multiple of b exactly when each entry is
+    b[i] times its entry at the pivot, where the canonical b is 1.
+    """
+    b = conic.coeffs[10:]
+    image = [dot(b, col) for col in zip(*m.rows)]
+    lam = image[conic.pivot]
+    return all(x == lam * y for x, y in zip(image, b)) and act_on_conic(m, conic) == conic
+
+
 def _square_scalars(gens):
     """For each generator g, lambda when g*g = lambda*I with lambda nonzero,
     else None: one 4x4 product per generator."""
@@ -356,61 +368,3 @@ def orbit_of_conic(gens, conic):
     """The orbit of a conic as a dict canonical key -> Conic, in BFS order."""
     conics, _ = conic_closure(gens, [conic])
     return {c.key: c for c in conics}
-
-
-def permutation_action(gens, moves, max_size=100000):
-    """(perms, kernel) of the group generated by gens on a closed conic list.
-
-    moves[g] is the permutation of the list positions made by gens[g], as
-    conic_closure records it; no conic is acted on here.  perms is the image
-    P of the group in the symmetric group of the positions, in BFS order
-    with the identity first: entry i is the position of the image of conic
-    i, and the product of p by a generator g maps i to g[p[i]] (act by p,
-    then by g, as rep[p] * g).  kernel is the set of scalars lambda with
-    lambda*I in the group, or None when some edge p -g-> q of the closure
-    has rep[p] * g not a scalar multiple of rep[q].  The reverse of an
-    involution's edge is not walked: neither composed nor multiplied, its
-    ratio given by the square (see the module docstring).  Raises
-    ResourceBudgetExceeded when P or the kernel passes max_size elements.
-    """
-    squares = _square_scalars(gens)
-    identity = tuple(range(len(moves[0]))) if moves else ()
-    perms = [identity]
-    index = {identity: 0}  # permutation -> position in perms
-    reps = [GroupMatrix.identity()]  # the transversal, one matrix per perm
-    known = [set() for _ in gens]  # positions whose image under g is walked
-    ratios = {lam for lam in squares if lam is not None}
-    scalar = True
-    for i, p in enumerate(perms):
-        m = reps[i]
-        for g, move, lam, skip in zip(gens, moves, squares, known):
-            if i in skip:
-                continue
-            q = tuple(map(move.__getitem__, p))
-            mg = m * g
-            j = index.setdefault(q, len(perms))
-            if j == len(perms):
-                perms.append(q)
-                reps.append(mg)
-                if len(perms) > max_size:
-                    raise ResourceBudgetExceeded(
-                        f"permutation closure exceeded {max_size} elements"
-                    )
-            elif scalar and mg.key != reps[j].key:
-                r = reps[j]
-                k = next(k for k, y in enumerate(r.key) if y)
-                mu = mg.key[k] / r.key[k]
-                scalar = all(x == mu * y for x, y in zip(mg.key, r.key))
-                ratios.add(mu)
-            if lam is not None:
-                skip.add(j)
-    if not scalar:
-        return perms, None
-    kernel = {K1}
-    new = [K1]
-    while new:
-        new = [x for x in {a * b for a in new for b in ratios} if x not in kernel]
-        kernel.update(new)
-        if len(kernel) > max_size:
-            raise ResourceBudgetExceeded(f"scalar kernel exceeded {max_size} elements")
-    return perms, kernel

@@ -33,7 +33,14 @@ from .groebner import (
     solve_zero_dim,
     zero_dim_degree,
 )
-from .group import act_on_conic, conic_closure, label_orbits, permutation_action
+from .group import (
+    act_on_conic,
+    conic_closure,
+    fixes_conic,
+    generate_group,
+    label_orbits,
+    projective_classes,
+)
 from .linalg import mat_det
 from .poly import (
     compress_variables,
@@ -192,11 +199,12 @@ def orbit_census(out=None):
     (group.conic_closure), one run of positions per seed.  The runs are
     pairwise disjoint orbits exactly when each is closed under every
     generator, as a proper part of an orbit is not.  The group facts come
-    from one closure of the generator permutations that the conic closure
-    recorded (group.permutation_action): its image P, and its kernel, which
-    must be scalar.  Then the projective order is |P|, the group order is
-    |P| times the kernel order, and a seed's stabilizer is counted in P,
-    each element lifting to as many matrices as the kernel has scalars.
+    from the group G of the generators and its scalar classes C
+    (group.generate_group, group.projective_classes): the group order is
+    |G|, the projective order |C|, and each class holds |G| / |C| matrices.
+    The kernel of the action, the classes that fix all 800 conics, must be
+    one class, the scalars; a seed's stabilizer order is the number of
+    classes that fix it (group.fixes_conic).
     Once every check passes, the 800 labels join the process's known labels,
     so census_labels then labels any census conic with no action.
     """
@@ -223,18 +231,18 @@ def orbit_census(out=None):
     valid = _conics_valid(conics)[0]
     rep.add("all conics irreducible and on the surface", valid, f"{len(conics)} checked")
 
-    P, kernel = permutation_action(gens, moves)
-    lift = len(kernel or ())
-    rep.add("kernel of the action is scalar", kernel is not None, f"order {lift}")
-    rep.add("group order", len(P) * lift == catalog.GROUP_ORDER, f"{len(P) * lift}")
+    G = generate_group(gens)
+    C = projective_classes(G)
+    lift = len(G) // len(C)  # matrices per class
+    kernel = [m for m in C if all(fixes_conic(m, c) for c in conics)]
     rep.add(
-        "projective transformations",
-        kernel is not None and len(P) == catalog.PROJECTIVE_ORDER,
-        f"{len(P)}",
+        "kernel of the action is scalar", len(kernel) == 1, f"order {len(kernel) * lift}"
     )
+    rep.add("group order", len(G) == catalog.GROUP_ORDER, f"{len(G)}")
+    rep.add("projective transformations", len(C) == catalog.PROJECTIVE_ORDER, f"{len(C)}")
     for (name, run), want in zip(runs.items(), catalog.SEED_STABILIZER_ORDERS):
-        pos = run.start  # the seed's own position
-        order = sum(1 for p in P if p[pos] == pos)
+        seed = conics[run.start]
+        order = sum(1 for m in C if fixes_conic(m, seed))
         rep.add(
             f"stabilizer of {name}",
             order == want,
@@ -762,11 +770,11 @@ def kummer_report(conics=None, generators=None, census=None):
 
     The 16 conics are closed under the generators as in orbit_census
     (group.conic_closure): they are stable when the closure's 42 generator
-    actions add no conic.  The group facts come from one closure of the
-    generator permutations it recorded (group.permutation_action): |P| is
-    the projective order, |P| times the kernel order the group order, and
-    the kernel, which fixes every conic, must be the powers of the scalar
-    generator gens[1].  The 16 conics must be in census, a Conic -> label
+    actions add no conic.  The group facts come from the group G and its
+    scalar classes C as in orbit_census: |G| is the group order, |C| the
+    projective order, and the pointwise fixer, the classes that fix all 16
+    conics times the |G| / |C| matrices of each, must be the powers of the
+    scalar generator gens[1].  The 16 conics must be in census, a Conic -> label
     dict used as given; with census None, census_labels labels them with
     506 conic actions, where closing the census takes 1,712.
     """
@@ -785,17 +793,16 @@ def kummer_report(conics=None, generators=None, census=None):
     )
     rep.add("pairwise disjoint", disjoint, f"{n * (n - 1) // 2} pairs")
 
-    closure, moves = conic_closure(gens, conics)
+    closure, _ = conic_closure(gens, conics)
     stable = len(closure) == len(set(conics))  # the closure added no conic
     rep.add("configuration stable under the group", stable)
-    P, kernel = permutation_action(gens, moves)
-    lift = len(kernel or ())
-    order = len(P) * lift
-    rep.add("symmetry group order", order == catalog.KUMMER_GROUP_ORDER, f"{order}")
+    G = generate_group(gens)
+    C = projective_classes(G)
+    lift = len(G) // len(C)  # matrices per class
+    kernel = [m for m in C if all(fixes_conic(m, c) for c in conics)]
+    rep.add("symmetry group order", len(G) == catalog.KUMMER_GROUP_ORDER, f"{len(G)}")
     rep.add(
-        "projective transformations",
-        kernel is not None and len(P) == catalog.KUMMER_PROJECTIVE_ORDER,
-        f"{len(P)}",
+        "projective transformations", len(C) == catalog.KUMMER_PROJECTIVE_ORDER, f"{len(C)}"
     )
     lam = gens[1].key[0]
     diagonal = tuple(lam if k % 5 == 0 else ZERO for k in range(16))  # lam * I, row-major
@@ -803,9 +810,10 @@ def kummer_report(conics=None, generators=None, census=None):
     rep.add(
         "pointwise fixer is the scalar subgroup",
         scalar_gen
-        and kernel == {lam**k for k in range(lift)}
+        and len(kernel) == 1  # the fixer is the scalars of G, lift of them
+        and len({lam**k for k in range(lift)}) == lift
         and lift == catalog.KUMMER_FIXER_ORDER,
-        f"order {lift}",
+        f"order {len(kernel) * lift}",
     )
 
     census = census if census is not None else census_labels(conics)

@@ -7,16 +7,16 @@ import pytest
 from conic_census import catalog, group, pipeline
 from conic_census.certificates import KUMMER_FILE, load_packaged
 from conic_census.errors import ResourceBudgetExceeded, SingularMatrix, VerificationFailed
-from conic_census.field import I, ONE, SQRT10, ZERO, KElem, dot, kelem
+from conic_census.field import I, ONE, SQRT10, ZERO, KElem, dot
 from conic_census.geometry import ZRING, Conic
 from conic_census.group import (
     GroupMatrix,
     act_on_conic,
     conic_closure,
+    fixes_conic,
     generate_group,
     label_orbits,
     orbit_of_conic,
-    permutation_action,
     projective_classes,
 )
 
@@ -170,27 +170,51 @@ def test_orbit_under_sign_flips():
 def test_kummer_permutation_image_matches_matrix_scan():
     gens = catalog.kummer_generators()
     listed = load_packaged(KUMMER_FILE).conics
-    conics, moves = conic_closure(gens, listed)
+    conics, _ = conic_closure(gens, listed)
     assert {c.key for c in conics} == {c.key for c in listed}
-    P, kernel = permutation_action(gens, moves)
-    assert len(P) == catalog.KUMMER_PROJECTIVE_ORDER == 32
-    assert P[0] == tuple(range(16))
-    assert kernel == {ONE, -ONE, I, -I}
-    # the matrix reference: every element, its scalar classes, and the
-    # permutation of every matrix from one action per (matrix, conic)
     H = generate_group(gens)
-    assert len(H) == len(P) * len(kernel) == catalog.KUMMER_GROUP_ORDER == 128
-    assert len(projective_classes(H)) == len(P)
+    classes = projective_classes(H)
+    lift = len(H) // len(classes)
+    assert len(classes) == catalog.KUMMER_PROJECTIVE_ORDER == 32
+    assert len(H) == len(classes) * lift == catalog.KUMMER_GROUP_ORDER == 128
+    # the matrix reference: the permutation of every matrix from one action
+    # per (matrix, conic); the 32 classes act as 32 distinct permutations
     index = {c.key: i for i, c in enumerate(conics)}
     direct = [tuple(index[act_on_conic(m, c).key] for c in conics) for m in H]
-    assert set(direct) == set(P)
-    for i in range(len(conics)):
-        fixing = sum(1 for p in P if p[i] == i)
-        assert fixing * len(kernel) == sum(1 for d in direct if d[i] == i)
-    fixer = {m for m, d in zip(H, direct) if d == P[0]}
-    scalars = [[[x if i == j else 0 for j in range(4)] for i in range(4)] for x in kernel]
+    assert len(set(direct)) == len(classes)
+    for i, c in enumerate(conics):
+        fixing = sum(1 for m in classes if fixes_conic(m, c))
+        assert fixing * lift == sum(1 for d in direct if d[i] == i)
+    kernel = [m for m in classes if all(fixes_conic(m, c) for c in conics)]
+    fixer = {m for m, d in zip(H, direct) if d == tuple(range(16))}
+    assert len(kernel) == 1 and len(fixer) == lift
+    units = (ONE, -ONE, I, -I)
+    scalars = [[[x if i == j else 0 for j in range(4)] for i in range(4)] for x in units]
     assert fixer == {GroupMatrix(rows) for rows in scalars}
     assert len(fixer) == catalog.KUMMER_FIXER_ORDER
+
+
+def test_fixes_conic_is_the_action_on_every_kummer_pair():
+    conics = load_packaged(KUMMER_FILE).conics
+    H = generate_group(catalog.kummer_generators())
+    got = [[fixes_conic(m, c) for c in conics] for m in H]
+    assert got == [[act_on_conic(m, c) == c for c in conics] for m in H]
+    # the group is transitive on the 16 conics: 128 / 16 matrices fix each
+    assert [sum(col) for col in zip(*got)] == [8] * 16
+
+
+def test_stabilizers_obey_orbit_stabilizer_on_the_census():
+    # |stabilizer| * |orbit| = |group| for every conic, counted in classes;
+    # C3's plane is fixed by 8 classes but C3 by 4, so the plane alone
+    # gives the wrong count
+    conics, _, runs = pipeline._census_closure()
+    classes = projective_classes(generate_group(catalog.symmetry_generators()))
+    assert len(classes) == catalog.PROJECTIVE_ORDER == 1920
+    for run in runs.values():
+        for i in run[:: len(run) // 4]:
+            assert sum(1 for m in classes if fixes_conic(m, conics[i])) * len(run) == 1920
+    kernel = [m for m in classes if all(fixes_conic(m, c) for c in conics)]
+    assert kernel == [GroupMatrix.identity()]
 
 
 def test_generator_permutations_need_a_closed_list():
@@ -216,16 +240,20 @@ def test_permutation_action_needs_a_scalar_kernel():
     pair = list(catalog.seed_conics()[:2])
     closure, moves = conic_closure([s1, scalar], pair)
     assert closure == pair and moves == [(0, 1), (0, 1)]
-    P, kernel = permutation_action([s1, scalar], moves)
-    assert P == [(0, 1)]
-    assert kernel is None
-    assert permutation_action([scalar], moves[1:]) == ([(0, 1)], {ONE, -ONE, I, -I})
+    G = generate_group([s1, scalar])
+    classes = projective_classes(G)
+    assert (len(G), classes) == (8, [GroupMatrix.identity(), s1])
+    assert all(fixes_conic(m, c) for m in classes for c in pair)
+    scalars = generate_group([scalar])
+    assert {m.rows[0][0] for m in scalars} == {ONE, -ONE, I, -I}
+    assert projective_classes(scalars) == [GroupMatrix.identity()]
     with pytest.raises(VerificationFailed) as err:
         pipeline.kummer_report(conics=pair, generators=[s1, scalar], census={})
     checks = {name: (ok, detail) for name, ok, detail in err.value.report.checks}
     assert checks["configuration stable under the group"] == (True, "")
-    assert checks["pointwise fixer is the scalar subgroup"] == (False, "order 0")
-    assert checks["symmetry group order"] == (False, "0")
+    # the pointwise fixer is all 8 matrices: 2 classes of 4
+    assert checks["pointwise fixer is the scalar subgroup"] == (False, "order 8")
+    assert checks["symmetry group order"] == (False, "8")
     # the same group, with gens[1] a scalar of order 2 or not a scalar at all
     g1, g2, g3, g4 = catalog.kummer_generators()
     conics = load_packaged(KUMMER_FILE).conics
@@ -234,14 +262,6 @@ def test_permutation_action_needs_a_scalar_kernel():
         with pytest.raises(VerificationFailed) as err:
             pipeline.kummer_report(generators=[g1, second, g3, g4, g2], census=labels)
         assert err.value.report.first_failure() == "pointwise fixer is the scalar subgroup"
-
-
-def test_permutation_closure_size_cap():
-    gens = catalog.kummer_generators()
-    _, moves = conic_closure(gens, load_packaged(KUMMER_FILE).conics)
-    assert len(permutation_action(gens, moves, max_size=32)[0]) == 32
-    with pytest.raises(ResourceBudgetExceeded):
-        permutation_action(gens, moves, max_size=31)
 
 
 def _assert_moves_are_the_actions(gens, conics, moves):
@@ -535,41 +555,6 @@ def _plain_labels(gens, conics, labels):
     return actions, reverse
 
 
-def _plain_permutation_action(gens, moves):
-    """permutation_action as a BFS that composes and multiplies on every
-    edge: (perms, kernel, products, reverse), reverse as in _plain_closure."""
-    involution = _involutions(gens)
-    identity = tuple(range(len(moves[0])))
-    rep = {identity: GroupMatrix.identity()}
-    ratios, scalar, walked = set(), True, set()
-    products = reverse = 0
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for k, (g, move) in enumerate(zip(gens, moves)):
-                q = tuple(move[i] for i in p)
-                mg = rep[p] * g
-                products += 1
-                reverse += involution[k] and (k, q, p) in walked
-                walked.add((k, p, q))
-                if q not in rep:
-                    rep[q] = mg
-                    nxt.append(q)
-                elif mg != rep[q]:
-                    lam = next(x / y for x, y in zip(mg.key, rep[q].key) if y)
-                    scalar = scalar and all(x == lam * y for x, y in zip(mg.key, rep[q].key))
-                    ratios.add(lam)
-        frontier = nxt
-    kernel = {ONE}
-    while True:
-        grown = kernel | {a * b for a in kernel for b in ratios}
-        if grown == kernel:
-            break
-        kernel = grown
-    return list(rep), kernel if scalar else None, products, reverse
-
-
 def _i_times(m):
     return GroupMatrix([[I * x for x in row] for row in m.rows])
 
@@ -629,20 +614,3 @@ def test_search_acts_once_per_involution_edge(monkeypatch, case):
     got = label_orbits(gens, conics, dict(labels))
     assert list(got.items()) == list(want.items()), name
     assert len(calls) == actions - reverse, name
-
-
-@pytest.mark.parametrize("case", range(5))
-def test_permutation_closure_walks_once_per_involution_edge(monkeypatch, case):
-    name, gens, seeds, _ = _involution_cases()[case]
-    _, moves = conic_closure(gens, seeds)
-    want_perms, want_kernel, products, reverse = _plain_permutation_action(gens, moves)
-    calls = _counted(monkeypatch, GroupMatrix, "__mul__")
-    perms, kernel = permutation_action(gens, moves)
-    assert perms == want_perms, name
-    assert kernel == want_kernel, name
-    # one product per generator for its square, then one per walked edge
-    assert len(calls) == len(gens) + products - reverse, name
-    if name == "square -I":
-        # C3 and its image swap; only the reverse edge's ratio -1 shows
-        # the kernel, and that ratio comes from the square
-        assert (perms, kernel) == ([(0, 1), (1, 0)], {ONE, -ONE})

@@ -55,8 +55,10 @@ def test_failed_census_writes_no_certificate(monkeypatch, tmp_path):
 def test_one_census_per_process(monkeypatch):
     # one action per generator and conic, less the reverse edges of the
     # generators, all involutions: 1,712 of 4 x 800 for the census closure,
-    # 42 of 4 x 16 for the Kummer closure, and none for the permutation
-    # closures
+    # 42 of 4 x 16 for the Kummer closure; the fixer scans act only where a
+    # class fixes the plane: 843 for the census (811 for the kernel, 800 of
+    # them the identity's class on every conic, and 12 + 12 + 8 for the
+    # stabilizers) and 18 for Kummer (16 of them the identity's)
     calls = []
     act_on_conic = group.act_on_conic
 
@@ -69,7 +71,7 @@ def test_one_census_per_process(monkeypatch):
     pipeline.orbit_census()
     pipeline.kummer_report()
     pipeline.census_labels(pipeline._census_closure()[0])
-    assert len(calls) == 1754
+    assert len(calls) == 1712 + 42 + 843 + 18
 
 
 def test_seed_in_an_earlier_orbit_fails_disjointness(monkeypatch):
@@ -307,22 +309,22 @@ def test_orbit_search_leaves_out_a_conic_outside_the_census(unlabelled, monkeypa
 
 
 def test_kummer_report_alone_labels_by_a_bounded_search(unlabelled, monkeypatch):
-    # 42 actions for the Kummer closure, the rest to label the 16 conics;
-    # closing the census first took 1,712 more
+    # 42 actions for the Kummer closure, 18 for its fixer scan, the rest to
+    # label the 16 conics; closing the census first took 1,712 more
     calls = _count_actions(monkeypatch)
     rep = pipeline.kummer_report()
     checks = {name: detail for name, _, detail in rep.checks}
     assert checks["all sixteen appear in the orbit census"] == "C3:16"
-    assert len(calls) == 548
+    assert len(calls) == 566
 
 
 def test_reports_equal_with_and_without_a_census(unlabelled, monkeypatch):
     census = read_certificate(CENSUS800).keys()
     calls = _count_actions(monkeypatch)
-    # (run, actions with a census given: only the Kummer closure's 42,
-    # actions when searched from the seeds alone)
+    # (run, actions with a census given: only the Kummer closure's 42 and
+    # its fixer scan's 18, actions when searched from the seeds alone)
     runs = {
-        "kummer": (lambda census: pipeline.kummer_report(census=census), 42, 548),
+        "kummer": (lambda census: pipeline.kummer_report(census=census), 60, 566),
         "enumerate iii": (
             lambda census: pipeline.enumerate_case("iii", census=census)[0],
             0,
