@@ -47,14 +47,15 @@ and label is the one the plain BFS gives, in the same order.  A generator
 whose square is not scalar keeps every action.
 
 Stabilizers and the kernel of the action are counted on the classes of
-projective_classes: the scalar matrices of a group make up one class, so
-every class holds len(G) // len(classes) matrices, and scalar multiples act
-alike on conics.  A stabilizer order is the number of class representatives
-that fix the conic, and the kernel on a conic list is the set of
-representatives that fix every conic of it.  fixes_conic tests the plane
-first, as b*M must be a multiple of b (four dot products), and acts on the
-conic only when it is, so a scan of the 1920 census classes builds the
-conic map of few of them.
+projective_classes.  The scalar matrices of a group make up the identity's
+class and every class is a coset of them, so each holds len(G) //
+len(classes) matrices, and scalar multiples act alike on conics.  A
+stabilizer order is the number of class representatives that fix the
+conic, and the kernel on a conic list is the set of representatives that
+fix every conic of it.  fixes_conic tests the plane first, as b*M must be
+a multiple of b (four dot products), and acts on the conic only when it
+is, so a scan of the 1920 census classes builds the conic map of few of
+them.
 """
 
 from itertools import chain

@@ -774,9 +774,9 @@ def kummer_report(conics=None, generators=None, census=None):
     scalar classes C as in orbit_census: |G| is the group order, |C| the
     projective order, and the pointwise fixer, the classes that fix all 16
     conics times the |G| / |C| matrices of each, must be the powers of the
-    scalar generator gens[1].  The 16 conics must be in census, a Conic -> label
-    dict used as given; with census None, census_labels labels them with
-    506 conic actions, where closing the census takes 1,712.
+    scalar generator gens[1].  The 16 conics must be in census, a Conic ->
+    label dict used as given; with census None, census_labels labels them
+    with 506 conic actions, where closing the census takes 1,712.
     """
     rep = Report("Kummer configuration")
     if conics is None:
