@@ -334,13 +334,6 @@ class Conic:
             raise ValueError(f"the residual is a conic only on a quartic, not on degree {d}")
         return Conic(self.plane, x)
 
-    def _quotient(self, f):
-        """The form q with f|plane = quadric * q, or None if there is none."""
-        x, a = self._divided(f) or (None, None)
-        if a is not None:
-            return Poly(ZRING, {m: x * y for m, y in zip(_QUAD_MONOS, a.coeffs) if y})
-        return x
-
     def _divided(self, f):
         """How f|plane = quadric * q is shown: None if it does not hold, else (x, a).
 

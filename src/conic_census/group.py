@@ -49,10 +49,11 @@ whose square is not scalar keeps every action.
 Stabilizers and the kernel of the action are counted on the classes of
 projective_classes.  The scalar matrices of a group make up the identity's
 class and every class is a coset of them, so each holds len(G) //
-len(classes) matrices, and scalar multiples act alike on conics.  A
-stabilizer order is the number of class representatives that fix the
-conic, and the kernel on a conic list is the set of representatives that
-fix every conic of it.  fixes_conic tests the plane first, as b*M must be
+len(classes) matrices, and scalar multiples act alike on conics.
+fixing_classes is the one scan for both: a stabilizer order is its count
+on one conic, and the kernel on a conic list its result on the list.  The
+kernel lies in the stabilizer of each conic of the list, so a scan of one
+stabilizer finds it.  fixes_conic tests the plane first, as b*M must be
 a multiple of b (four dot products), and acts on the conic only when it
 is, so a scan of the 1920 census classes builds the conic map of few of
 them.
@@ -259,6 +260,15 @@ def fixes_conic(m, conic):
     image = [dot(b, col) for col in zip(*m.rows)]
     lam = image[conic.pivot]
     return all(x == lam * y for x, y in zip(image, b)) and act_on_conic(m, conic) == conic
+
+
+def fixing_classes(classes, conics):
+    """The classes that fix every conic of conics, in the order of classes.
+
+    Each class is tested on the conics in list order up to the first one it
+    moves, so only the classes that fix conics[0] are tested on the rest.
+    """
+    return [m for m in classes if all(fixes_conic(m, c) for c in conics)]
 
 
 def _square_scalars(gens):

@@ -10,7 +10,7 @@ maps the exception onto its exit status.
 import functools
 from dataclasses import dataclass
 
-from . import catalog, reference_data
+from . import catalog
 from .catalog import XRING
 from .certificates import (
     KUMMER_FILE,
@@ -36,7 +36,7 @@ from .groebner import (
 from .group import (
     act_on_conic,
     conic_closure,
-    fixes_conic,
+    fixing_classes,
     generate_group,
     label_orbits,
     projective_classes,
@@ -202,9 +202,10 @@ def orbit_census(out=None):
     from the group G of the generators and its scalar classes C
     (group.generate_group, group.projective_classes): the group order is
     |G|, the projective order |C|, and each class holds |G| / |C| matrices.
-    The kernel of the action, the classes that fix all 800 conics, must be
-    one class, the scalars; a seed's stabilizer order is the number of
-    classes that fix it (group.fixes_conic).
+    A seed's stabilizer order is the number of classes that fix it, and the
+    kernel of the action, the classes that fix all 800 conics, must be one
+    class, the scalars (group.fixing_classes).  The kernel lies in every
+    stabilizer, so it is found among the 12 classes that fix C1.
     Once every check passes, the 800 labels join the process's known labels,
     so census_labels then labels any census conic with no action.
     """
@@ -234,15 +235,15 @@ def orbit_census(out=None):
     G = generate_group(gens)
     C = projective_classes(G)
     lift = len(G) // len(C)  # matrices per class
-    kernel = [m for m in C if all(fixes_conic(m, c) for c in conics)]
+    stabilizers = [fixing_classes(C, [conics[run.start]]) for run in runs.values()]
+    kernel = fixing_classes(stabilizers[0], conics)  # conics[0] is the first seed
     rep.add(
         "kernel of the action is scalar", len(kernel) == 1, f"order {len(kernel) * lift}"
     )
     rep.add("group order", len(G) == catalog.GROUP_ORDER, f"{len(G)}")
     rep.add("projective transformations", len(C) == catalog.PROJECTIVE_ORDER, f"{len(C)}")
-    for (name, run), want in zip(runs.items(), catalog.SEED_STABILIZER_ORDERS):
-        seed = conics[run.start]
-        order = sum(1 for m in C if fixes_conic(m, seed))
+    for name, stabilizer, want in zip(runs, stabilizers, catalog.SEED_STABILIZER_ORDERS):
+        order = len(stabilizer)
         rep.add(
             f"stabilizer of {name}",
             order == want,
@@ -735,7 +736,7 @@ def gram_report(conics=None, dot_out=None):
         all(rows[i][j] in (0, 1) for i in range(n) for j in range(n) if i != j),
     )
     if n == 20:
-        want = reference_data.expected_ns_gram()
+        want = catalog.expected_ns_gram()
         if rows == want:
             rep.add("matches the expected Gram matrix", True, "entrywise")
         else:
@@ -746,7 +747,7 @@ def gram_report(conics=None, dot_out=None):
                 f"after relabelling {perm}" if perm else "",
             )
         det = mat_det([[kelem(v) for v in row] for row in rows]).as_fraction()
-        rep.add("determinant", det == reference_data.EXPECTED_NS_DET, f"{det}")
+        rep.add("determinant", det == catalog.EXPECTED_NS_DET, f"{det}")
         edges = sum(rows[i][j] for i in range(n) for j in range(i + 1, n))
         rep.add("adjacency edge count", edges == 22, f"{edges}")
         for i, m in enumerate(catalog.symmetry_generators(), start=1):
@@ -799,7 +800,7 @@ def kummer_report(conics=None, generators=None, census=None):
     G = generate_group(gens)
     C = projective_classes(G)
     lift = len(G) // len(C)  # matrices per class
-    kernel = [m for m in C if all(fixes_conic(m, c) for c in conics)]
+    kernel = fixing_classes(C, conics)
     rep.add("symmetry group order", len(G) == catalog.KUMMER_GROUP_ORDER, f"{len(G)}")
     rep.add(
         "projective transformations", len(C) == catalog.KUMMER_PROJECTIVE_ORDER, f"{len(C)}"

@@ -2,15 +2,20 @@
 
 Building the full 800-conic census is the slowest setup in the suite, so
 it runs once per session; every test that needs the census reuses the
-result.
+result.  tools/ goes on sys.path, so tests import the transcribed conic
+tables as reference_tables.
 """
 
+import pathlib
+import sys
 import time
 from types import SimpleNamespace
 
 import pytest
 
 from conic_census import geometry, pipeline
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 
 
 @pytest.fixture(scope="session")

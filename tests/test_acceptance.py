@@ -9,8 +9,9 @@ import os
 import time
 
 import pytest
+import reference_tables
 
-from conic_census import catalog, cli, pipeline, reference_data
+from conic_census import catalog, cli, pipeline
 from conic_census.field import KElem, ONE, ZERO, kelem
 from conic_census.group import generate_group, projective_classes
 from conic_census.groebner import DEFAULT_BUDGET
@@ -150,7 +151,7 @@ def test_gram_matrix():
     rep, rows = pipeline.gram_report()
     elapsed = time.monotonic() - start
     assert rep.ok, rep.render()
-    expected = reference_data.expected_ns_gram()
+    expected = catalog.expected_ns_gram()
     assert rows == [list(r) for r in expected]
     from conic_census.linalg import mat_det
 
@@ -166,7 +167,7 @@ def test_kummer_configuration():
     by_name = {name: (ok, detail) for name, ok, detail in rep.checks}
     assert by_name["pairwise disjoint"] == (True, "120 pairs")
     assert by_name["symmetry group order"][1] == "128"
-    conics = reference_data.kummer_conics()
+    conics = reference_tables.kummer_conics()
     for i in range(16):
         for j in range(i + 1, 16):
             assert intersection_number(conics[i], conics[j]) == 0

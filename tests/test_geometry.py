@@ -202,6 +202,13 @@ def _oracle_quotient(c, f):
     return divide_exact(sect, c.quadric) if sect else None
 
 
+def _quotient(c, f):
+    """The form q with f|plane = quadric * q as c._divided(f) shows it, or None:
+    its own quotient, or x * Q_a when the plane's record a answers."""
+    x, a = c._divided(f) or (None, None)
+    return x if a is None else a.quadric * x
+
+
 def _oracle_nullspace(rows, ncols):
     """Basis of the right nullspace of rows over K, by Gauss-Jordan elimination."""
     rows = [list(r) for r in rows]
@@ -342,7 +349,7 @@ def test_quotient_is_kept_per_surface(census_conics, fresh_plane_records, monkey
         assert not c.on_surface(fermat)
         with pytest.raises(NotOnSurface):
             c.residual(fermat)
-        assert c._quotient(2 * f) == 2 * want
+        assert _quotient(c, 2 * f) == 2 * want
         assert c.on_surface(f)
         assert c.residual(f) == Conic(c.plane, want)
         assert len(sections) == 4
@@ -406,7 +413,7 @@ def test_the_record_answers_only_for_the_residual(
         }[edit]
         sections.clear()
         want = _oracle_quotient(d, f)
-        assert d._quotient(f) == want
+        assert _quotient(d, f) == want
         assert d.on_surface(f) == (want is not None)
         if want is None:
             with pytest.raises(NotOnSurface):
@@ -429,7 +436,7 @@ def test_the_record_answers_only_for_its_surface(census_conics, fresh_plane_reco
         # another surface, and f times a scalar, are worked out for b
         assert _oracle_quotient(b, fermat) is None
         assert not b.on_surface(fermat)
-        assert b._quotient(2 * f) == _oracle_quotient(b, 2 * f)
+        assert _quotient(b, 2 * f) == _oracle_quotient(b, 2 * f)
         assert b.residual(2 * f) == a
         assert len(sections) == 2
 

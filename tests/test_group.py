@@ -14,6 +14,7 @@ from conic_census.group import (
     act_on_conic,
     conic_closure,
     fixes_conic,
+    fixing_classes,
     generate_group,
     label_orbits,
     orbit_of_conic,
@@ -185,7 +186,9 @@ def test_kummer_permutation_image_matches_matrix_scan():
     for i, c in enumerate(conics):
         fixing = sum(1 for m in classes if fixes_conic(m, c))
         assert fixing * lift == sum(1 for d in direct if d[i] == i)
-    kernel = [m for m in classes if all(fixes_conic(m, c) for c in conics)]
+    kernel = [m for m in classes if all(act_on_conic(m, c) == c for c in conics)]
+    assert fixing_classes(classes, conics) == kernel
+    assert fixing_classes(fixing_classes(classes, conics[:1]), conics) == kernel
     fixer = {m for m, d in zip(H, direct) if d == tuple(range(16))}
     assert len(kernel) == 1 and len(fixer) == lift
     units = (ONE, -ONE, I, -I)
@@ -213,8 +216,14 @@ def test_stabilizers_obey_orbit_stabilizer_on_the_census():
     for run in runs.values():
         for i in run[:: len(run) // 4]:
             assert sum(1 for m in classes if fixes_conic(m, conics[i])) * len(run) == 1920
+            assert len(fixing_classes(classes, [conics[i]])) * len(run) == 1920
+    # the full scan of every class against the census, and the scan of the
+    # 12 classes that fix C1, the first conic, that orbit_census makes
     kernel = [m for m in classes if all(fixes_conic(m, c) for c in conics)]
     assert kernel == [GroupMatrix.identity()]
+    stabilizer = fixing_classes(classes, conics[:1])
+    assert len(stabilizer) == catalog.SEED_STABILIZER_ORDERS[0] == 12
+    assert fixing_classes(stabilizer, conics) == kernel
 
 
 def test_generator_permutations_need_a_closed_list():
@@ -244,6 +253,12 @@ def test_permutation_action_needs_a_scalar_kernel():
     classes = projective_classes(G)
     assert (len(G), classes) == (8, [GroupMatrix.identity(), s1])
     assert all(fixes_conic(m, c) for m in classes for c in pair)
+    assert fixing_classes(classes, pair) == classes
+    # on the 16 Kummer conics only the identity's class fixes all, as the
+    # full scan finds
+    kummer = load_packaged(KUMMER_FILE).conics
+    full = [m for m in classes if all(act_on_conic(m, c) == c for c in kummer)]
+    assert fixing_classes(classes, kummer) == full == [GroupMatrix.identity()]
     scalars = generate_group([scalar])
     assert {m.rows[0][0] for m in scalars} == {ONE, -ONE, I, -I}
     assert projective_classes(scalars) == [GroupMatrix.identity()]

@@ -8,8 +8,9 @@ with the offending check named.
 import pathlib
 
 import pytest
+import reference_tables
 
-from conic_census import catalog, geometry, group, pipeline, reference_data
+from conic_census import catalog, geometry, group, pipeline
 from conic_census.certificates import make_certificate, read_certificate
 from conic_census.errors import VerificationFailed
 from conic_census.field import ONE, ZERO, KElem, kelem
@@ -195,18 +196,18 @@ def test_gram_report_on_packaged_basis():
     assert len(rows) == 20
     for i in range(20):
         assert rows[i][i] == -2
-    assert rows == [list(r) for r in reference_data.expected_ns_gram()]
+    assert rows == [list(r) for r in catalog.expected_ns_gram()]
 
 
 def test_gram_report_rejects_wrong_conics():
-    conics = list(reference_data.ns_basis_conics())
+    conics = list(reference_tables.ns_basis_conics())
     conics[5] = conics[4]  # duplicate row: diagonal stays -2, pattern breaks
     with pytest.raises(VerificationFailed):
         pipeline.gram_report(conics=conics)
 
 
 def test_permutation_match():
-    want = [r[:] if isinstance(r, list) else list(r) for r in reference_data.expected_ns_gram()]
+    want = [r[:] if isinstance(r, list) else list(r) for r in catalog.expected_ns_gram()]
     got = [row[:] for row in want]
     got[0], got[1] = got[1], got[0]
     for row in got:
@@ -345,7 +346,7 @@ def test_reports_equal_with_and_without_a_census(unlabelled, monkeypatch):
 
 
 def test_kummer_report_detects_intersecting_conic():
-    conics = list(reference_data.kummer_conics())
+    conics = list(reference_tables.kummer_conics())
     conics[0] = catalog.seed_conics()[0]  # C1 meets the configuration
     with pytest.raises(VerificationFailed):
         pipeline.kummer_report(conics=conics)

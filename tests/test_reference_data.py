@@ -1,6 +1,8 @@
 """The transcribed conic tables must be valid and match the shipped files."""
 
-from conic_census import catalog, reference_data
+import reference_tables
+
+from conic_census import catalog
 from conic_census.certificates import (
     KUMMER_FILE,
     NS_BASIS_FILE,
@@ -10,7 +12,7 @@ from conic_census.certificates import (
 
 def test_ns_basis_conics_are_valid():
     f = catalog.surface()
-    conics = reference_data.ns_basis_conics()
+    conics = reference_tables.ns_basis_conics()
     assert len(conics) == 20
     assert len({c.key for c in conics}) == 20
     for c in conics:
@@ -20,7 +22,7 @@ def test_ns_basis_conics_are_valid():
 
 def test_kummer_conics_are_valid():
     f = catalog.surface()
-    conics = reference_data.kummer_conics()
+    conics = reference_tables.kummer_conics()
     assert len(conics) == 16
     assert len({c.key for c in conics}) == 16
     for c in conics:
@@ -29,7 +31,7 @@ def test_kummer_conics_are_valid():
 
 
 def test_expected_gram_shape():
-    g = reference_data.expected_ns_gram()
+    g = catalog.expected_ns_gram()
     assert len(g) == 20
     for i in range(20):
         assert len(g[i]) == 20
@@ -40,18 +42,18 @@ def test_expected_gram_shape():
                 assert g[i][j] in (0, 1)
     ones = sum(1 for i in range(20) for j in range(i + 1, 20) if g[i][j] == 1)
     assert ones == 22
-    assert reference_data.EXPECTED_NS_DET == -160
+    assert catalog.EXPECTED_NS_DET == -160
 
 
 def test_packaged_basis_file_matches_table():
     cert = load_packaged(NS_BASIS_FILE)
     assert cert.kind == "spanning-basis"
-    assert list(cert.conics) == list(reference_data.ns_basis_conics())
+    assert list(cert.conics) == list(reference_tables.ns_basis_conics())
     assert [lab for lab, _ in cert.entries] == [f"B-{k:02d}" for k in range(1, 21)]
 
 
 def test_packaged_kummer_file_matches_table():
     cert = load_packaged(KUMMER_FILE)
     assert cert.kind == "kummer"
-    assert list(cert.conics) == list(reference_data.kummer_conics())
+    assert list(cert.conics) == list(reference_tables.kummer_conics())
     assert [lab for lab, _ in cert.entries] == [f"K-{k:02d}" for k in range(1, 17)]

@@ -1,9 +1,10 @@
 """Regenerate the certificate data files shipped inside the package.
 
-The coefficient tables live in conic_census.reference_data as reviewable
-constructions; this script serializes them into src/conic_census/data/ so
-the command line tools can load them without importing the tables.  Run
-from the repository root after changing reference_data.py.
+The coefficient tables live in tools/reference_tables.py as reviewable
+constructions; this script serializes them into src/conic_census/data/,
+which is what the program reads.  Run it after changing reference_tables.py:
+
+    python tools/make_reference_data.py
 """
 
 import pathlib
@@ -11,20 +12,20 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from conic_census import reference_data
 from conic_census.certificates import (
     KUMMER_FILE,
     NS_BASIS_FILE,
     make_certificate,
     write_certificate,
 )
+from reference_tables import kummer_conics, ns_basis_conics
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "conic_census" / "data"
 
 
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
-    basis = reference_data.ns_basis_conics()
+    basis = ns_basis_conics()
     cert = make_certificate(
         "spanning-basis",
         [(f"B-{i:02d}", c) for i, c in enumerate(basis, start=1)],
@@ -32,7 +33,7 @@ def main():
     write_certificate(cert, OUT / NS_BASIS_FILE)
     print(f"wrote {OUT / NS_BASIS_FILE} ({len(basis)} conics)")
 
-    kummer = reference_data.kummer_conics()
+    kummer = kummer_conics()
     cert = make_certificate(
         "kummer",
         [(f"K-{i:02d}", c) for i, c in enumerate(kummer, start=1)],

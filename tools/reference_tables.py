@@ -1,5 +1,9 @@
-"""Reference tables: a 20-conic basis of the Neron-Severi lattice with its
-expected Gram matrix, and the 16-conic Kummer configuration.
+"""Reference tables: a 20-conic basis of the Neron-Severi lattice and the
+16-conic Kummer configuration, as reviewable constructions.
+
+tools/make_reference_data.py writes them to the certificates shipped in
+src/conic_census/data/, which are what the program reads; the expected Gram
+matrix of the basis lives in conic_census.catalog.
 
 Rows are given in the canonical record order a00, a01, a02, a03, a11, a12,
 a13, a22, a23, a33, b0, b1, b2, b3 (quadric then plane).  Nothing here is
@@ -9,8 +13,8 @@ recomputes all intersection numbers, and re-derives the group data.
 
 from fractions import Fraction
 
-from .field import I, I_SQRT2, I_SQRT5, I_SQRT10, SQRT2, SQRT5, SQRT10, kelem
-from .geometry import Conic
+from conic_census.field import I, I_SQRT2, I_SQRT5, I_SQRT10, SQRT2, SQRT5, SQRT10, kelem
+from conic_census.geometry import Conic
 
 
 def _f(a, b):
@@ -148,35 +152,6 @@ def ns_basis_conics():
          0, 0, 1, _IS5 / 2 - I / 2),
     ]
     return [_conic(r) for r in rows]
-
-
-def expected_ns_gram():
-    """Expected intersection matrix of ns_basis_conics (determinant -160)."""
-    return [
-        [-2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
-        [0, -2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, -2, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 1, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
-        [0, 1, 0, 1, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, 0],
-        [1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0, 0],
-        [0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, -2, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -2, 0, 1],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, -2, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, -2],
-    ]
-
-
-EXPECTED_NS_DET = -160
 
 
 def kummer_conics():
