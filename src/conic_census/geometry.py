@@ -224,11 +224,13 @@ class Conic:
     """An irreducible-or-not plane conic in canonical form.
 
     coeffs holds the 14 canonical coefficients a00..a33, b0..b3 (the plane
-    is coeffs[10:]) and defines equality and the hash.  key (their text, for
-    records and sorting), plane and quadric are views built on first read.
+    is coeffs[10:]) and defines equality and the hash.  The hash, key (their
+    text, for records and sorting), plane and quadric are built on first read.
     """
 
-    __slots__ = ("pivot", "coeffs", "_key", "_plane", "_quadric", "_last", "__weakref__")
+    __slots__ = (
+        "pivot", "coeffs", "_hash", "_key", "_plane", "_quadric", "_last", "__weakref__"
+    )
 
     def __init__(self, plane, quadric):
         if plane.ring.names != ZRING.names or quadric.ring.names != ZRING.names:
@@ -245,7 +247,7 @@ class Conic:
     def _set(self, b, a):
         self.pivot, b, a = _canonical(b, a)
         self.coeffs = a + b
-        self._key = self._plane = self._quadric = None
+        self._hash = self._key = self._plane = self._quadric = None
         self._last = None  # (f, quotient) of the last surface asked about
 
     @classmethod
@@ -284,7 +286,9 @@ class Conic:
         return isinstance(other, Conic) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if self._hash is None:
+            self._hash = hash(self.coeffs)
+        return self._hash
 
     def __repr__(self):
         return f"Conic({self.plane}; {self.quadric})"

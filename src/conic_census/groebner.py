@@ -57,6 +57,19 @@ These generate the same ideal, so the result is its reduced basis whatever
 P is; an unlucky P costs time only (on case ii every closing pair reduces
 to zero).
 
+For a system whose points it exhibits, solve_system replaces the closing
+run by a count.  Let G be the reduced basis of the filtered run alone, I
+the ideal of the generators and D the number of standard monomials of G.
+Every element of G lies in I, so LT(G) lies in LT(I) and
+dim_K K[x]/I <= D.  If D distinct points of K^n each zero every generator
+exactly, then I has at least D zeros, and over an algebraic closure at
+most dim_K K[x]/I, so dim_K K[x]/I = D.  Then LT(I) and the ideal of LT(G)
+have the same D standard monomials, hence are equal: G is the reduced
+basis of I, I is radical and the points are all of its zeros.  The points
+come from fglm(G) and solve_zero_dim, but the count does not trust them:
+any other outcome, or a G that is not zero-dimensional, starts the closing
+run.
+
 For zero-dimensional ideals an FGLM order conversion is provided: it turns a
 reduced basis in any order into the (unique) reduced lex basis by linear
 algebra in the quotient, which is far cheaper in this implementation than a
@@ -354,13 +367,9 @@ def _remainder(pk, work, prepared, memo, total):
                 entry[1].append(tc)
 
 
-def buchberger(gens, order=None, budget=None):
-    """Reduced Groebner basis of the ideal generated by gens.
-
-    order defaults to the generators' ring order; budget defaults to
-    DEFAULT_BUDGET and raising ResourceBudgetExceeded when hit.
-    """
-    budget = budget or DEFAULT_BUDGET
+def _packed(gens, order=None):
+    """(pack, packed terms) of the nonzero gens, in their ring with the order
+    given or their own."""
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("no nonzero generators")
@@ -370,19 +379,95 @@ def buchberger(gens, order=None, budget=None):
         if g.ring.names != ring.names:
             raise ValueError("generators live in different rings")
     pk = _Pack(ring)
-    polys = [pk.terms(g) for g in gens]
+    return pk, [pk.terms(g) for g in gens]
 
+
+def buchberger(gens, order=None, budget=None):
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    order defaults to the generators' ring order; budget defaults to
+    DEFAULT_BUDGET and raising ResourceBudgetExceeded when hit.  A run that
+    skipped pairs mod P always ends with the closing run.
+    """
+    budget = budget or DEFAULT_BUDGET
+    pk, polys = _packed(gens, order)
     t0 = time.perf_counter()
     trace = GroebnerTrace()
-    basis = _run(pk, polys, budget, trace, t0, closing=False)
+    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, closing=False))
     if trace.pairs_mod_p:
-        # a skipped pair may be nonzero over K: close the reduced basis and
-        # the input generators over K, without the filter
-        start = _reduce_basis(pk, basis) + polys
-        basis = _run(pk, start, budget, trace, t0, closing=True)
-    basis = _reduce_basis(pk, basis)
+        basis = _close(pk, basis, polys, budget, trace, t0)
     trace.seconds = time.perf_counter() - t0
-    return GroebnerBasis(ring, map(pk.poly, basis), trace)
+    return GroebnerBasis(pk.ring, map(pk.poly, basis), trace)
+
+
+def solve_system(gens, hints=(), budget=None):
+    """(G, Gl, sol) for a zero-dimensional system: G its reduced basis in the
+    generators' order, Gl = fglm(G) and sol = solve_zero_dim(Gl, hints).
+
+    A run that skipped pairs mod P ends with the closing run only when the
+    point count of the module docstring does not certify its basis, or that
+    basis is not zero-dimensional.  The pair cap covers the runs made, and
+    trace.seconds the whole call.  Raises NotZeroDimensional as fglm does.
+    """
+    budget = budget or DEFAULT_BUDGET
+    pk, polys = _packed(gens)
+    t0 = time.perf_counter()
+    trace = GroebnerTrace()
+    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, closing=False))
+    out = None
+    if trace.pairs_mod_p:
+        out = _certified(pk, basis, trace, hints, gens)
+        if out is None:
+            basis = _close(pk, basis, polys, budget, trace, t0)
+    if out is None:
+        out = _solved(pk, basis, trace, hints)
+    trace.seconds = time.perf_counter() - t0
+    return out
+
+
+def _solved(pk, basis, trace, hints):
+    """(G, fglm(G), its points) of a reduced basis of packed term lists."""
+    G = GroebnerBasis(pk.ring, map(pk.poly, basis), trace)
+    Gl = fglm(G)
+    return G, Gl, solve_zero_dim(Gl, hints)
+
+
+def _certified(pk, basis, trace, hints, gens):
+    """_solved(pk, basis, trace, hints) when its points certify the basis,
+    else None: they must be zero_dim_degree(G) distinct exact zeros of every
+    generator (see the module docstring).  Each monomial of the generators
+    is valued once per point, from one power table per coordinate, and each
+    generator summed by one dot."""
+    try:
+        out = _solved(pk, basis, trace, hints)
+    except NotZeroDimensional:
+        return None
+    G, _, sol = out
+    points = sol.points
+    if len(set(points)) != len(points) or len(points) != zero_dim_degree(G):
+        return None
+    monos = {m: k for k, m in enumerate({m for g in gens for m in g.terms})}
+    rows = [(list(g.terms.values()), [monos[m] for m in g.terms]) for g in gens]
+    for pt in points:
+        powers = [[K1, v] for v in pt]
+        values = []
+        for m in monos:
+            x = K1
+            for t, e in zip(powers, m):
+                if e:
+                    while len(t) <= e:
+                        t.append(t[-1] * t[1])
+                    x = t[e] if x is K1 else x * t[e]
+            values.append(x)
+        if any(dot(cs, [values[k] for k in ks]) for cs, ks in rows):
+            return None
+    return out
+
+
+def _close(pk, basis, polys, budget, trace, t0):
+    """The closing run: plain Buchberger over K, with no filter, from a
+    reduced basis followed by the packed input generators, reduced."""
+    return _reduce_basis(pk, _run(pk, basis + polys, budget, trace, t0, closing=True))
 
 
 def _run(pk, starts, budget, trace, t0, closing):

@@ -53,10 +53,10 @@ len(classes) matrices, and scalar multiples act alike on conics.
 fixing_classes is the one scan for both: a stabilizer order is its count
 on one conic, and the kernel on a conic list its result on the list.  The
 kernel lies in the stabilizer of each conic of the list, so a scan of one
-stabilizer finds it.  fixes_conic tests the plane first, as b*M must be
-a multiple of b (four dot products), and acts on the conic only when it
-is, so a scan of the 1920 census classes builds the conic map of few of
-them.
+stabilizer finds it.  fixes_conic tests the plane first (fixes_plane), as
+b*M must be a multiple of b (four dot products), and acts on the conic
+only when it is, so a scan of the 1920 census classes builds the conic map
+of few of them.
 """
 
 from itertools import chain
@@ -250,8 +250,8 @@ def act_on_conic(m, conic):
     )
 
 
-def fixes_conic(m, conic):
-    """act_on_conic(m, conic) == conic, acting only when m fixes the plane.
+def fixes_plane(m, conic):
+    """Whether z -> M*z maps the plane of conic to itself.
 
     The plane b goes to b*M, a multiple of b exactly when each entry is
     b[i] times its entry at the pivot, where the canonical b is 1.
@@ -259,7 +259,12 @@ def fixes_conic(m, conic):
     b = conic.coeffs[10:]
     image = [dot(b, col) for col in zip(*m.rows)]
     lam = image[conic.pivot]
-    return all(x == lam * y for x, y in zip(image, b)) and act_on_conic(m, conic) == conic
+    return all(x == lam * y for x, y in zip(image, b))
+
+
+def fixes_conic(m, conic):
+    """act_on_conic(m, conic) == conic, acting only when m fixes the plane."""
+    return fixes_plane(m, conic) and act_on_conic(m, conic) == conic
 
 
 def fixing_classes(classes, conics):
@@ -293,23 +298,24 @@ def conic_closure(gens, seeds, max_size=100000):
     one action per generator and conic, except that an involution's
     computed edge i -> j also records j -> i, and that action is not made
     (see the module docstring).  Images are looked up by their canonical
-    coefficients, so one already listed builds no text or polynomial.
+    coefficients, so one already listed builds no text or polynomial; each
+    listed conic keeps the hash computed here for later lookups.
     Raises ResourceBudgetExceeded when the closure passes max_size conics,
     as it does under a generator of infinite order.
     """
     edges = [(g, lam is not None, {}) for g, lam in zip(gens, _square_scalars(gens))]
-    index = {}  # canonical coeffs -> position; new coeffs get the next one
+    index = {}  # conic -> position; a new conic gets the next one
     conics = []
     done = 0
     for seed in seeds:
-        if index.setdefault(seed.coeffs, len(conics)) == len(conics):
+        if index.setdefault(seed, len(conics)) == len(conics):
             conics.append(seed)
         while done < len(conics):
             for g, involution, move in edges:
                 if done in move:  # the reverse of an involution's edge
                     continue
                 image = act_on_conic(g, conics[done])
-                j = index.setdefault(image.coeffs, len(conics))
+                j = index.setdefault(image, len(conics))
                 if j == len(conics):
                     conics.append(image)
                     if len(conics) > max_size:

@@ -30,12 +30,14 @@ from .groebner import (
     fglm,
     ideal_membership,
     restore_inlined,
+    solve_system,
     solve_zero_dim,
     zero_dim_degree,
 )
 from .group import (
     act_on_conic,
     conic_closure,
+    fixes_plane,
     fixing_classes,
     generate_group,
     label_orbits,
@@ -204,8 +206,10 @@ def orbit_census(out=None):
     |G|, the projective order |C|, and each class holds |G| / |C| matrices.
     A seed's stabilizer order is the number of classes that fix it, and the
     kernel of the action, the classes that fix all 800 conics, must be one
-    class, the scalars (group.fixing_classes).  The kernel lies in every
-    stabilizer, so it is found among the 12 classes that fix C1.
+    class, the scalars (group.fixing_classes).  A seed is tested only on the
+    classes that fix its plane, found once per distinct plane: C1 and C2
+    share one.  The kernel lies in every stabilizer, so it is found among
+    the 12 classes that fix C1.
     Once every check passes, the 800 labels join the process's known labels,
     so census_labels then labels any census conic with no action.
     """
@@ -235,7 +239,12 @@ def orbit_census(out=None):
     G = generate_group(gens)
     C = projective_classes(G)
     lift = len(G) // len(C)  # matrices per class
-    stabilizers = [fixing_classes(C, [conics[run.start]]) for run in runs.values()]
+    seeds = [conics[run.start] for run in runs.values()]
+    on_plane = {}  # seed plane -> the classes that fix it
+    for c in seeds:
+        if c.coeffs[10:] not in on_plane:
+            on_plane[c.coeffs[10:]] = [m for m in C if fixes_plane(m, c)]
+    stabilizers = [fixing_classes(on_plane[c.coeffs[10:]], [c]) for c in seeds]
     kernel = fixing_classes(stabilizers[0], conics)  # conics[0] is the first seed
     rep.add(
         "kernel of the action is scalar", len(kernel) == 1, f"order {len(kernel) * lift}"
@@ -432,11 +441,10 @@ def _split_fiber_conics(alpha, budget=None):
     factorization.
     """
     system = catalog.gauge_fixed_system("iii", a=-alpha)
-    G = buchberger(system[0], budget=budget)
+    G, _, sol = solve_system(system[0], budget=budget)
     degree = zero_dim_degree(G)
     if degree != 2:
         raise VerificationFailed(f"split fiber system has degree {degree}, expected 2")
-    sol = solve_zero_dim(fglm(G))
     if not sol.complete or len(sol.points) != 2:
         raise VerificationFailed("split fiber system did not solve completely over K")
     return tuple(sorted(_solution_conics("iii", system, sol.points), key=lambda c: c.key))
@@ -601,14 +609,13 @@ def enumerate_case(case, budget=None, census=None):
 
     system = catalog.gauge_fixed_system(case)
     polys, cring, vmap, _, ring = system
-    G = buchberger(polys, budget=budget)
+    G, Gl, sol = solve_system(polys, hints=catalog.solver_hints(case), budget=budget)
     degree = zero_dim_degree(G)
     rep.add(
         "solution scheme degree",
         degree == catalog.EXPECTED_CONICS[case],
         f"{degree}",
     )
-    Gl = fglm(G)
 
     params = [vmap[ring.index(nm)] for nm in catalog.CASE_PARAMS[case]]
     last = cring.n - 1
@@ -632,7 +639,6 @@ def enumerate_case(case, budget=None, census=None):
         f"{pdeg}",
     )
 
-    sol = solve_zero_dim(Gl, hints=catalog.solver_hints(case))
     rep.add(
         "solved completely over K",
         sol.complete and len(sol.points) == degree,

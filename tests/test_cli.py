@@ -139,6 +139,18 @@ def test_budget_stop_hint_names_case_i_only_for_case_i(capsys, argv):
     assert "case (i)" not in err
 
 
+def test_case_ii_pair_cap_covers_only_the_filtered_run(capsys, census):
+    # the 64 exhibited points certify the filtered basis, so no closing run
+    # follows its 776 pairs
+    argv = ["enumerate", "--case", "ii", "--in", str(census.path), "--budget-pairs"]
+    assert cli.main(argv + ["776"]) == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    assert cli.main(argv + ["775"]) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "\n  pairs processed 775\n" in err
+    assert "\n  pairs in the closing run 0\n" in err
+
+
 def test_packed_overflow_stop_prints_the_groebner_work(capsys, monkeypatch):
     from conic_census.groebner import buchberger
     from conic_census.poly import LEX, PolyRing

@@ -24,8 +24,10 @@ from conic_census.groebner import (
     fglm,
     ideal_membership,
     inline_linear,
+    SolveResult,
     normal_form,
     restore_inlined,
+    solve_system,
     solve_zero_dim,
     standard_monomials,
     zero_dim_degree,
@@ -439,15 +441,19 @@ def test_denominator_divisible_by_p_turns_the_filter_off(lex2, monkeypatch):
     assert (G.trace.pairs_mod_p, G.trace.pairs_closing) == (0, 0)
 
 
-def test_filtered_split_fiber_systems_give_the_default_basis(monkeypatch):
-    systems = [
+@pytest.fixture(scope="module")
+def split_fibers():
+    return [
         catalog.gauge_fixed_system("iii", a=-alpha)[0]
         for alpha in catalog.split_parameters()
     ]
-    want = [buchberger(polys).polys for polys in systems]
+
+
+def test_filtered_split_fiber_systems_give_the_default_basis(split_fibers, monkeypatch):
+    want = [buchberger(polys).polys for polys in split_fibers]
     monkeypatch.setattr(groebner, "_HEIGHT", 0)
     skipped = 0
-    for polys, basis in zip(systems, want):
+    for polys, basis in zip(split_fibers, want):
         G = buchberger(polys)
         assert G.polys == basis
         skipped += G.trace.pairs_mod_p
@@ -489,6 +495,103 @@ def test_ansatz_trace_basis_and_points_pinned(case, case_ii):
     sol = solve_zero_dim(fglm(G), hints=catalog.solver_hints(case))
     assert sol.complete
     assert _digest(" ".join(v.to_text() for v in pt) for pt in sol.points) == points_sha
+
+
+def _counts(trace):
+    return {k: v for k, v in vars(trace).items() if k != "seconds"}
+
+
+def test_solve_system_certifies_case_ii_by_its_points(case_ii):
+    polys, want = case_ii
+    _, basis_sha, points_sha = PINNED["ii"]
+    G, Gl, sol = solve_system(polys, hints=catalog.solver_hints("ii"))
+    t = G.trace
+    # the 518 pairs skipped mod P are certified by the 64 points, not closed
+    assert (t.pairs_processed, t.pairs_mod_p, t.pairs_closing) == (776, 518, 0)
+    assert _digest(str(g) for g in G.polys) == basis_sha
+    assert G.polys == want.polys
+    assert Gl.polys == fglm(want).polys
+    assert _digest(" ".join(v.to_text() for v in pt) for pt in sol.points) == points_sha
+
+
+def test_solve_system_matches_buchberger_where_no_pair_is_skipped(split_fibers):
+    systems = [(catalog.gauge_fixed_system("iii")[0], catalog.solver_hints("iii"))]
+    systems += [(polys, ()) for polys in split_fibers]
+    for polys, hints in systems:
+        G, Gl, sol = solve_system(polys, hints=hints)
+        want = buchberger(polys)
+        assert G.polys == want.polys
+        assert Gl.polys == fglm(want).polys
+        assert sol == solve_zero_dim(fglm(want), hints)
+        assert _counts(G.trace) == _counts(want.trace)
+        assert G.trace.pairs_mod_p == 0
+
+
+@pytest.fixture
+def closings(monkeypatch):
+    """The closing runs solve_system starts, recorded as they start (on the
+    split fibers every closing pair is discarded by the criteria, so
+    pairs_closing stays 0 either way)."""
+    runs = []
+    close = groebner._close
+    monkeypatch.setattr(groebner, "_close", lambda *args: runs.append(1) or close(*args))
+    return runs
+
+
+def test_filtered_split_fibers_are_certified_by_their_points(
+    split_fibers, filter_forced, closings
+):
+    for polys in split_fibers:
+        G, _, sol = solve_system(polys)
+        assert G.trace.pairs_mod_p > 0 and closings == []
+        assert len(sol.points) == 2
+        assert G.polys == buchberger(polys).polys  # which closes
+        closings.clear()
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["not-zero-dimensional", "count-fails"])
+def test_skipped_pair_nonzero_over_k_falls_back_to_the_closing_run(lex2, filter_forced, extra):
+    ring, x, y = lex2
+    # S(x^2 - P*y, x*y) = -P*y^2 vanishes mod P but not over K.  Without it
+    # the basis has no pure power of y; with y^3 - y added it has four
+    # standard monomials but one point, (0, 0)
+    gens = [x**2 - P * y, x * y, y**3 - y][: 2 + extra]
+    G, Gl, sol = solve_system(gens)
+    want = buchberger(gens)
+    assert G.polys == want.polys
+    assert G.trace.pairs_mod_p > 0 and G.trace.pairs_closing > 0
+    assert _counts(G.trace) == _counts(want.trace)
+    assert sol.points == [(ZERO, ZERO)]
+    assert zero_dim_degree(G) == 3 - extra
+
+
+def _drop(points):
+    return points[1:]
+
+
+def _perturb(points):
+    x, *rest = points[0]
+    return [(x + ONE, *rest)] + points[1:]
+
+
+def _repeat(points):
+    return points[:-1] + points[:1]
+
+
+@pytest.mark.parametrize("mutate", [_drop, _perturb, _repeat], ids=["drop", "perturb", "repeat"])
+def test_mutated_points_never_certify_a_basis(
+    split_fibers, filter_forced, closings, monkeypatch, mutate
+):
+    solve = groebner.solve_zero_dim
+
+    def mutated(Gl, hints=()):
+        return SolveResult(mutate(solve(Gl, hints).points), [])
+
+    monkeypatch.setattr(groebner, "solve_zero_dim", mutated)
+    polys = split_fibers[0]
+    G, _, sol = solve_system(polys)
+    assert G.trace.pairs_mod_p > 0 and closings == [1]
+    assert G.polys == buchberger(polys).polys
 
 
 def _box_scan(G):
