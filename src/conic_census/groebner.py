@@ -410,6 +410,7 @@ def solve_system(gens, hints=(), budget=None):
     trace.seconds the whole call.  Raises NotZeroDimensional as fglm does.
     """
     budget = budget or DEFAULT_BUDGET
+    gens = list(gens)  # read twice: packed here and by the count
     pk, polys = _packed(gens)
     t0 = time.perf_counter()
     trace = GroebnerTrace()
