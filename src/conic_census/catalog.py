@@ -328,9 +328,7 @@ def gauge_fixed_system(case, a=None):
     fixed = {ring.index("a4"): K1}
     if a is not None:
         fixed[ring.index("a")] = kelem(a)
-    for i, v in fixed.items():
-        eqs = [e.substitute(i, v) for e in eqs]
-    eqs = [e for e in eqs if e]
+    eqs = [e for e in (specialize(e, fixed) for e in eqs) if e]
     protect = {ring.index(nm) for nm in CASE_PARAMS[case]} - set(fixed)
     red, subs = inline_linear(eqs, protect=protect)
     polys, cring, vmap = compress_variables(red, extra_keep=sorted(protect))

@@ -73,6 +73,7 @@ from .poly import (
     dense_image,
     dense_monomials,
     product_table,
+    specialize,
 )
 
 ZRING = PolyRing(("z0", "z1", "z2", "z3"), DEGREVLEX)
@@ -478,21 +479,29 @@ def intersection_number(c1, c2):
     return 1 if (m01 or m02 or m12) else 2
 
 
+def singular_charts(f, n):
+    """(j, equations) for each affine chart z_j = 1, j < n, of the singular
+    locus of V(f).
+
+    The equations are f and its partials in z_0..z_{n-1}, with z_j set to 1
+    by poly.specialize, in that order, the zero ones dropped.  Variables
+    from z_n on are parameters: they keep no partial and no chart.  Taking n
+    as the number of variables gives the Jacobian ideal of a projective
+    hypersurface chart by chart.
+    """
+    system = [f] + [f.partial_derivative(i) for i in range(n)]
+    for j in range(n):
+        yield j, [e for e in (specialize(p, {j: K1}) for p in system) if e]
+
+
 def hypersurface_smooth(f, budget=None):
-    """Whether the projective hypersurface V(f) in P^3 is smooth.
+    """Whether the projective hypersurface V(f) is smooth.
 
     Chart by chart, checks that f and its partials generate the unit ideal.
     """
     from .groebner import buchberger
 
-    ring = f.ring
-    sys_full = [f] + [f.partial_derivative(i) for i in range(ring.n)]
-    for chart in range(ring.n):
-        eqs = [p.substitute(chart, K1) for p in sys_full]
-        eqs = [p for p in eqs if p]
-        if not eqs:
-            return False
-        G = buchberger(eqs, budget=budget)
-        if not G.is_trivial():
-            return False
-    return True
+    return all(
+        eqs and buchberger(eqs, budget=budget).is_trivial()
+        for _, eqs in singular_charts(f, f.ring.n)
+    )

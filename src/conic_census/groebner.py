@@ -95,8 +95,9 @@ from .poly import (
     specialize,
     uni_coeffs,
     uni_gcd_coeffs,
+    uni_monic,
+    uni_squarefree,
     _uni_divmod,
-    _uni_trim,
 )
 
 
@@ -152,14 +153,16 @@ class GroebnerTrace:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis together with its ring (order included)."""
+    """A reduced Groebner basis together with its ring (order included);
+    immutable, so standard_monomials walks it once and keeps the walk."""
 
-    __slots__ = ("ring", "polys", "trace")
+    __slots__ = ("ring", "polys", "trace", "_std")
 
     def __init__(self, ring, polys, trace=None):
         self.ring = ring
         self.polys = tuple(polys)
         self.trace = trace or GroebnerTrace()
+        self._std = None
 
     def __iter__(self):
         return iter(self.polys)
@@ -367,14 +370,12 @@ def _remainder(pk, work, prepared, memo, total):
                 entry[1].append(tc)
 
 
-def _packed(gens, order=None):
-    """(pack, packed terms) of the nonzero gens, in their ring with the order
-    given or their own."""
+def _packed(gens):
+    """(pack, packed terms) of the nonzero gens, in their ring."""
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("no nonzero generators")
-    base = gens[0].ring
-    ring = base.with_order(order) if order is not None else base
+    ring = gens[0].ring
     for g in gens:
         if g.ring.names != ring.names:
             raise ValueError("generators live in different rings")
@@ -382,15 +383,16 @@ def _packed(gens, order=None):
     return pk, [pk.terms(g) for g in gens]
 
 
-def buchberger(gens, order=None, budget=None):
-    """Reduced Groebner basis of the ideal generated by gens.
+def buchberger(gens, budget=None):
+    """Reduced Groebner basis of the ideal generated by gens, in their ring's
+    order.
 
-    order defaults to the generators' ring order; budget defaults to
-    DEFAULT_BUDGET and raising ResourceBudgetExceeded when hit.  A run that
-    skipped pairs mod P always ends with the closing run.
+    budget defaults to DEFAULT_BUDGET and raising ResourceBudgetExceeded
+    when hit.  A run that skipped pairs mod P always ends with the closing
+    run.
     """
     budget = budget or DEFAULT_BUDGET
-    pk, polys = _packed(gens, order)
+    pk, polys = _packed(gens)
     t0 = time.perf_counter()
     trace = GroebnerTrace()
     basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, closing=False))
@@ -644,8 +646,11 @@ def standard_monomials(G):
     A walk up from 1 by variable steps, as the FGLM walk makes: a divisor of
     a standard monomial is standard, so each is reached from a smaller one,
     and only they and the steps that land on a leading-term multiple inside
-    the box of pure-power bounds are tested.
+    the box of pure-power bounds are tested.  The walk is made once per
+    basis and kept on it.
     """
+    if G._std is not None:
+        return list(G._std)
     if G.is_trivial():
         return []
     bounds = _pure_power_bounds(G)
@@ -667,6 +672,7 @@ def standard_monomials(G):
                     seen.add(step)
                     todo.append(step)
     out.sort(key=pk.pack)
+    G._std = tuple(out)
     return out
 
 
@@ -675,16 +681,16 @@ def zero_dim_degree(G):
     return len(standard_monomials(G))
 
 
-def fglm(G, order=LEX):
-    """Convert a reduced zero-dimensional basis to the target order.
+def fglm(G):
+    """Convert a reduced zero-dimensional basis to lex.
 
-    Walks the target-order monomials in increasing order, tracking normal
-    forms as vectors over the old quotient basis; linear dependencies become
-    the new basis elements.  The result is the unique reduced basis for the
-    target order of the same ideal.
+    Walks the lex monomials in increasing order, tracking normal forms as
+    vectors over the old quotient basis; linear dependencies become the new
+    basis elements.  The result is the unique reduced lex basis of the same
+    ideal.
     """
     ring_old = G.ring
-    ring_new = ring_old.with_order(order)
+    ring_new = ring_old.with_order(LEX)
     if ring_new.order == ring_old.order:
         return G
     std = standard_monomials(G)
@@ -860,14 +866,6 @@ class SolveResult:
         return not self.obstructions
 
 
-def _uni_monic(cs):
-    cs = _uni_trim(list(cs))
-    if cs:
-        inv = cs[-1].inverse()
-        cs = [c * inv for c in cs]
-    return cs
-
-
 def _uni_roots(cs, hints, obstructions, var_name, named):
     """K-rational roots of the coefficient list cs (made squarefree first).
 
@@ -875,14 +873,9 @@ def _uni_roots(cs, hints, obstructions, var_name, named):
     exact division by hint factors is attempted.  Unresolved factors are
     recorded as obstructions at the assignment named(), never dropped.
     """
-    cs = _uni_monic(cs)
+    cs = uni_squarefree(cs)
     if len(cs) <= 1:
         return []
-    deriv = [c * e for e, c in enumerate(cs)][1:]
-    g = uni_gcd_coeffs(cs, deriv)
-    if len(g) > 1:
-        cs, _ = _uni_divmod(cs, g)
-        cs = _uni_monic(cs)
     roots = []
     stack = [cs]
     while stack:
@@ -930,12 +923,12 @@ def _uni_roots(cs, hints, obstructions, var_name, named):
             continue
         split = False
         for h in hints:
-            hm = _uni_monic(h)
+            hm = uni_monic(h)
             if 1 < len(hm) < len(f):
                 q, r = _uni_divmod(f, hm)
                 if not r:
                     stack.append(hm)
-                    stack.append(_uni_monic(q))
+                    stack.append(uni_monic(q))
                     split = True
                     break
         if not split:

@@ -23,7 +23,7 @@ from .certificates import (
 )
 from .errors import NonPrincipal, VerificationFailed
 from .field import KElem, ONE, ZERO, kelem
-from .geometry import Conic, hypersurface_smooth, intersection_number
+from .geometry import Conic, hypersurface_smooth, intersection_number, singular_charts
 from .groebner import (
     buchberger,
     elimination_ideal,
@@ -31,7 +31,6 @@ from .groebner import (
     ideal_membership,
     restore_inlined,
     solve_system,
-    solve_zero_dim,
     zero_dim_degree,
 )
 from .group import (
@@ -47,9 +46,10 @@ from .linalg import mat_det
 from .poly import (
     compress_variables,
     poly_from_uni,
+    specialize,
     substitute_linear,
     uni_coeffs,
-    uni_lcm,
+    uni_mul,
     uni_squarefree,
 )
 
@@ -340,38 +340,29 @@ def singular_parameter_locus(fam=None, budget=None):
 
     The family is a quartic in K[z0, z1, z3, t] with t the parameter.  On
     each affine chart z_j = 1 the singular locus (family plus its three
-    section partials) is eliminated down to t; the chart results are
-    combined by lcm.  Raises NonPrincipal if an elimination ideal needs
-    more than one generator.
+    section partials, geometry.singular_charts) is eliminated down to t;
+    the locus is the squarefree part of the product of the chart results,
+    since rad(lcm(a, b)) = rad(a * b).  A chart in the unit ideal gives 1.
+    Raises NonPrincipal if an elimination ideal needs more than one
+    generator.
     """
     F = fam if fam is not None else catalog.fiber_family()
-    ring = F.ring
-    tvar = ring.n - 1
-    igens = [F] + [F.partial_derivative(i) for i in range(tvar)]
-    acc = None
-    for j in range(tvar):
-        polys = [g.substitute(j, 1) for g in igens]
-        polys = [p for p in polys if p]
+    tvar = F.ring.n - 1
+    acc = [ONE]
+    for j, polys in singular_charts(F, tvar):
         if not polys:
             continue
         cp, _, vmap = compress_variables(polys, extra_keep=(tvar,))
-        G = buchberger(cp, budget=budget)
-        if G.is_trivial():
-            continue
-        Gl = fglm(G)
-        elim = elimination_ideal(Gl, keep={vmap[tvar]})
+        elim = elimination_ideal(fglm(buchberger(cp, budget=budget)), keep={vmap[tvar]})
         if len(elim) != 1:
             raise NonPrincipal(
-                f"chart {ring.names[j]} = 1 eliminates to {len(elim)} generators"
+                f"chart {F.ring.names[j]} = 1 eliminates to {len(elim)} generators"
             )
-        part = poly_from_uni(XRING, 0, uni_coeffs(elim[0], vmap[tvar]))
-        acc = part if acc is None else uni_lcm(acc, part, 0)
-    if acc is None:
-        return XRING.one
-    return uni_squarefree(acc, 0).monic()
+        acc = uni_mul(acc, uni_coeffs(elim[0], vmap[tvar]))
+    return poly_from_uni(XRING, 0, uni_squarefree(acc))
 
 
-def verify_components(fam=None, components=None, budget=None):
+def verify_components(components=None, budget=None):
     """Check the component decomposition of the pencil's singular locus.
 
     For each component: its ideal contains the singular-locus generators
@@ -380,14 +371,13 @@ def verify_components(fam=None, components=None, budget=None):
     the singular parameter locus (completeness).
     """
     rep = Report("singular locus components")
-    F = fam if fam is not None else catalog.fiber_family()
-    ring = F.ring
-    tvar = ring.n - 1
+    F = catalog.fiber_family()
+    tvar = F.ring.n - 1
     igens = [F] + [F.partial_derivative(i) for i in range(tvar)]
     comps = components if components is not None else catalog.singular_component_generators()
 
     roots = catalog.nodal_parameters() + catalog.split_parameters() + [ZERO, ONE]
-    tprod = XRING.one
+    tprod = [ONE]
     for label, gens in comps:
         G = buchberger(gens, budget=budget)
         contained = all(ideal_membership(p, G) for p in igens)
@@ -395,7 +385,7 @@ def verify_components(fam=None, components=None, budget=None):
 
         tparts = [g for g in gens if g.variables() <= {tvar}]
         for tp in tparts:
-            tprod = tprod * poly_from_uni(XRING, 0, uni_coeffs(tp, tvar))
+            tprod = uni_mul(tprod, uni_coeffs(tp, tvar))
         witness = None
         candidates = []
         troots = [r for r in roots if all(not tp.evaluate([0, 0, 0, r]) for tp in tparts)]
@@ -416,7 +406,7 @@ def verify_components(fam=None, components=None, budget=None):
         )
 
     locus = singular_parameter_locus(F, budget=budget)
-    agree = uni_squarefree(tprod, 0).monic() == locus
+    agree = uni_squarefree(tprod) == uni_coeffs(locus, 0)
     rep.add("parameter parts cover the singular parameter locus", agree)
     rep.require()
     return rep
@@ -466,8 +456,9 @@ def analyze_nodal_fiber(alpha, budget=None):
     """Certify the unique singular point of a nodal fiber.
 
     Requires g1(alpha) = 0.  Solves the singular locus on each affine
-    chart, checks the union is the single projective point (0:0:1), and
-    certifies the nondegenerate Hessian there.
+    chart (geometry.singular_charts) with groebner.solve_system, checks the
+    union is the single projective point (0:0:1), and certifies the
+    nondegenerate Hessian there.
     """
     alpha = kelem(alpha)
     if catalog.nodal_parameter_polynomial().evaluate([alpha]):
@@ -478,21 +469,15 @@ def analyze_nodal_fiber(alpha, budget=None):
     fib = catalog.fiber_at(alpha)
     points = set()
     solved = True
-    for j in range(3):
-        polys = [fib] + [fib.partial_derivative(k) for k in range(3)]
-        polys = [p.substitute(j, 1) for p in polys]
-        polys = [p for p in polys if p]
+    for j, polys in singular_charts(fib, 3):
         if not polys:
             solved = False
             continue
-        cp, cring, vmap = compress_variables(polys)
-        G = buchberger(cp, budget=budget)
-        if G.is_trivial():
-            continue
+        cp, _, vmap = compress_variables(polys)
         if set(vmap) != {k for k in range(3) if k != j}:
             solved = False
             continue
-        sol = solve_zero_dim(fglm(G))
+        _, _, sol = solve_system(cp, budget=budget)  # no points in the unit ideal
         solved = solved and sol.complete
         for pt in sol.points:
             coords = [None, None, None]
@@ -509,7 +494,7 @@ def analyze_nodal_fiber(alpha, budget=None):
         points == want,
         f"{len(points)} point(s)",
     )
-    chart = fib.substitute(2, 1)
+    chart = specialize(fib, {2: ONE})
     origin = [ZERO, ZERO, ZERO]
     on_point = not chart.evaluate(origin) and not any(
         chart.partial_derivative(k).evaluate(origin) for k in range(2)

@@ -14,6 +14,11 @@ terms of one degree; the rows with one nonzero entry only rename and scale
 a variable, and each product of the other rows' forms is formed once.
 substitute_linear (p(M*z), degree by degree) and geometry's plane sections
 are its two callers; ring_map remains for general maps.
+
+A univariate polynomial is the list of its coefficients, lowest degree
+first and without trailing zeros, and all its arithmetic (uni_mul,
+uni_monic, uni_gcd_coeffs, uni_squarefree) is on lists; uni_coeffs and
+poly_from_uni convert from and to a Poly in one variable.
 """
 
 import functools
@@ -145,10 +150,6 @@ class Poly:
 
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]
-
-    def lead_term(self):
-        m = self.lead_monomial()
-        return m, self.terms[m]
 
     def total_degree(self):
         return max((sum(m) for m in self.terms), default=-1)
@@ -614,43 +615,7 @@ def specialize(p, assignment, target=None, var_map=None, powers=None):
     return Poly(target, out)
 
 
-def divide_exact(p, d):
-    """Quotient p/d when division is exact, else None.
-
-    Long division by the leading term of d in the ring's order; any nonzero
-    remainder step returns None.
-    """
-    _check_same_ring(p, d)
-    if not d:
-        raise ZeroDivisionError("division by zero polynomial")
-    ring = p.ring
-    dm, dc = d.lead_term()
-    dcinv = dc.inverse()
-    rest = dict(p.terms)
-    key = ring.key
-    q = {}
-    dtail = [(m, c) for m, c in d.terms.items() if m != dm]
-    while rest:
-        m = max(rest, key=key)
-        c = rest[m]
-        qm = tuple(x - y for x, y in zip(m, dm))
-        if any(e < 0 for e in qm):
-            return None
-        qc = c * dcinv
-        q[qm] = qc
-        del rest[m]
-        for tm, tc in dtail:
-            nm = tuple(x + y for x, y in zip(tm, qm))
-            v = rest.get(nm)
-            nv = -(qc * tc) if v is None else v - qc * tc
-            if nv:
-                rest[nm] = nv
-            elif v is not None:
-                del rest[nm]
-    return Poly(ring, q)
-
-
-def compress_variables(polys, extra_keep=(), order=None):
+def compress_variables(polys, extra_keep=()):
     """Rebuild polynomials over only the variables that actually occur.
 
     extra_keep lists variable indices retained even when unused.  Relative
@@ -664,9 +629,7 @@ def compress_variables(polys, extra_keep=(), order=None):
         used |= p.variables()
     keep = sorted(used)
     var_map = {old: new for new, old in enumerate(keep)}
-    new_ring = PolyRing(
-        tuple(ring.names[i] for i in keep), order if order is not None else ring.order
-    )
+    new_ring = PolyRing(tuple(ring.names[i] for i in keep), ring.order)
     outs = [specialize(p, {}, new_ring, var_map) for p in polys]
     return outs, new_ring, var_map
 
@@ -701,16 +664,31 @@ def _uni_trim(cs):
     return cs
 
 
+def uni_monic(cs):
+    """cs without trailing zeros, divided by its leading coefficient."""
+    cs = _uni_trim(list(cs))
+    if cs:
+        inv = cs[-1].inverse()
+        cs = [c * inv for c in cs]
+    return cs
+
+
+def uni_mul(a, b):
+    """The product of two coefficient lists."""
+    out = [K0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _uni_trim(out)
+
+
 def _uni_divmod(a, b):
     # coefficient lists over K, b nonzero
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = lb.inverse()
+    db, inv = len(b) - 1, b[-1].inverse()
     q = [K0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and _uni_trim(a):
+    while _uni_trim(a) and len(a) - 1 >= db:
         da = len(a) - 1
-        if da < db:
-            break
         f = a[-1] * inv
         q[da - db] = f
         for j in range(db + 1):
@@ -720,33 +698,16 @@ def _uni_divmod(a, b):
 
 
 def uni_gcd_coeffs(a, b):
+    """The monic gcd of two coefficient lists ([] when both are zero)."""
     a = _uni_trim(list(a))
     b = _uni_trim(list(b))
     while b:
         _, r = _uni_divmod(a, b)
         a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
+    return uni_monic(a)
 
 
-def uni_gcd(p, q, i):
-    """Monic gcd of two polynomials univariate in variable i."""
-    ring = p.ring
-    g = uni_gcd_coeffs(uni_coeffs(p, i), uni_coeffs(q, i))
-    return poly_from_uni(ring, i, g)
-
-
-def uni_squarefree(p, i):
-    """Squarefree part p / gcd(p, p') in variable i, made monic."""
-    g = uni_gcd(p, p.partial_derivative(i), i)
-    q = divide_exact(p, g)
-    return q.monic()
-
-
-def uni_lcm(p, q, i):
-    g = uni_gcd(p, q, i)
-    r = divide_exact(p * q, g)
-    return r.monic()
-
+def uni_squarefree(cs):
+    """The monic squarefree part cs / gcd(cs, cs') of a nonzero coefficient list."""
+    g = uni_gcd_coeffs(cs, [c * e for e, c in enumerate(cs)][1:])
+    return uni_monic(_uni_divmod(cs, g)[0])

@@ -17,7 +17,8 @@ from conic_census.geometry import (
     intersection_number,
 )
 from conic_census.linalg import mat_det
-from conic_census.poly import Poly, PolyRing, dense_monomials, divide_exact
+from conic_census.poly import Poly, PolyRing, dense_monomials
+from oracles import divide_exact
 
 
 z0, z1, z2, z3 = ZRING.gens()
@@ -179,6 +180,29 @@ def test_hypersurface_smooth():
     # singular at (0 : 0 : 1)
     assert not hypersurface_smooth(x**4 + y**4)
     assert not hypersurface_smooth(x * y * z)
+
+
+def _oracle_charts(f, n):
+    """The chart systems as the stages built them by hand: f and its first n
+    partials, z_j set to 1 by Poly.substitute, the zero ones dropped."""
+    system = [f] + [f.partial_derivative(i) for i in range(n)]
+    return [(j, [q for q in (p.substitute(j, 1) for p in system) if q]) for j in range(n)]
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        catalog.fiber_family,  # t is a parameter: no partial, no chart
+        lambda: catalog.fiber_at(catalog.nodal_parameters()[0]),
+        catalog.section_without_last_coordinate,  # case (iv)
+    ],
+    ids=["pencil", "nodal-fiber", "case-iv-section"],
+)
+def test_singular_charts_match_the_substituted_system(form):
+    f = form()
+    charts = list(geometry.singular_charts(f, 3))
+    assert charts == _oracle_charts(f, 3)
+    assert [len(eqs) for _, eqs in charts] == [4, 4, 4]
 
 
 def test_plane_coeffs():

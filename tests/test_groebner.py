@@ -14,6 +14,7 @@ from conic_census.field import I, ONE, P, SQRT2, SQRT5, ZERO, dot, kelem
 from conic_census.groebner import (
     Budget,
     DEFAULT_BUDGET,
+    GroebnerBasis,
     SolveResult,
     _Pack,
     _pending,
@@ -309,7 +310,7 @@ def oracle_normal_form(p, divisors):
         if g is None:
             out[m] = c
             continue
-        gm, gc = g.lead_term()
+        gm, gc = g.lead_monomial(), g.lead_coeff()
         q = c / gc
         qm = tuple(a - b for a, b in zip(m, gm))
         for tm, tc in g.terms.items():
@@ -326,7 +327,7 @@ def oracle_normal_form(p, divisors):
 def oracle_s_polynomial(f, g):
     """S(f, g) = (L/LT(f)) f - (L/LT(g)) g in Poly arithmetic, with L the
     lcm of the lead monomials."""
-    (mf, cf), (mg, cg) = f.lead_term(), g.lead_term()
+    (mf, cf), (mg, cg) = ((p.lead_monomial(), p.lead_coeff()) for p in (f, g))
     lcm = [max(a, b) for a, b in zip(mf, mg)]
     uf = tuple(a - b for a, b in zip(lcm, mf))
     ug = tuple(a - b for a, b in zip(lcm, mg))
@@ -501,10 +502,15 @@ def _counts(trace):
     return {k: v for k, v in vars(trace).items() if k != "seconds"}
 
 
-def test_solve_system_certifies_case_ii_by_its_points(case_ii):
+def test_solve_system_certifies_case_ii_by_its_points(case_ii, monkeypatch):
     polys, want = case_ii
     _, basis_sha, points_sha = PINNED["ii"]
+    walked = []  # the bases whose standard monomials are walked
+    bounds = groebner._pure_power_bounds
+    monkeypatch.setattr(groebner, "_pure_power_bounds", lambda B: walked.append(B) or bounds(B))
     G, Gl, sol = solve_system(polys, hints=catalog.solver_hints("ii"))
+    # fglm, the count and the report line share one walk of G
+    assert zero_dim_degree(G) == 64 and sum(B is G for B in walked) == 1
     t = G.trace
     # the 518 pairs skipped mod P are certified by the 64 points, not closed
     assert (t.pairs_processed, t.pairs_mod_p, t.pairs_closing) == (776, 518, 0)
@@ -644,9 +650,11 @@ def test_standard_monomials_walk_tests_only_the_border(case_ii, monkeypatch):
     tested = []
     pack = _Pack.pack
     monkeypatch.setattr(_Pack, "pack", lambda self, m: tested.append(m) or pack(self, m))
-    G = case_ii[1]
+    G = GroebnerBasis(case_ii[1].ring, case_ii[1].polys)  # not walked yet
     std = standard_monomials(G)
     leads = len(G.polys)
     # each candidate is a standard monomial or one step past one
     assert len(std) == 64
     assert len(tested) - leads - len(std) <= len(std) * G.ring.n
+    tested.clear()
+    assert standard_monomials(G) == std and tested == []  # walked once per basis

@@ -15,16 +15,17 @@ from conic_census.poly import (
     Poly,
     PolyRing,
     compress_variables,
-    divide_exact,
     poly_from_uni,
     ring_map,
     specialize,
     substitute_linear,
     uni_coeffs,
-    uni_gcd,
-    uni_lcm,
+    uni_gcd_coeffs,
+    uni_monic,
+    uni_mul,
     uni_squarefree,
 )
+from oracles import divide_exact
 
 
 @pytest.fixture
@@ -279,10 +280,45 @@ def test_uni_round_trip():
 def test_uni_gcd_and_friends():
     ring = PolyRing(("t",))
     t, = ring.gens()
-    g = uni_gcd((t**2 - 1) * (t + 2) * 3, (t**2 - 1) * 7, 0)
-    assert g == t**2 - 1
-    assert uni_squarefree((t - 1) ** 2 * (t + 1), 0) == t**2 - 1
-    assert uni_lcm(t**2 - 1, (t - 1) * t, 0) == t**3 - t
+    g = uni_gcd_coeffs(uni_coeffs((t**2 - 1) * (t + 2) * 3, 0), uni_coeffs((t**2 - 1) * 7, 0))
+    assert g == uni_coeffs(t**2 - 1, 0)
+    assert uni_squarefree(uni_coeffs((t - 1) ** 2 * (t + 1), 0)) == uni_coeffs(t**2 - 1, 0)
+
+
+def _random_factored(rng, ring):
+    """A random (c * prod (t - r_k)^e_k, prod (t - r_k)^(e_k - 1), prod (t - r_k))
+    over K, the r_k distinct, the e_k in 1..3 and c a nonzero constant."""
+    t, = ring.gens()
+    pool = {
+        kelem(Fraction(n, d)) * u for n in range(-4, 5) for d in (1, 3) for u in (ONE, I, SQRT2, SQRT5)
+    }
+    roots = rng.sample(sorted(pool, key=str), rng.randint(1, 4))
+    p = ring.const(rng.choice(SUBST_VALUES[1:]) + 2 * SQRT5)
+    g = s = ring.one
+    for r in roots:
+        e = rng.randint(1, 3)
+        p = p * (t - r) ** e
+        g = g * (t - r) ** (e - 1)
+        s = s * (t - r)
+    return p, g, s
+
+
+def test_uni_mul_and_squarefree_match_the_poly_oracle():
+    # uni_squarefree is cs / gcd(cs, cs'); for p = c * prod (t - r_k)^e_k with
+    # distinct r_k, gcd(p, p') = prod (t - r_k)^(e_k - 1), so the oracle is
+    # divide_exact(p, that gcd) made monic
+    ring = PolyRing(("t",))
+    rng = random.Random(23)
+    for _ in range(40):
+        a, ga, sa = _random_factored(rng, ring)
+        b, gb, sb = _random_factored(rng, ring)
+        assert uni_mul(uni_coeffs(a, 0), uni_coeffs(b, 0)) == uni_coeffs(a * b, 0)
+        for p, g, s in ((a, ga, sa), (b, gb, sb)):
+            want = divide_exact(p, g).monic()
+            assert want == s
+            assert uni_squarefree(uni_coeffs(p, 0)) == uni_coeffs(want, 0)
+            assert uni_monic(uni_coeffs(p, 0)) == uni_coeffs(p.monic(), 0)
+    assert uni_mul([], uni_coeffs(a, 0)) == []
 
 
 def test_poly_equality_requires_same_order():

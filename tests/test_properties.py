@@ -79,7 +79,7 @@ def _random_system(rng):
 def oracle_s_polynomial(f, g):
     """S(f, g) = (L/LT(f)) f - (L/LT(g)) g in Poly arithmetic, with L the
     lcm of the lead monomials."""
-    (mf, cf), (mg, cg) = f.lead_term(), g.lead_term()
+    (mf, cf), (mg, cg) = ((p.lead_monomial(), p.lead_coeff()) for p in (f, g))
     lcm = [max(a, b) for a, b in zip(mf, mg)]
     uf = tuple(a - b for a, b in zip(lcm, mf))
     ug = tuple(a - b for a, b in zip(lcm, mg))
