@@ -37,38 +37,35 @@ divisor in the basis, basis length scanned); the basis only grows by
 appending, so a recorded divisor stays the first one, and a monomial with
 none is rescanned only over the elements added since.
 
-S-pairs are filtered modulo the prime P of field.mod_p, a Groebner trace in
-the sense of Traverso (ISSAC 1988) and Arnold (J. Symb. Comp. 35, 2003).
-A run engages the filter when a basis element gets a coefficient whose
-numerator or denominator is longer than P.bit_length() bits; runs that
-never get there do no modular work.  From then on every basis element
-(monic) also has an F_P entry, the images of its tail, and each S-pair is
-first reduced over F_P by the same loop, its coefficients summed as
-integer products mod P, stopping at the first irreducible term.  The
-divisor of a monomial depends on the monomial only, so the F_P remainder
-is the image of the K remainder: a pair that reduces to zero over K
-vanishes mod P, and a pair that does not vanish is reduced over K exactly
-as without the filter.  A pair that vanishes mod P is counted as a zero
-reduction and not reduced over K; the filter is off for the rest of the
-run once P divides a denominator.  A skipped pair may still be nonzero over
-K, so when any was skipped a closing run of plain Buchberger over K, with
-no filter, starts from the reduced basis followed by the input generators.
-These generate the same ideal, so the result is its reduced basis whatever
-P is; an unlucky P costs time only (on case ii every closing pair reduces
-to zero).
+solve_system filters S-pairs modulo the prime P of field.mod_p, a Groebner
+trace in the sense of Traverso (ISSAC 1988) and Arnold (J. Symb. Comp. 35,
+2003); buchberger never does.  The run engages the filter when a basis
+element gets a coefficient whose numerator or denominator is longer than
+P.bit_length() bits; runs that never get there do no modular work.  From
+then on every basis element (monic) also has an F_P entry, the images of
+its tail, and each S-pair is first reduced over F_P by the same loop, its
+coefficients summed as integer products mod P, stopping at the first
+irreducible term.  The divisor of a monomial depends on the monomial only,
+so the F_P remainder is the image of the K remainder: a pair that reduces
+to zero over K vanishes mod P, and a pair that does not vanish is reduced
+over K exactly as without the filter.  A pair that vanishes mod P is
+counted as a zero reduction and not reduced over K; the filter is off for
+the rest of the run once P divides a denominator.
 
-For a system whose points it exhibits, solve_system replaces the closing
-run by a count.  Let G be the reduced basis of the filtered run alone, I
-the ideal of the generators and D the number of standard monomials of G.
+A skipped pair may still be nonzero over K, so solve_system certifies the
+filtered basis by a count.  Let G be the reduced basis of the filtered run,
+I the ideal of the generators and D the number of standard monomials of G.
 Every element of G lies in I, so LT(G) lies in LT(I) and
 dim_K K[x]/I <= D.  If D distinct points of K^n each zero every generator
 exactly, then I has at least D zeros, and over an algebraic closure at
 most dim_K K[x]/I, so dim_K K[x]/I = D.  Then LT(I) and the ideal of LT(G)
 have the same D standard monomials, hence are equal: G is the reduced
 basis of I, I is radical and the points are all of its zeros.  The points
-come from fglm(G) and solve_zero_dim, but the count does not trust them:
-any other outcome, or a G that is not zero-dimensional, starts the closing
-run.
+come from fglm(G) and solve_zero_dim, but the count does not trust them.
+Any other outcome, or a G that is not zero-dimensional, starts the
+closing run: a plain run over K, with no filter, from G followed by the
+input generators.  These generate the same ideal, so its result is the reduced
+basis whatever P is; an unlucky P costs time only.
 
 For zero-dimensional ideals an FGLM order conversion is provided: it turns a
 reduced basis in any order into the (unique) reduced lex basis by linear
@@ -109,11 +106,6 @@ class Budget:
     max_basis: int = 600
     max_terms: int = 400000
 
-    def scaled(self, factor):
-        return Budget(
-            self.max_pairs * factor, self.max_basis * factor, self.max_terms * factor
-        )
-
 
 DEFAULT_BUDGET = Budget()
 
@@ -136,7 +128,6 @@ class GroebnerTrace:
     basis_max: int = 0
     terms_max: int = 0
     pairs_mod_p: int = 0  # zero reductions found mod P, not reduced over K
-    pairs_closing: int = 0  # pairs of the closing run over K
     seconds: float = 0.0
 
     def lines(self):
@@ -147,7 +138,6 @@ class GroebnerTrace:
             f"peak basis size {self.basis_max}",
             f"peak term count {self.terms_max}",
             f"reductions to zero found mod p {self.pairs_mod_p}",
-            f"pairs in the closing run {self.pairs_closing}",
             f"wall time {self.seconds:.2f}s",
         ]
 
@@ -385,19 +375,16 @@ def _packed(gens):
 
 def buchberger(gens, budget=None):
     """Reduced Groebner basis of the ideal generated by gens, in their ring's
-    order.
+    order, by one plain run over K.
 
     budget defaults to DEFAULT_BUDGET and raising ResourceBudgetExceeded
-    when hit.  A run that skipped pairs mod P always ends with the closing
-    run.
+    when hit.
     """
     budget = budget or DEFAULT_BUDGET
     pk, polys = _packed(gens)
     t0 = time.perf_counter()
     trace = GroebnerTrace()
-    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, closing=False))
-    if trace.pairs_mod_p:
-        basis = _close(pk, basis, polys, budget, trace, t0)
+    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, filtered=False))
     trace.seconds = time.perf_counter() - t0
     return GroebnerBasis(pk.ring, map(pk.poly, basis), trace)
 
@@ -406,22 +393,25 @@ def solve_system(gens, hints=(), budget=None):
     """(G, Gl, sol) for a zero-dimensional system: G its reduced basis in the
     generators' order, Gl = fglm(G) and sol = solve_zero_dim(Gl, hints).
 
-    A run that skipped pairs mod P ends with the closing run only when the
-    point count of the module docstring does not certify its basis, or that
-    basis is not zero-dimensional.  The pair cap covers the runs made, and
-    trace.seconds the whole call.  Raises NotZeroDimensional as fglm does.
+    The run filters pairs mod P; when it skipped any and the point count of
+    the module docstring does not certify its basis, or that basis is not
+    zero-dimensional, the closing run follows on the same trace, so pairs,
+    zero reductions and the pair cap add up over both runs, and
+    trace.seconds covers the whole call.  Raises NotZeroDimensional as fglm
+    does.
     """
     budget = budget or DEFAULT_BUDGET
     gens = list(gens)  # read twice: packed here and by the count
     pk, polys = _packed(gens)
     t0 = time.perf_counter()
     trace = GroebnerTrace()
-    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, closing=False))
+    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, filtered=True))
     out = None
     if trace.pairs_mod_p:
         out = _certified(pk, basis, trace, hints, gens)
         if out is None:
-            basis = _close(pk, basis, polys, budget, trace, t0)
+            run = _run(pk, basis + polys, budget, trace, t0, filtered=False)
+            basis = _reduce_basis(pk, run)
     if out is None:
         out = _solved(pk, basis, trace, hints)
     trace.seconds = time.perf_counter() - t0
@@ -467,28 +457,20 @@ def _certified(pk, basis, trace, hints, gens):
     return out
 
 
-def _close(pk, basis, polys, budget, trace, t0):
-    """The closing run: plain Buchberger over K, with no filter, from a
-    reduced basis followed by the packed input generators, reduced."""
-    return _reduce_basis(pk, _run(pk, basis + polys, budget, trace, t0, closing=True))
-
-
-def _run(pk, starts, budget, trace, t0, closing):
+def _run(pk, starts, budget, trace, t0, filtered):
     """One Buchberger run over K on packed term lists; returns monic entries.
 
-    The first run keeps trace's five counts and may skip pairs that vanish
-    mod P (see the module docstring); the closing run skips none and counts
-    only its pairs, in pairs_closing.  The pair cap covers both runs.  Every
-    budget stop, a packed-field overflow included, carries vars(trace).
+    A filtered run may skip pairs that vanish mod P (see the module
+    docstring).  The counts and the pair cap add to those already in trace.
+    Every budget stop, a packed-field overflow included, carries
+    vars(trace).
     """
     divides, lcm, enc, n = pk.divides, pk.lcm, pk.enc, pk.ring.n
-    # the closing run reports only its pairs
-    counts = GroebnerTrace() if closing else trace
 
     G = []  # monic prepared entries (lm, D, -1, tail)
     lms = []  # the exponent forms D of their leads
     images = None  # F_P entries parallel to G once the filter engages
-    filtering = not closing  # False for good once P divides a denominator
+    filtering = filtered  # False for good once P divides a denominator
     total_terms = 0  # terms over all of G
     memo = {}  # monomial -> first divisor in G, see _remainder
     alive = {}  # (i, j) -> exponent form of the lcm
@@ -512,7 +494,7 @@ def _run(pk, starts, budget, trace, t0, closing):
                 and lcm(lms[j], dh) != lcm_ij
             ):
                 del alive[(i, j)]
-                counts.pairs_discarded += 1
+                trace.pairs_discarded += 1
         # New pairs, grouped by lcm.  M/F criteria: a group goes when a kept
         # lcm divides its own; a proper divisor has lower total degree, so it
         # sorts earlier, and distinct lcms of equal degree never divide.
@@ -526,7 +508,7 @@ def _run(pk, starts, budget, trace, t0, closing):
             kept.append(d)
             members = groups[d]
             coprime = any(lms[i] + dh == d for i in members)
-            counts.pairs_discarded += len(members) - (0 if coprime else 1)
+            trace.pairs_discarded += len(members) - (0 if coprime else 1)
             if not coprime:
                 alive[(members[0], t)] = d
                 heapq.heappush(heap, (deg, e, members[0], t))
@@ -543,8 +525,8 @@ def _run(pk, starts, budget, trace, t0, closing):
             images = None
             filtering = False
         total_terms += len(terms)
-        counts.basis_max = max(counts.basis_max, len(G))
-        counts.terms_max = max(counts.terms_max, total_terms)
+        trace.basis_max = max(trace.basis_max, len(G))
+        trace.terms_max = max(trace.terms_max, total_terms)
         if len(G) > budget.max_basis:
             stop(f"basis size {len(G)} exceeded budget {budget.max_basis}")
         if total_terms > budget.max_terms:
@@ -561,23 +543,20 @@ def _run(pk, starts, budget, trace, t0, closing):
             if (i, j) not in alive:
                 continue
             del alive[(i, j)]
-            if trace.pairs_processed + trace.pairs_closing >= budget.max_pairs:
+            if trace.pairs_processed >= budget.max_pairs:
                 stop(f"pair count exceeded budget {budget.max_pairs}")
-            if closing:
-                trace.pairs_closing += 1
-            else:
-                trace.pairs_processed += 1
+            trace.pairs_processed += 1
             if images is not None:
                 work = _s_pending(pk, images[i], images[j])
                 if next(_remainder(pk, work, images, memo, _dot_p), None) is None:
-                    counts.zero_reductions += 1
+                    trace.zero_reductions += 1
                     trace.pairs_mod_p += 1
                     continue
             r = list(_remainder(pk, _s_pending(pk, G[i], G[j]), G, memo, dot))
             if r:
                 add_element(r)
             else:
-                counts.zero_reductions += 1
+                trace.zero_reductions += 1
     except ResourceBudgetExceeded as exc:
         if exc.stats:
             raise

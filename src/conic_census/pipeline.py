@@ -344,8 +344,11 @@ def singular_parameter_locus(fam=None, budget=None):
     the locus is the squarefree part of the product of the chart results,
     since rad(lcm(a, b)) = rad(a * b).  A chart in the unit ideal gives 1.
     Raises NonPrincipal if an elimination ideal needs more than one
-    generator.
+    generator.  The catalog's family under the default budget is computed
+    once per process; a family or budget given is computed afresh.
     """
+    if fam is None and budget is None:
+        return _default_locus()
     F = fam if fam is not None else catalog.fiber_family()
     tvar = F.ring.n - 1
     acc = [ONE]
@@ -360,6 +363,12 @@ def singular_parameter_locus(fam=None, budget=None):
             )
         acc = uni_mul(acc, uni_coeffs(elim[0], vmap[tvar]))
     return poly_from_uni(XRING, 0, uni_squarefree(acc))
+
+
+@functools.lru_cache(maxsize=1)
+def _default_locus():
+    """The locus of the default family under the default budget."""
+    return singular_parameter_locus(catalog.fiber_family())
 
 
 def verify_components(components=None, budget=None):
@@ -405,7 +414,7 @@ def verify_components(components=None, budget=None):
             "(" + ", ".join(v.to_text() for v in witness) + ")" if witness else "",
         )
 
-    locus = singular_parameter_locus(F, budget=budget)
+    locus = singular_parameter_locus(budget=budget)
     agree = uni_squarefree(tprod) == uni_coeffs(locus, 0)
     rep.add("parameter parts cover the singular parameter locus", agree)
     rep.require()

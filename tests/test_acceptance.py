@@ -14,7 +14,7 @@ import reference_tables
 from conic_census import catalog, cli, pipeline
 from conic_census.field import KElem, ONE, ZERO, kelem
 from conic_census.group import generate_group, projective_classes
-from conic_census.groebner import DEFAULT_BUDGET
+from conic_census.groebner import Budget
 from conic_census.poly import poly_from_uni
 from conic_census.geometry import intersection_number
 
@@ -191,7 +191,8 @@ def test_case_i_budget_gate(capsys):
     enumeration with a much larger budget (hours of runtime).
     """
     if os.environ.get("CONIC_CENSUS_CASE_I"):
-        rep, conics = pipeline.enumerate_case("i", budget=DEFAULT_BUDGET.scaled(400))
+        budget = Budget(max_pairs=8_000_000, max_basis=240_000, max_terms=160_000_000)
+        rep, conics = pipeline.enumerate_case("i", budget=budget)
         assert rep.ok, rep.render()
         assert len({c.key for c in conics}) == 720
         print("PASS case (i): full enumeration, 720 conics on 360 planes")

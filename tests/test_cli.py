@@ -141,14 +141,14 @@ def test_budget_stop_hint_names_case_i_only_for_case_i(capsys, argv):
 
 def test_case_ii_pair_cap_covers_only_the_filtered_run(capsys, census):
     # the 64 exhibited points certify the filtered basis, so no closing run
-    # follows its 776 pairs
+    # follows its 776 pairs; a stop inside it reports the pairs skipped so far
     argv = ["enumerate", "--case", "ii", "--in", str(census.path), "--budget-pairs"]
     assert cli.main(argv + ["776"]) == cli.EXIT_OK
     assert "FAIL" not in capsys.readouterr().out
     assert cli.main(argv + ["775"]) == cli.EXIT_BUDGET
     err = capsys.readouterr().err
     assert "\n  pairs processed 775\n" in err
-    assert "\n  pairs in the closing run 0\n" in err
+    assert "\n  reductions to zero found mod p 517\n" in err
 
 
 def test_packed_overflow_stop_prints_the_groebner_work(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from conic_census.errors import NotZeroDimensional, ResourceBudgetExceeded
 from conic_census.field import I, ONE, P, SQRT2, SQRT5, ZERO, dot, kelem
 from conic_census.groebner import (
     Budget,
-    DEFAULT_BUDGET,
     GroebnerBasis,
     SolveResult,
     _Pack,
@@ -104,13 +103,6 @@ def test_pair_budget_counts_only_reduced_pairs(lex2):
         assert err.value.stats["pairs_processed"] == cap
     G = buchberger(gens, budget=Budget(max_pairs=spent))
     assert G.trace.pairs_processed == spent
-
-
-def test_budget_scaled():
-    b = DEFAULT_BUDGET.scaled(2)
-    assert b.max_pairs == 2 * DEFAULT_BUDGET.max_pairs
-    assert b.max_basis == 2 * DEFAULT_BUDGET.max_basis
-    assert b.max_terms == 2 * DEFAULT_BUDGET.max_terms
 
 
 def test_trivial_ideal(lex2):
@@ -410,36 +402,56 @@ def filter_forced(monkeypatch):
     monkeypatch.setattr(groebner, "_HEIGHT", 0)
 
 
-def test_unlucky_prime_is_mended_by_the_closing_run(lex2, filter_forced):
+@pytest.fixture
+def closings(monkeypatch):
+    """The closing runs solve_system starts, each recorded as the pairs
+    already processed when it starts: the unfiltered runs on a trace that
+    has skipped pairs (a buchberger run starts from an empty one)."""
+    runs = []
+    run = groebner._run
+
+    def spy(pk, starts, budget, trace, t0, filtered):
+        if not filtered and trace.pairs_mod_p:
+            runs.append(trace.pairs_processed)
+        return run(pk, starts, budget, trace, t0, filtered)
+
+    monkeypatch.setattr(groebner, "_run", spy)
+    return runs
+
+
+def test_unlucky_prime_is_mended_by_the_closing_run(lex2, filter_forced, closings):
     ring, x, y = lex2
     # S(x^2 - P*y, x*y) = -P*y^2 vanishes mod P but not over K
-    G = buchberger([x**2 - P * y, x * y])
+    gens = [x**2 - P * y, x * y]
+    G = solve_system(gens)[0]
     assert list(G.polys) == [y**2, x * y, x**2 - P * y]
     t = G.trace
-    assert t.pairs_mod_p == 1 and t.pairs_closing > 0
+    # the filtered run skips its one pair; the closing run reduces more
+    assert t.pairs_mod_p == 1 and closings == [1] and t.pairs_processed > 1
     # the pair cap covers both runs
-    spent = t.pairs_processed + t.pairs_closing
-    buchberger([x**2 - P * y, x * y], budget=Budget(max_pairs=spent))
+    spent = t.pairs_processed
+    solve_system(gens, budget=Budget(max_pairs=spent))
     with pytest.raises(ResourceBudgetExceeded) as err:
-        buchberger([x**2 - P * y, x * y], budget=Budget(max_pairs=spent - 1))
+        solve_system(gens, budget=Budget(max_pairs=spent - 1))
     assert err.value.stats["pairs_mod_p"] == 1
 
 
-def test_unforced_filter_stays_off_below_its_height(lex2):
+def test_unforced_filter_stays_off_below_its_height(lex2, closings):
     ring, x, y = lex2
-    G = buchberger([x**2 - P * y, x * y])
+    G = solve_system([x**2 - P * y, x * y])[0]
     assert list(G.polys) == [y**2, x * y, x**2 - P * y]
-    assert (G.trace.pairs_mod_p, G.trace.pairs_closing) == (0, 0)
+    assert G.trace.pairs_mod_p == 0 and closings == []
 
 
-def test_denominator_divisible_by_p_turns_the_filter_off(lex2, monkeypatch):
+def test_denominator_divisible_by_p_turns_the_filter_off(lex2, monkeypatch, closings):
     ring, x, y = lex2
     gens = [x**2 * y - kelem(Fraction(1, P)), x * y**2 - 1, x**3 - y]
     want = buchberger(gens)
     monkeypatch.setattr(groebner, "_HEIGHT", 0)
-    G = buchberger(gens)
+    G = solve_system(gens)[0]
     assert G.polys == want.polys
-    assert (G.trace.pairs_mod_p, G.trace.pairs_closing) == (0, 0)
+    assert G.trace.pairs_mod_p == 0 and closings == []
+    assert _counts(G.trace) == _counts(want.trace)
 
 
 @pytest.fixture(scope="module")
@@ -450,70 +462,62 @@ def split_fibers():
     ]
 
 
-def test_filtered_split_fiber_systems_give_the_default_basis(split_fibers, monkeypatch):
-    want = [buchberger(polys).polys for polys in split_fibers]
+def test_buchberger_never_filters(split_fibers, monkeypatch):
+    want = [buchberger(polys) for polys in split_fibers]
     monkeypatch.setattr(groebner, "_HEIGHT", 0)
-    skipped = 0
-    for polys, basis in zip(split_fibers, want):
+    for polys, plain in zip(split_fibers, want):
         G = buchberger(polys)
-        assert G.polys == basis
-        skipped += G.trace.pairs_mod_p
-    assert skipped > 0
+        assert G.trace.pairs_mod_p == 0
+        assert G.polys == plain.polys
+        assert _counts(G.trace) == _counts(plain.trace)
 
 
-# work counts and outputs of the ansatz systems, pinned so that a change to
-# the reduction loop or the pair criteria cannot alter them unnoticed
+# work counts (pairs processed and discarded, zero reductions, peak basis and
+# terms, pairs skipped mod P) of buchberger, and outputs of the ansatz
+# systems, pinned so that a change to the reduction loop or the pair
+# criteria cannot alter them unnoticed
 PINNED = {
     "ii": (
-        (776, 2786, 519, 266, 4642, 518, 305),
+        (776, 2786, 519, 266, 4642, 0),
         "3b5860822c55224ee37c214fe82e6170d1946effa6e912356b4b8b2979fdc6aa",
         "bb1a8b4b82b221dcce6e45a9a6ca12854812aa55c4bb7317d0f7bca721d2905a",
     ),
     "iii": (
-        (65, 99, 43, 31, 144, 0, 0),
+        (65, 99, 43, 31, 144, 0),
         "32f068d60a9e71f66afa035a27b363e93360aaaeb8edd27fad28e6c3fd9ea883",
         "786795624913e318b47f54fcee5f9d999e3b58c8ca690548497bc41fb2af5619",
     ),
 }
 
 
+def _counts(trace):
+    return {k: v for k, v in vars(trace).items() if k != "seconds"}
+
+
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_ansatz_trace_basis_and_points_pinned(case, case_ii):
     counts, basis_sha, points_sha = PINNED[case]
     G = case_ii[1] if case == "ii" else buchberger(catalog.gauge_fixed_system(case)[0])
-    t = G.trace
-    got = (
-        t.pairs_processed,
-        t.pairs_discarded,
-        t.zero_reductions,
-        t.basis_max,
-        t.terms_max,
-        t.pairs_mod_p,
-        t.pairs_closing,
-    )
-    assert got == counts
+    assert tuple(_counts(G.trace).values()) == counts
     assert _digest(str(g) for g in G.polys) == basis_sha
     sol = solve_zero_dim(fglm(G), hints=catalog.solver_hints(case))
     assert sol.complete
     assert _digest(" ".join(v.to_text() for v in pt) for pt in sol.points) == points_sha
 
 
-def _counts(trace):
-    return {k: v for k, v in vars(trace).items() if k != "seconds"}
-
-
-def test_solve_system_certifies_case_ii_by_its_points(case_ii, monkeypatch):
+def test_solve_system_certifies_case_ii_by_its_points(case_ii, monkeypatch, closings):
     polys, want = case_ii
-    _, basis_sha, points_sha = PINNED["ii"]
+    counts, basis_sha, points_sha = PINNED["ii"]
     walked = []  # the bases whose standard monomials are walked
     bounds = groebner._pure_power_bounds
     monkeypatch.setattr(groebner, "_pure_power_bounds", lambda B: walked.append(B) or bounds(B))
     G, Gl, sol = solve_system(polys, hints=catalog.solver_hints("ii"))
     # fglm, the count and the report line share one walk of G
     assert zero_dim_degree(G) == 64 and sum(B is G for B in walked) == 1
-    t = G.trace
-    # the 518 pairs skipped mod P are certified by the 64 points, not closed
-    assert (t.pairs_processed, t.pairs_mod_p, t.pairs_closing) == (776, 518, 0)
+    # the plain run's work, of which 518 zero reductions are found mod P and
+    # certified by the 64 points, with no closing run
+    assert tuple(_counts(G.trace).values()) == counts[:5] + (518,)
+    assert closings == []
     assert _digest(str(g) for g in G.polys) == basis_sha
     assert G.polys == want.polys
     assert Gl.polys == fglm(want).polys
@@ -533,17 +537,6 @@ def test_solve_system_matches_buchberger_where_no_pair_is_skipped(split_fibers):
         assert G.trace.pairs_mod_p == 0
 
 
-@pytest.fixture
-def closings(monkeypatch):
-    """The closing runs solve_system starts, recorded as they start (on the
-    split fibers every closing pair is discarded by the criteria, so
-    pairs_closing stays 0 either way)."""
-    runs = []
-    close = groebner._close
-    monkeypatch.setattr(groebner, "_close", lambda *args: runs.append(1) or close(*args))
-    return runs
-
-
 def test_filtered_split_fibers_are_certified_by_their_points(
     split_fibers, filter_forced, closings
 ):
@@ -551,22 +544,22 @@ def test_filtered_split_fibers_are_certified_by_their_points(
         G, _, sol = solve_system(polys)
         assert G.trace.pairs_mod_p > 0 and closings == []
         assert len(sol.points) == 2
-        assert G.polys == buchberger(polys).polys  # which closes
-        closings.clear()
+        assert G.polys == buchberger(polys).polys
 
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["not-zero-dimensional", "count-fails"])
-def test_skipped_pair_nonzero_over_k_falls_back_to_the_closing_run(lex2, filter_forced, extra):
+def test_skipped_pair_nonzero_over_k_falls_back_to_the_closing_run(
+    lex2, filter_forced, closings, extra
+):
     ring, x, y = lex2
     # S(x^2 - P*y, x*y) = -P*y^2 vanishes mod P but not over K.  Without it
     # the basis has no pure power of y; with y^3 - y added it has four
     # standard monomials but one point, (0, 0)
     gens = [x**2 - P * y, x * y, y**3 - y][: 2 + extra]
     G, Gl, sol = solve_system(gens)
-    want = buchberger(gens)
-    assert G.polys == want.polys
-    assert G.trace.pairs_mod_p > 0 and G.trace.pairs_closing > 0
-    assert _counts(G.trace) == _counts(want.trace)
+    assert G.polys == buchberger(gens).polys
+    assert G.trace.pairs_mod_p > 0 and len(closings) == 1
+    assert G.trace.pairs_processed > closings[0]
     assert sol.points == [(ZERO, ZERO)]
     assert zero_dim_degree(G) == 3 - extra
 
@@ -596,7 +589,7 @@ def test_mutated_points_never_certify_a_basis(
     monkeypatch.setattr(groebner, "solve_zero_dim", mutated)
     polys = split_fibers[0]
     G = solve_system(polys)[0]
-    assert G.trace.pairs_mod_p > 0 and closings == [1]
+    assert G.trace.pairs_mod_p > 0 and len(closings) == 1
     assert G.polys == buchberger(polys).polys
 
 

@@ -12,7 +12,7 @@ import reference_tables
 
 from conic_census import catalog, geometry, group, pipeline
 from conic_census.certificates import make_certificate, read_certificate
-from conic_census.errors import VerificationFailed
+from conic_census.errors import ResourceBudgetExceeded, VerificationFailed
 from conic_census.field import ONE, ZERO, KElem, kelem
 from conic_census.geometry import Conic, ZRING
 from conic_census.groebner import Budget
@@ -115,6 +115,21 @@ def test_verify_components():
     assert rep.ok
     names = [name for name, _, _ in rep.checks]
     assert sum("contain" in n for n in names) == 7
+
+
+def test_singular_parameter_locus_once_per_process(monkeypatch):
+    runs = []  # one per buchberger call of the pipeline
+    run = pipeline.buchberger
+    monkeypatch.setattr(pipeline, "buchberger", lambda *a, **k: runs.append(1) or run(*a, **k))
+    pipeline._default_locus.cache_clear()
+    assert pipeline.fiber_survey().ok
+    assert len(runs) == 3  # the locus, one run per chart
+    assert pipeline.verify_components().ok
+    # the seven component ideals; the locus is the one fiber_survey computed
+    assert len(runs) == 3 + len(catalog.singular_component_generators())
+    # a budget given computes afresh, so its stop still raises
+    with pytest.raises(ResourceBudgetExceeded):
+        pipeline.singular_parameter_locus(budget=Budget(max_pairs=1))
 
 
 def test_verify_components_detects_wrong_component():
