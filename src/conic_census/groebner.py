@@ -64,8 +64,8 @@ basis of I, I is radical and the points are all of its zeros.  The points
 come from fglm(G) and solve_zero_dim, but the count does not trust them.
 Any other outcome, or a G that is not zero-dimensional, starts the
 closing run: a plain run over K, with no filter, from G followed by the
-input generators.  These generate the same ideal, so its result is the reduced
-basis whatever P is; an unlucky P costs time only.
+input generators.  These generate the same ideal, so its result is the
+reduced basis whatever P is; an unlucky P costs time only.
 
 For zero-dimensional ideals an FGLM order conversion is provided: it turns a
 reduced basis in any order into the (unique) reduced lex basis by linear
@@ -384,7 +384,7 @@ def buchberger(gens, budget=None):
     pk, polys = _packed(gens)
     t0 = time.perf_counter()
     trace = GroebnerTrace()
-    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, filtered=False))
+    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, filtering=False))
     trace.seconds = time.perf_counter() - t0
     return GroebnerBasis(pk.ring, map(pk.poly, basis), trace)
 
@@ -405,12 +405,12 @@ def solve_system(gens, hints=(), budget=None):
     pk, polys = _packed(gens)
     t0 = time.perf_counter()
     trace = GroebnerTrace()
-    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, filtered=True))
+    basis = _reduce_basis(pk, _run(pk, polys, budget, trace, t0, filtering=True))
     out = None
     if trace.pairs_mod_p:
         out = _certified(pk, basis, trace, hints, gens)
         if out is None:
-            run = _run(pk, basis + polys, budget, trace, t0, filtered=False)
+            run = _run(pk, basis + polys, budget, trace, t0, filtering=False)
             basis = _reduce_basis(pk, run)
     if out is None:
         out = _solved(pk, basis, trace, hints)
@@ -457,10 +457,10 @@ def _certified(pk, basis, trace, hints, gens):
     return out
 
 
-def _run(pk, starts, budget, trace, t0, filtered):
+def _run(pk, starts, budget, trace, t0, filtering):
     """One Buchberger run over K on packed term lists; returns monic entries.
 
-    A filtered run may skip pairs that vanish mod P (see the module
+    A filtering run may skip pairs that vanish mod P (see the module
     docstring).  The counts and the pair cap add to those already in trace.
     Every budget stop, a packed-field overflow included, carries
     vars(trace).
@@ -470,7 +470,6 @@ def _run(pk, starts, budget, trace, t0, filtered):
     G = []  # monic prepared entries (lm, D, -1, tail)
     lms = []  # the exponent forms D of their leads
     images = None  # F_P entries parallel to G once the filter engages
-    filtering = filtered  # False for good once P divides a denominator
     total_terms = 0  # terms over all of G
     memo = {}  # monomial -> first divisor in G, see _remainder
     alive = {}  # (i, j) -> exponent form of the lcm

@@ -410,10 +410,10 @@ def closings(monkeypatch):
     runs = []
     run = groebner._run
 
-    def spy(pk, starts, budget, trace, t0, filtered):
-        if not filtered and trace.pairs_mod_p:
+    def spy(pk, starts, budget, trace, t0, filtering):
+        if not filtering and trace.pairs_mod_p:
             runs.append(trace.pairs_processed)
-        return run(pk, starts, budget, trace, t0, filtered)
+        return run(pk, starts, budget, trace, t0, filtering)
 
     monkeypatch.setattr(groebner, "_run", spy)
     return runs
