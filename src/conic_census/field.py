@@ -27,6 +27,7 @@ not divide (mod_p).
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 _N = 8
 _ZERO8 = (0,) * _N
@@ -55,6 +56,8 @@ _SIGNS = tuple(
     tuple(-1 if bin(t & j).count("1") & 1 else 1 for j in range(_N))
     for t in range(_N)
 )
+# _FLIPPED[t] = mask of the basis elements that automorphism t negates
+_FLIPPED = tuple(sum(1 << j for j in range(_N) if _SIGNS[t][j] < 0) for t in range(_N))
 
 _SYM = ("", "i", "s2", "i*s2", "s5", "i*s5", "s10", "i*s10")
 
@@ -243,12 +246,9 @@ class KElem:
 
     def galois(self, t):
         """Image under the automorphism flipping generators per bits of t (0..7)."""
-        if t == 0:
+        if not self.mask & _FLIPPED[t]:  # no coordinate changes sign: fixed
             return self
-        signs = _SIGNS[t]
-        return KElem(
-            tuple(s * n for s, n in zip(signs, self.num)), self.den, self.mask
-        )
+        return KElem(tuple(map(mul, _SIGNS[t], self.num)), self.den, self.mask)
 
     # -- display -------------------------------------------------------------
 

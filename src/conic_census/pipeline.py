@@ -140,15 +140,53 @@ def _coplanar_on_surface(group):
 
 def _conics_valid(conics):
     """(every conic is irreducible and on the surface, checked one plane at a
-    time; every plane holds two mutual residuals, or None if not all valid)."""
-    if not all(c.is_irreducible() for c in conics):
-        return False, None
+    time; every plane holds two mutual residuals, or None if not all valid).
+
+    The planes whose group is not two conics come first (a stable sort), so
+    a damaged plane is found before the pairs.  A group is checked by the
+    irreducibility of its conics and _coplanar_on_surface, unless it is the
+    conjugate of a group already checked under an automorphism sigma_t of K
+    (KElem.galois(t), t = 1..7, acting coefficient-wise) that fixes every
+    coefficient of the surface f: the same number of conics, and the same
+    canonical coefficient tuples as a set.  Such a group passes with the
+    verdict of the group it is conjugate to.  This is exact:
+
+    - sigma fixes f, so sigma maps V(f) to itself;
+    - the canonical form (geometry._canonical) uses only field operations
+      and zero tests, so sigma of a canonical record is the canonical
+      record of the conjugate conic, with the same pivot and lead;
+    - 4 det of the conjugate quadric is sigma(4 det), so irreducibility
+      transfers;
+    - f|plane = lam * Q_a * Q_b gives f|sigma(plane) = sigma(lam) * Q_sigma(a)
+      * Q_sigma(b), so lying on the surface and being mutual residuals both
+      transfer.
+
+    An equal plane alone is not enough: a group on a conjugate plane whose
+    conics differ is checked itself.  On the census, which K's eight
+    automorphisms permute, 160 of the 400 planes are checked.
+    """
+    f = _surface()
+    ts = [t for t in range(1, 8) if all(x.galois(t) == x for x in f.terms.values())]
+    conjugates = {}  # sigma_t(plane of a checked group g) -> (t, g, g's pairing)
     paired = True
-    for g in _by_plane(conics).values():
+    for g in sorted(_by_plane(conics).values(), key=lambda group: len(group) == 2):
+        plane = g[0].coeffs[10:]
+        known = conjugates.get(plane)
+        if known is not None:
+            t, h, pair = known
+            if len(g) == len(h) and {c.coeffs for c in g} == {
+                tuple(x.galois(t) for x in c.coeffs) for c in h
+            }:
+                paired = paired and pair
+                continue
+        if not all(c.is_irreducible() for c in g):
+            return False, None
         on, pair = _coplanar_on_surface(g)
         if not on:
             return False, None
         paired = paired and pair
+        for t in ts:
+            conjugates.setdefault(tuple(x.galois(t) for x in plane), (t, g, pair))
     return True, paired
 
 
@@ -289,22 +327,23 @@ def plane_census(cert, paired=None):
     """Group the certified conics by their plane and check the pairing.
 
     Every plane must carry exactly two conics that are mutual residuals,
-    shown by one section, one division and one residual per plane (a's
-    residual compared with b, _coplanar_on_surface), or given as paired by a
-    caller that has the verdict from _conics_valid.  For the full census
-    this means 400 planes; the support histogram (number of nonzero plane
-    coefficients) is reported alongside.
+    given as paired by a caller that has the verdict from _conics_valid, or
+    else shown by one section, one division and one residual per plane (a's
+    residual compared with b, _coplanar_on_surface), a walk made only when
+    every plane carries two conics.  For the full census this means 400
+    planes; the support histogram (number of nonzero plane coefficients) is
+    reported alongside.
     """
     rep = Report("plane census")
     conics = cert.conics
     groups = _by_plane(conics)
-    rep.add(
+    two = rep.add(
         "every plane carries two conics",
         all(len(g) == 2 for g in groups.values()),
         f"{len(groups)} planes, {len(conics)} conics",
     )
     if paired is None:
-        paired = all(_coplanar_on_surface(g)[1] for g in groups.values())
+        paired = two and all(_coplanar_on_surface(g)[1] for g in groups.values())
     rep.add("coplanar conics are mutual residuals", paired)
     if len(conics) == catalog.CENSUS_SIZE:
         rep.add("plane count", len(groups) == catalog.PLANE_COUNT, f"{len(groups)}")
@@ -838,15 +877,18 @@ def verify_certificate(source):
     """Re-verify a certificate file from its contents alone.
 
     Checks canonical parsing (done by the reader), irreducibility and
-    surface containment of every conic (one plane section per plane: the
-    residual of one conic of a plane is compared with the other, see
-    _coplanar_on_surface), agreement of the declared orbit
-    counts with the labels and of the declared stabilizer orders with the
-    catalog (compared, not recomputed), and, for a full census, the plane
-    pairing and seed/generator metadata.  The group-action spot check acts
-    with a fixed sample of 32 (conic, generator) pairs, conic k*n//32 with
-    generator k mod len(generators) for k < 32, so re-running on an
-    unmodified file is deterministic.
+    surface containment of every conic (_conics_valid: one plane section
+    per Galois class of planes, 160 for the census, where the residual of
+    one conic of a plane is compared with the other, see
+    _coplanar_on_surface, and a group conjugate to a checked one under an
+    automorphism of K that fixes the surface passes with its verdict),
+    agreement of the declared orbit counts with the labels and of the
+    declared stabilizer orders with the catalog (compared, not
+    recomputed), and, for a full census, the plane pairing and
+    seed/generator metadata.  The group-action spot check acts with a fixed
+    sample of 32 (conic, generator) pairs, conic k*n//32 with generator
+    k mod len(generators) for k < 32, so re-running on an unmodified file
+    is deterministic.
     """
     cert = source if isinstance(source, ConicCertificate) else read_certificate(source)
     rep = Report("certificate verification")

@@ -418,10 +418,11 @@ def test_verify_sections_and_parses_each_once(census, fresh_plane_records, monke
         assert len(texts) == len(records) + meta
     texts.clear()
     pipeline.verify_certificate(cert)
-    # one section per plane: a pair's second conic follows from the division
-    assert len(sections) == len(cert.conics) // 2 == 400
-    # one residual conic per plane, shared by the surface and pairing checks
-    assert len(built) == 400
+    # one section per Galois class of planes: a pair's second conic follows
+    # from the division, and the conjugate planes from the automorphisms of K
+    assert len(sections) == 160
+    # one residual conic per class, shared by the surface and pairing checks
+    assert len(built) == 160
     assert texts == []  # the generator and seed lines are not parsed again
 
 
@@ -499,6 +500,132 @@ def test_verify_checks_match_the_per_conic_path(census, monkeypatch, edit):
     assert ("all conics irreducible and on the surface" in failed) == (edit != "three_on_a_plane")
     assert ("every plane carries two conics" in failed) == (edit != "off_surface")
     assert "coplanar conics are mutual residuals" in failed
+
+
+# -- Galois transfer: a group conjugate to a checked one is not checked again --
+
+
+def _conjugate(c, t):
+    return tuple(x.galois(t) for x in c.coeffs)
+
+
+def _plane_classes(planes, ts):
+    """The orbits of planes under the automorphisms ts of K (a group with 0)."""
+    return {frozenset(tuple(x.galois(t) for x in b) for t in ts) for b in planes}
+
+
+def test_galois_conjugate_of_a_canonical_record_is_canonical(census_conics):
+    # the premise of the transfer: sigma commutes with canonicalisation, so
+    # the census is closed under the eight automorphisms of K
+    census = set(census_conics)
+    for c in census_conics:
+        for t in range(1, 8):
+            image = Conic.from_coeffs(list(_conjugate(c, t)))
+            assert image.coeffs == _conjugate(c, t)
+            assert image.pivot == c.pivot
+            assert image in census
+    classes = _plane_classes({c.coeffs[10:] for c in census_conics}, range(8))
+    sizes = [len(k) for k in classes]
+    assert (len(classes), sizes.count(1), sizes.count(2), sizes.count(4)) == (160, 16, 96, 48)
+
+
+def _count_sections(monkeypatch):
+    sections = []
+    section = geometry._section
+    monkeypatch.setattr(geometry, "_section", lambda *args: sections.append(1) or section(*args))
+    return sections
+
+
+def _spy_checked_groups(monkeypatch):
+    """The groups _conics_valid checks itself, in order."""
+    checked = []
+    coplanar = pipeline._coplanar_on_surface
+    monkeypatch.setattr(
+        pipeline, "_coplanar_on_surface", lambda g: checked.append(list(g)) or coplanar(g)
+    )
+    return checked
+
+
+def test_census_checks_one_group_per_galois_class(census_conics, monkeypatch):
+    checked = _spy_checked_groups(monkeypatch)
+    assert pipeline._conics_valid(census_conics) == (True, True)
+    # 400 planes, 160 classes: 240 groups pass as conjugates of checked ones
+    assert len(checked) == 160
+    assert len(pipeline._by_plane(census_conics)) - len(checked) == 240
+    planes = [g[0].coeffs[10:] for g in checked]
+    assert len(_plane_classes(planes, range(8))) == 160
+
+
+def test_surface_fixed_by_fewer_automorphisms_transfers_less(fresh_plane_records, monkeypatch):
+    # every quartic through the census is a multiple of the surface; i*f has
+    # coefficients fixed only by the automorphisms that fix i (t even)
+    f = catalog.surface()
+    i = KElem.from_text("0,1,0,0,0,0,0,0")
+    monkeypatch.setattr(pipeline, "_surface", lambda: f * i)
+    sections = _count_sections(monkeypatch)
+    cert = read_certificate(CENSUS800)
+    rep = pipeline.verify_certificate(cert)
+    assert rep.ok
+    classes = _plane_classes({c.coeffs[10:] for c in cert.conics}, (0, 2, 4, 6))
+    assert len(sections) == len(classes) == 280
+
+
+def test_damaged_conjugate_group_is_checked_itself(monkeypatch):
+    cert = read_certificate(CENSUS800)
+    entries = list(cert.entries)
+    # the first plane whose Galois class holds an earlier plane: its group
+    # would pass as the conjugate of that plane's group
+    seen = set()
+    for k, (_, c) in enumerate(entries):
+        plane = c.coeffs[10:]
+        if plane not in seen and any(_conjugate(c, t)[10:] in seen for t in range(1, 8)):
+            break
+        seen.add(plane)
+    label, c = entries[k]
+    damaged = _off_surface(c)
+    assert damaged.coeffs[10:] == c.coeffs[10:]
+    entries[k] = (label, damaged)
+    bad = make_certificate(cert.kind, entries, cert.meta)
+
+    def checks():
+        with pytest.raises(VerificationFailed) as err:
+            pipeline.verify_certificate(bad)
+        return err.value.report.checks
+
+    checked = _spy_checked_groups(monkeypatch)
+    got = checks()
+    assert any(damaged in g for g in checked)  # divided, not transferred
+    failed = [name for name, ok, _ in got if not ok]
+    assert failed[0] == "all conics irreducible and on the surface"
+    # the oracle: no automorphism fixes (i + s2 + s5) * f, and a section per conic
+    f = catalog.surface()
+    monkeypatch.setattr(pipeline, "_surface", lambda: f * KElem.from_text("0,1,1,0,1,0,0,0"))
+    monkeypatch.setattr(pipeline, "_coplanar_on_surface", _per_conic_on_surface)
+    assert got == checks()
+
+
+def test_damaged_planes_are_checked_first(fresh_plane_records, monkeypatch):
+    # the last record whose move leaves the census moved to a plane of its
+    # own: its plane and its former partner's are the only groups not of
+    # two, so they are checked first and the pairing walk is skipped
+    cert = read_certificate(CENSUS800)
+    entries = list(cert.entries)
+    census = cert.keys()
+    k = next(k for k in reversed(range(len(entries))) if _moved(entries[k][1]) not in census)
+    assert k > 700
+    label, c = entries[k]
+    entries[k] = (label, _moved(c))
+    bad = make_certificate(cert.kind, entries, cert.meta)
+    sections = _count_sections(monkeypatch)
+    with pytest.raises(VerificationFailed) as err:
+        pipeline.verify_certificate(bad)
+    assert len(sections) <= 2
+    failed = {name for name, ok, _ in err.value.report.checks if not ok}
+    assert {
+        "all conics irreducible and on the surface",
+        "every plane carries two conics",
+        "coplanar conics are mutual residuals",
+    } <= failed
 
 
 def test_orbit_census_report_lines(census):
