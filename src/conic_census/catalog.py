@@ -180,26 +180,27 @@ def degeneration_factors():
     return [[-1, -2, 1], [-1, 2, 1], [1, 0, 3, 0, 1], [5, 0, 6, 0, 5]]
 
 
+def _uni_product(factors):
+    """The product in XRING of coefficient lists (low to high)."""
+    p = XRING.one
+    for cs in factors:
+        p = p * poly_from_uni(XRING, 0, [kelem(c) for c in cs])
+    return p
+
+
 def degeneration_polynomial():
     """g(x): the monic squarefree polynomial of singular fiber parameters."""
-    p = XRING.one
-    for cs in degeneration_factors():
-        p = p * poly_from_uni(XRING, 0, [kelem(c) for c in cs])
-    return p.monic()
+    return _uni_product(degeneration_factors()).monic()
 
 
 def nodal_parameter_polynomial():
     """(x^2 - 2x - 1)(x^2 + 2x - 1): parameters of the nodal fibers."""
-    a = poly_from_uni(XRING, 0, [kelem(-1), kelem(-2), kelem(1)])
-    b = poly_from_uni(XRING, 0, [kelem(-1), kelem(2), kelem(1)])
-    return a * b
+    return _uni_product(degeneration_factors()[:2])
 
 
 def split_parameter_polynomial():
     """(x^4 + 3x^2 + 1)(5x^4 + 6x^2 + 5): parameters of the split fibers."""
-    a = poly_from_uni(XRING, 0, [kelem(c) for c in (1, 0, 3, 0, 1)])
-    b = poly_from_uni(XRING, 0, [kelem(c) for c in (5, 0, 6, 0, 5)])
-    return a * b
+    return _uni_product(degeneration_factors()[2:])
 
 
 def nodal_parameters():

@@ -493,15 +493,3 @@ def singular_charts(f, n):
     for j in range(n):
         yield j, [e for e in (specialize(p, {j: K1}) for p in system) if e]
 
-
-def hypersurface_smooth(f, budget=None):
-    """Whether the projective hypersurface V(f) is smooth.
-
-    Chart by chart, checks that f and its partials generate the unit ideal.
-    """
-    from .groebner import buchberger
-
-    return all(
-        eqs and buchberger(eqs, budget=budget).is_trivial()
-        for _, eqs in singular_charts(f, f.ring.n)
-    )

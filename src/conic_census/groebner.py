@@ -825,31 +825,22 @@ def restore_inlined(point_map, subs):
 
 
 @dataclass
-class Obstruction:
-    """A univariate factor outside the solving repertoire."""
-
-    var: str
-    poly_text: str
-    degree: int
-    assignment: dict
-
-
-@dataclass
 class SolveResult:
     points: list
-    obstructions: list
+    unresolved: list  # monic coefficient lists the solver could not split
 
     @property
     def complete(self):
-        return not self.obstructions
+        return not self.unresolved
 
 
-def _uni_roots(cs, hints, obstructions, var_name, named):
+def _uni_roots(cs, hints, unresolved):
     """K-rational roots of the coefficient list cs (made squarefree first).
 
     Degree 1 and 2 are solved directly, degree 4 when biquadratic; otherwise
-    exact division by hint factors is attempted.  Unresolved factors are
-    recorded as obstructions at the assignment named(), never dropped.
+    exact division by hint factors is attempted.  Each monic factor none of
+    these splits is appended to unresolved, never dropped.  The factors are
+    coprime parts of one squarefree list, so the roots are distinct.
     """
     cs = uni_squarefree(cs)
     if len(cs) <= 1:
@@ -873,31 +864,25 @@ def _uni_roots(cs, hints, obstructions, var_name, named):
             a, b, c = f[2], f[1], f[0]
             s = sqrt_in_k(b * b - 4 * a * c)
             if s is None:
-                obstructions.append(
-                    Obstruction(var_name, _uni_text(f, var_name), 2, named())
-                )
+                unresolved.append(f)
                 continue
             roots.append((-b + s) / (2 * a))
             if s:
                 roots.append((-b - s) / (2 * a))
             continue
         if d == 4 and not f[1] and not f[3]:
-            # Biquadratic: solve for y = x^2, then take K-square roots.
-            for y in _uni_roots([f[0], f[2], f[4]], (), obstructions, var_name + "^2", named):
+            # Biquadratic: solve for y = x^2, then take K-square roots.  The
+            # squarefree quadratic in y has both roots in K or neither, and
+            # no root 0 as f[0] != 0.
+            ys = _uni_roots([f[0], f[2], f[4]], (), [])
+            if not ys:
+                unresolved.append(f)
+            for y in ys:
                 x = sqrt_in_k(y)
                 if x is None:
-                    obstructions.append(
-                        Obstruction(
-                            var_name,
-                            f"{var_name}^2 - ({y})",
-                            2,
-                            named(),
-                        )
-                    )
+                    unresolved.append([-y, K0, K1])
                 else:
-                    roots.append(x)
-                    if x:
-                        roots.append(-x)
+                    roots += [x, -x]
             continue
         split = False
         for h in hints:
@@ -910,25 +895,8 @@ def _uni_roots(cs, hints, obstructions, var_name, named):
                     split = True
                     break
         if not split:
-            obstructions.append(
-                Obstruction(var_name, _uni_text(f, var_name), d, named())
-            )
-    # Deduplicate (squarefree input makes duplicates impossible in exact runs).
-    uniq = []
-    for r in roots:
-        if r not in uniq:
-            uniq.append(r)
-    return uniq
-
-
-def _uni_text(cs, var):
-    parts = []
-    for e in range(len(cs) - 1, -1, -1):
-        if cs[e]:
-            mono = "" if e == 0 else (var if e == 1 else f"{var}^{e}")
-            ctext = str(cs[e])
-            parts.append(f"({ctext})*{mono}" if mono else f"({ctext})")
-    return " + ".join(parts) if parts else "0"
+            unresolved.append(f)
+    return roots
 
 
 def solve_zero_dim(G, hints=()):
@@ -937,8 +905,8 @@ def solve_zero_dim(G, hints=()):
     Back-substitutes through the triangular structure of the lex basis.
     hints is an optional list of univariate coefficient lists used to split
     factors outside the direct repertoire (degree 1, 2, biquadratic 4).
-    Returns a SolveResult; obstructions name any factor the repertoire could
-    not resolve, so points are never silently dropped.
+    Returns a SolveResult; its unresolved lists every univariate factor the
+    repertoire could not split, so points are never silently dropped.
     """
     ring = G.ring
     if ring.order.kind != "lex":
@@ -948,7 +916,7 @@ def solve_zero_dim(G, hints=()):
     _pure_power_bounds(G)  # raises NotZeroDimensional when not finite
     n = ring.n
     powers = {}  # value -> its power table, shared by every substitution
-    obstructions = []
+    unresolved = []
     points = []
 
     def rec(level, assignment, polys):
@@ -974,8 +942,7 @@ def solve_zero_dim(G, hints=()):
                     f"variable {ring.names[vi]} unconstrained on a branch"
                 )
             return  # gcd = 1: no common root on this branch
-        named = lambda: {ring.names[j]: str(v) for j, v in assignment.items()}
-        for r in _uni_roots(g, hints, obstructions, ring.names[vi], named):
+        for r in _uni_roots(g, hints, unresolved):
             assignment[vi] = r
             rec(level + 1, assignment, [
                 (low, specialize(h, {vi: r}, powers=powers) if h.degree_in(vi) > 0 else h)
@@ -986,4 +953,4 @@ def solve_zero_dim(G, hints=()):
     rec(0, {}, [(min(g.variables()), g) for g in G.polys])
     # Deterministic output order by textual form.
     points.sort(key=lambda pt: tuple(v.to_text() for v in pt))
-    return SolveResult(points, obstructions)
+    return SolveResult(points, unresolved)

@@ -31,20 +31,21 @@ conic_closure is the one BFS over conics: it closes seed conics under the
 generators and records, with each image it computes, that image's position
 in the closed list.  So each generator is also a permutation of the list
 positions; orbit_of_conic is a view of the closure.  label_orbits runs the
-same BFS from one conic but stops at the first image whose label is known,
-so labelling a few conics by their orbits costs far fewer actions than
-closing every orbit.  Both stop at an explicit bound on the conics they
-list.
+same loop from one conic, with a stop set, its known labels: the BFS ends
+at the first image in it, so labelling a few conics by their orbits costs
+far fewer actions than closing every orbit.  The loop stops at an explicit
+bound on the conics it lists.
 
-Both conic BFSs act once per involution edge.  A generator g whose square
-is a scalar lambda*I (all four census and all four Kummer generators) acts
-on conics, and so on list positions, as an involution: an edge c -g-> c'
-also gives c' -g-> c.  Each BFS takes every generator's square once per
-call, one 4x4 product, and never computes such a reverse edge: the closure
-records its move, and the label search skips it (its image is already seen
-and has no label).  A skipped edge finds nothing new, so every list, move
-and label is the one the plain BFS gives, in the same order.  A generator
-whose square is not scalar keeps every action.
+The BFS acts once per involution edge.  A generator g whose square is a
+scalar lambda*I (all four census and all four Kummer generators) acts on
+conics, and so on list positions, as an involution: an edge c -g-> c' also
+gives c' -g-> c.  The BFS takes every generator's square once per call of
+conic_closure or label_orbits, one 4x4 product, records the reverse move
+with each edge it computes, and never acts on a conic whose move is
+already recorded.  A skipped edge finds nothing new, and its image is
+already listed, so not in the stop set, so every list, move and label is
+the one the plain BFS gives, in the same order.  A generator whose square
+is not scalar keeps every action.
 
 Stabilizers and the kernel of the action are counted on the classes of
 projective_classes.  The scalar matrices of a group make up the identity's
@@ -276,16 +277,48 @@ def fixing_classes(classes, conics):
     return [m for m in classes if all(fixes_conic(m, c) for c in conics)]
 
 
-def _square_scalars(gens):
-    """For each generator g, lambda when g*g = lambda*I with lambda nonzero,
-    else None: one 4x4 product per generator."""
+def _involutions(gens):
+    """For each generator g, whether g*g is a nonzero scalar matrix, so g
+    acts on conics as an involution: one 4x4 product per generator."""
     out = []
     for g in gens:
         sq = (g * g).key
         lam = sq[0]
-        scalar = lam and all(x == (lam if k % 5 == 0 else K0) for k, x in enumerate(sq))
-        out.append(lam if scalar else None)
+        out.append(bool(lam) and all(x == (lam if k % 5 == 0 else K0) for k, x in enumerate(sq)))
     return out
+
+
+def _closure(gens, involutions, seeds, max_size, stop):
+    """(conics, moves, hit): the BFS of conic_closure, ended at hit, the first
+    image in stop, or with hit None when no image is in stop; only then is
+    each move dict full."""
+    moves = [{} for _ in gens]
+    edges = list(zip(gens, involutions, moves))
+    index = {}  # conic -> position; a new conic gets the next one
+    conics = []
+    done = 0
+    for seed in seeds:
+        if index.setdefault(seed, len(conics)) == len(conics):
+            conics.append(seed)
+        while done < len(conics):
+            for g, involution, move in edges:
+                if done in move:  # the reverse of an involution's edge
+                    continue
+                image = act_on_conic(g, conics[done])
+                if image in stop:
+                    return conics, moves, image
+                j = index.setdefault(image, len(conics))
+                if j == len(conics):
+                    conics.append(image)
+                    if len(conics) > max_size:
+                        raise ResourceBudgetExceeded(
+                            f"conic closure exceeded {max_size} conics"
+                        )
+                move[done] = j
+                if involution:
+                    move[j] = done
+            done += 1
+    return conics, moves, None
 
 
 def conic_closure(gens, seeds, max_size=100000):
@@ -303,81 +336,31 @@ def conic_closure(gens, seeds, max_size=100000):
     Raises ResourceBudgetExceeded when the closure passes max_size conics,
     as it does under a generator of infinite order.
     """
-    edges = [(g, lam is not None, {}) for g, lam in zip(gens, _square_scalars(gens))]
-    index = {}  # conic -> position; a new conic gets the next one
-    conics = []
-    done = 0
-    for seed in seeds:
-        if index.setdefault(seed, len(conics)) == len(conics):
-            conics.append(seed)
-        while done < len(conics):
-            for g, involution, move in edges:
-                if done in move:  # the reverse of an involution's edge
-                    continue
-                image = act_on_conic(g, conics[done])
-                j = index.setdefault(image, len(conics))
-                if j == len(conics):
-                    conics.append(image)
-                    if len(conics) > max_size:
-                        raise ResourceBudgetExceeded(
-                            f"conic closure exceeded {max_size} conics"
-                        )
-                move[done] = j
-                if involution:
-                    move[j] = done
-            done += 1
+    conics, moves, _ = _closure(gens, _involutions(gens), seeds, max_size, {})
     positions = range(len(conics))
-    return conics, [tuple(map(move.__getitem__, positions)) for _, _, move in edges]
-
-
-def _orbit_search(edges, conic, labels, max_size):
-    """(visited, label): a BFS from conic under the generators of edges, up
-    to the first image in labels, and that image's label; None when the
-    orbit holds none.  edges holds (g, involution) pairs; the reverse of an
-    involution's edge is not acted on."""
-    visited = [conic]
-    seen = {conic: 0}  # conic -> position in visited
-    known = [set() for _ in edges]  # positions whose image under g is seen
-    for i, c in enumerate(visited):
-        for (g, involution), skip in zip(edges, known):
-            if i in skip:
-                continue
-            image = act_on_conic(g, c)
-            if image in labels:
-                return visited, labels[image]
-            j = seen.setdefault(image, len(visited))
-            if j == len(visited):
-                visited.append(image)
-                if len(visited) > max_size:
-                    raise ResourceBudgetExceeded(
-                        f"orbit search exceeded {max_size} conics"
-                    )
-            if involution:
-                skip.add(j)
-    return visited, None
+    return conics, [tuple(map(move.__getitem__, positions)) for move in moves]
 
 
 def label_orbits(gens, conics, labels, max_size=100000):
     """Extend labels, a dict conic -> orbit label, to every one of conics.
 
-    Each conic not yet in labels starts a BFS under gens, one action per
-    generator and visited conic but none on the reverse of an involution's
-    edge (see the module docstring), that stops at the first image already
-    in labels.  Every conic it visited lies in that image's orbit, so each
-    gets that image's label.  A BFS that closes its orbit without meeting a
-    labelled conic gives every conic of the orbit the label None, so a later
-    search that meets one stops there too.  The generators' squares are
-    taken once per call, before the first search.  Raises
-    ResourceBudgetExceeded when one search lists more than max_size conics;
-    that search records no label.  Returns labels.
+    Each conic not yet in labels starts the BFS of conic_closure from that
+    conic alone, which stops at the first image already in labels.  Every
+    conic it listed lies in that image's orbit, so each gets that image's
+    label.  A BFS that closes its orbit without meeting a labelled conic
+    gives every conic of the orbit the label None, so a later search that
+    meets one stops there too.  The generators' squares are taken once per
+    call, before the first search.  Raises ResourceBudgetExceeded when one
+    search lists more than max_size conics; that search records no label.
+    Returns labels.
     """
-    edges = None
+    involutions = None
     for conic in conics:
         if conic not in labels:
-            if edges is None:
-                edges = [(g, lam is not None) for g, lam in zip(gens, _square_scalars(gens))]
-            visited, label = _orbit_search(edges, conic, labels, max_size)
-            labels.update(dict.fromkeys(visited, label))
+            if involutions is None:
+                involutions = _involutions(gens)
+            visited, _, hit = _closure(gens, involutions, [conic], max_size, labels)
+            labels.update(dict.fromkeys(visited, None if hit is None else labels[hit]))
     return labels
 
 

@@ -22,8 +22,8 @@ from .certificates import (
     write_certificate,
 )
 from .errors import NonPrincipal, VerificationFailed
-from .field import KElem, ONE, ZERO, kelem
-from .geometry import Conic, hypersurface_smooth, intersection_number, singular_charts
+from .field import ONE, ZERO, kelem
+from .geometry import Conic, intersection_number, singular_charts
 from .groebner import (
     buchberger,
     elimination_ideal,
@@ -464,7 +464,6 @@ def verify_components(components=None, budget=None):
 class FiberFactorization:
     """Outcome of factoring one fiber of the conic pencil."""
 
-    alpha: KElem
     kind: str  # "split", "nodal", or "smooth"
     conics: tuple = ()
 
@@ -493,11 +492,11 @@ def factor_fiber(alpha, budget=None):
     alpha = kelem(alpha)
     g2 = catalog.split_parameter_polynomial().evaluate([alpha])
     if not g2:
-        return FiberFactorization(alpha, "split", _split_fiber_conics(alpha, budget))
+        return FiberFactorization("split", _split_fiber_conics(alpha, budget))
     g1 = catalog.nodal_parameter_polynomial().evaluate([alpha])
     if not g1:
-        return FiberFactorization(alpha, "nodal")
-    return FiberFactorization(alpha, "smooth")
+        return FiberFactorization("nodal")
+    return FiberFactorization("smooth")
 
 
 def analyze_nodal_fiber(alpha, budget=None):
@@ -618,6 +617,17 @@ def _solution_conics(case, system, points):
         values = {ring.names[i]: v for i, v in full.items()}
         conics.append(Conic(*catalog.conic_from_solution(case, values)))
     return conics
+
+
+def hypersurface_smooth(f, budget=None):
+    """Whether the projective hypersurface V(f) is smooth.
+
+    Chart by chart, checks that f and its partials generate the unit ideal.
+    """
+    return all(
+        eqs and buchberger(eqs, budget=budget).is_trivial()
+        for _, eqs in singular_charts(f, f.ring.n)
+    )
 
 
 def enumerate_case(case, budget=None, census=None):

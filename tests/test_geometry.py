@@ -10,13 +10,9 @@ from conic_census import geometry
 from conic_census import group
 from conic_census.errors import CommonComponent, DegenerateConic, NotOnSurface
 from conic_census.field import I, ONE, SQRT2, SQRT10, ZERO, dot, kelem
-from conic_census.geometry import (
-    Conic,
-    ZRING,
-    hypersurface_smooth,
-    intersection_number,
-)
+from conic_census.geometry import Conic, ZRING, intersection_number
 from conic_census.linalg import mat_det
+from conic_census.pipeline import hypersurface_smooth
 from conic_census.poly import Poly, PolyRing, dense_monomials
 from oracles import divide_exact
 

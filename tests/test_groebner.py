@@ -193,10 +193,19 @@ def test_solve_zero_dim_obstruction():
     x, y = drl.gens()
     sol = solve_zero_dim(fglm(buchberger([x**2 - 3, y])))
     assert not sol.complete
-    assert sol.obstructions
-    ob = sol.obstructions[0]
-    assert ob.var == "x"
-    assert ob.degree == 2
+    assert sol.points == []
+    assert sol.unresolved == [[kelem(-3), ZERO, ONE]]
+
+
+def test_solve_zero_dim_partly_split_biquadratic():
+    # x^4 - 5x^2 + 6 = (x^2 - 2)(x^2 - 3): the roots +-s2 are found and the
+    # factor x^2 - 3 is left unresolved
+    ring = PolyRing(("x",), LEX)
+    x, = ring.gens()
+    sol = solve_zero_dim(buchberger([x**4 - 5 * x**2 + 6]))
+    assert not sol.complete
+    assert sorted(str(pt[0]) for pt in sol.points) == ["-s2", "s2"]
+    assert sol.unresolved == [[kelem(-3), ZERO, ONE]]
 
 
 def test_solve_zero_dim_biquadratic():

@@ -475,13 +475,13 @@ def test_closure_and_search_stop_at_their_cap(monkeypatch):
     c1, c2, c3 = catalog.seed_conics()
     conic = next(c for c in (c1, c2, c3) if act_on_conic(doubling, c) != c)
     calls = _capped(monkeypatch, 1000)
-    with pytest.raises(ResourceBudgetExceeded, match="exceeded 50 conics"):
+    with pytest.raises(ResourceBudgetExceeded, match="conic closure exceeded 50 conics"):
         conic_closure([doubling], [conic], max_size=50)
     assert len(calls) == 50
     labels = {c: "C" for c in (c1, c2, c3) if c != conic}
     before = dict(labels)
     del calls[:]
-    with pytest.raises(ResourceBudgetExceeded, match="exceeded 50 conics"):
+    with pytest.raises(ResourceBudgetExceeded, match="conic closure exceeded 50 conics"):
         label_orbits([doubling], [conic], labels, max_size=50)
     assert len(calls) == 50
     assert labels == before  # the stopped search recorded no label

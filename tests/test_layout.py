@@ -1,11 +1,14 @@
-"""The package holds only code the program runs: every def has a caller.
+"""The package holds only code the program runs: every def has a caller,
+and every dataclass field a reader.
 
 A function or class defined in src/conic_census counts as called when its
 name appears in some module of the package as a name, an attribute or an
 imported alias, its own definition aside.  A method counts as called only
 through an attribute or a class-body alias (__radd__ = __add__): a local
 variable of the same name calls nothing.  Code that only tests or tools use
-belongs in tests/ or tools/.
+belongs in tests/ or tools/.  A field of a @dataclass counts as read when
+some module of the package loads it as an attribute (x.name): a field that
+is only set holds nothing the program reads.
 """
 
 import ast
@@ -83,3 +86,40 @@ def test_every_def_in_the_package_has_a_caller():
     # an allowed name that is deleted, or gains a caller, leaves the list
     assert ALLOWED <= {name for _, name, _, _ in defined}
     assert not ALLOWED & used
+
+
+def _fields(trees):
+    """(module, class, field, line) of every annotated field of a @dataclass."""
+
+    def is_dataclass(node):
+        return any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        )
+
+    return {
+        (module, node.name, stmt.target.id, stmt.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+    }
+
+
+def test_every_dataclass_field_in_the_package_is_read():
+    trees = _trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = _fields(trees)
+    assert ("groebner.py", "SolveResult", "points") in {f[:3] for f in fields}
+    unread = sorted(
+        f"{module}:{line} {cls}.{name}"
+        for module, cls, name, line in fields
+        if name not in read
+    )
+    assert unread == []
