@@ -312,29 +312,27 @@ def ansatz_equations(case):
     return ring, tuple(e for e in eqs if e)
 
 
-def gauge_fixed_system(case, a=None):
+def gauge_fixed_system(case):
     """The ansatz system with the scale fixed by a4 = 1, linear part inlined.
 
-    The full system contains a4*b4 - 1, so a4 is a unit on every solution and
-    each unordered factorization {cA, cB} of the plane section appears as
-    exactly two gauge-fixed solutions (one per choice of cA).  Given `a`,
-    the plane parameter a is fixed to that value too, so the system solves
-    the single plane it names (case iii: the plane z2 + a*z3, which is the
-    pencil fiber at t = -a); otherwise the case parameters are protected
-    from inlining.  Returns (polys, ring, var_map, substitutions,
-    outer_ring) where var_map maps outer ring indices to the compressed ring
-    and substitutions restore the fixed and the inlined variables.
+    In cases ii and iii the system contains a4*b4 - 1, so a4 is a unit on
+    every solution and each unordered factorization {cA, cB} of the plane
+    section appears as exactly two gauge-fixed solutions (one per choice of
+    cA).  In case i it contains a4*b4 - (c^4 - 6c^2 + 1) instead: on the
+    planes with c = +-1 +- sqrt 2 one of a4, b4 is zero, and a conic with
+    a4 = 0 has no gauge-fixed solution, so a factorization there appears
+    once or not at all (the missing sub-case is ROADMAP item 3).  The case
+    parameters are protected from inlining.  Returns (polys, ring, var_map,
+    substitutions, outer_ring) where var_map maps outer ring indices to the
+    compressed ring and substitutions restore a4 and the inlined variables.
     """
     ring, eqs = ansatz_equations(case)
-    fixed = {ring.index("a4"): K1}
-    if a is not None:
-        fixed[ring.index("a")] = kelem(a)
-    eqs = [e for e in (specialize(e, fixed) for e in eqs) if e]
-    protect = {ring.index(nm) for nm in CASE_PARAMS[case]} - set(fixed)
+    a4 = ring.index("a4")
+    eqs = [e for e in (specialize(e, {a4: K1}) for e in eqs) if e]
+    protect = {ring.index(nm) for nm in CASE_PARAMS[case]}
     red, subs = inline_linear(eqs, protect=protect)
     polys, cring, vmap = compress_variables(red, extra_keep=sorted(protect))
-    subs = [(i, ring.const(v)) for i, v in fixed.items()] + subs
-    return polys, cring, vmap, subs, ring
+    return polys, cring, vmap, [(a4, ring.const(K1))] + subs, ring
 
 
 def conic_from_solution(case, values):

@@ -98,9 +98,9 @@ from .poly import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Budget:
-    """Resource caps for a Buchberger run."""
+    """Resource caps for a Buchberger run; frozen, so it keys a cache."""
 
     max_pairs: int = 20000
     max_basis: int = 600

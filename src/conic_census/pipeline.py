@@ -374,21 +374,20 @@ def plane_census(cert, paired=None):
 # -- singular fibers of the conic pencil -------------------------------------
 
 
-def singular_parameter_locus(fam=None, budget=None):
+@functools.lru_cache(maxsize=2)
+def singular_parameter_locus(budget=None):
     """Monic squarefree generator of the singular-parameter ideal.
 
-    The family is a quartic in K[z0, z1, z3, t] with t the parameter.  On
-    each affine chart z_j = 1 the singular locus (family plus its three
-    section partials, geometry.singular_charts) is eliminated down to t;
-    the locus is the squarefree part of the product of the chart results,
-    since rad(lcm(a, b)) = rad(a * b).  A chart in the unit ideal gives 1.
-    Raises NonPrincipal if an elimination ideal needs more than one
-    generator.  The catalog's family under the default budget is computed
-    once per process; a family or budget given is computed afresh.
+    The family (catalog.fiber_family) is a quartic in K[z0, z1, z3, t] with
+    t the parameter.  On each affine chart z_j = 1 the singular locus
+    (family plus its three section partials, geometry.singular_charts) is
+    eliminated down to t; the locus is the squarefree part of the product of
+    the chart results, since rad(lcm(a, b)) = rad(a * b).  A chart in the
+    unit ideal gives 1.  Raises NonPrincipal if an elimination ideal needs
+    more than one generator.  Computed once per process and budget; a budget
+    stop raises on every call, as exceptions are not cached.
     """
-    if fam is None and budget is None:
-        return _default_locus()
-    F = fam if fam is not None else catalog.fiber_family()
+    F = catalog.fiber_family()
     tvar = F.ring.n - 1
     acc = [ONE]
     for j, polys in singular_charts(F, tvar):
@@ -404,13 +403,7 @@ def singular_parameter_locus(fam=None, budget=None):
     return poly_from_uni(XRING, 0, uni_squarefree(acc))
 
 
-@functools.lru_cache(maxsize=1)
-def _default_locus():
-    """The locus of the default family under the default budget."""
-    return singular_parameter_locus(catalog.fiber_family())
-
-
-def verify_components(components=None, budget=None):
+def verify_components(budget=None):
     """Check the component decomposition of the pencil's singular locus.
 
     For each component: its ideal contains the singular-locus generators
@@ -422,11 +415,10 @@ def verify_components(components=None, budget=None):
     F = catalog.fiber_family()
     tvar = F.ring.n - 1
     igens = [F] + [F.partial_derivative(i) for i in range(tvar)]
-    comps = components if components is not None else catalog.singular_component_generators()
 
     roots = catalog.nodal_parameters() + catalog.split_parameters() + [ZERO, ONE]
     tprod = [ONE]
-    for label, gens in comps:
+    for label, gens in catalog.singular_component_generators():
         G = buchberger(gens, budget=budget)
         contained = all(ideal_membership(p, G) for p in igens)
         rep.add(f"{label} contains the singular locus ideal", contained)
@@ -468,31 +460,28 @@ class FiberFactorization:
     conics: tuple = ()
 
 
-def _split_fiber_conics(alpha, budget=None):
-    """Factor the split fiber z2 = alpha*z3 into its two conics.
-
-    The fiber is the case (iii) plane z2 + a*z3 with a = -alpha, so it is
-    solved with the catalog's case (iii) splitting system, its plane
-    parameter fixed to -alpha.  The system is zero dimensional of degree 2:
-    its two solutions are the two orderings of the same unordered
-    factorization.
-    """
-    system = catalog.gauge_fixed_system("iii", a=-alpha)
-    G, _, sol = solve_system(system[0], budget=budget)
-    degree = zero_dim_degree(G)
-    if degree != 2:
-        raise VerificationFailed(f"split fiber system has degree {degree}, expected 2")
-    if not sol.complete or len(sol.points) != 2:
-        raise VerificationFailed("split fiber system did not solve completely over K")
-    return tuple(sorted(_solution_conics("iii", system, sol.points), key=lambda c: c.key))
-
-
 def factor_fiber(alpha, budget=None):
-    """Classify the fiber at the given parameter and factor it if split."""
+    """Classify the fiber at the given parameter and factor it if split.
+
+    A split fiber z2 = alpha*z3 is the case (iii) plane z2 + a*z3 with
+    a = -alpha, so its two conics are read from the case (iii) solve
+    (_ansatz_solution): those on the plane (0, 0, 1, -alpha), sorted by key.
+    The solve must be complete, as many points as its scheme degree, and the
+    plane must carry exactly two conics.
+    """
     alpha = kelem(alpha)
     g2 = catalog.split_parameter_polynomial().evaluate([alpha])
     if not g2:
-        return FiberFactorization("split", _split_fiber_conics(alpha, budget))
+        _, G, _, sol, conics = _ansatz_solution("iii", budget)
+        if not sol.complete or len(sol.points) != zero_dim_degree(G):
+            raise VerificationFailed("case (iii) system did not solve completely over K")
+        plane = (ZERO, ZERO, ONE, -alpha)
+        on_plane = sorted((c for c in conics if c.coeffs[10:] == plane), key=lambda c: c.key)
+        if len(on_plane) != 2:
+            raise VerificationFailed(
+                f"split fiber plane carries {len(on_plane)} conics, expected 2"
+            )
+        return FiberFactorization("split", tuple(on_plane))
     g1 = catalog.nodal_parameter_polynomial().evaluate([alpha])
     if not g1:
         return FiberFactorization("nodal")
@@ -608,15 +597,24 @@ def fiber_survey(budget=None, census=None):
 # -- ansatz enumeration ------------------------------------------------------
 
 
-def _solution_conics(case, system, points):
-    """The conics of the solved points of a gauge_fixed_system(case, ...)."""
-    _, _, vmap, subs, ring = system
+@functools.lru_cache(maxsize=3)
+def _ansatz_solution(case, budget):
+    """(system, G, Gl, solve result, conics) of gauge_fixed_system(case).
+
+    solve_system with the case's hints; conics is a tuple, one conic per
+    solved point, in point order.  Solved once per process, case and budget
+    (at most three kept); a budget stop raises on every call, as exceptions
+    are not cached.
+    """
+    system = catalog.gauge_fixed_system(case)
+    polys, _, vmap, subs, ring = system
+    G, Gl, sol = solve_system(polys, hints=catalog.solver_hints(case), budget=budget)
     conics = []
-    for pt in points:
+    for pt in sol.points:
         full = restore_inlined({old: pt[new] for old, new in vmap.items()}, subs)
         values = {ring.names[i]: v for i, v in full.items()}
         conics.append(Conic(*catalog.conic_from_solution(case, values)))
-    return conics
+    return system, G, Gl, sol, tuple(conics)
 
 
 def hypersurface_smooth(f, budget=None):
@@ -650,9 +648,7 @@ def enumerate_case(case, budget=None, census=None):
         rep.require()
         return rep, []
 
-    system = catalog.gauge_fixed_system(case)
-    polys, cring, vmap, _, ring = system
-    G, Gl, sol = solve_system(polys, hints=catalog.solver_hints(case), budget=budget)
+    (_, cring, vmap, _, ring), G, Gl, sol, conics = _ansatz_solution(case, budget)
     degree = zero_dim_degree(G)
     rep.add(
         "solution scheme degree",
@@ -687,7 +683,6 @@ def enumerate_case(case, budget=None, census=None):
         sol.complete and len(sol.points) == degree,
         f"{len(sol.points)} points",
     )
-    conics = _solution_conics(case, system, sol.points)
     planes = {c.coeffs[10:] for c in conics}
     distinct = len(set(conics))
     rep.add(
@@ -707,7 +702,7 @@ def enumerate_case(case, budget=None, census=None):
         all(c in census for c in conics),
     )
     rep.require()
-    return rep, conics
+    return rep, list(conics)
 
 
 # -- Gram matrix -------------------------------------------------------------
@@ -753,10 +748,10 @@ def _permutation_match(got, want):
     return perm if extend(0) else None
 
 
-def dot_graph(rows, name="gram"):
+def dot_graph(rows):
     """DOT text for the adjacency graph of a Gram matrix (entries 1)."""
     n = len(rows)
-    lines = [f"graph {name} {{"]
+    lines = ["graph gram {"]
     for i in range(n):
         lines.append(f"  {i + 1};")
     for i in range(n):
@@ -815,7 +810,7 @@ def gram_report(conics=None, dot_out=None):
 # -- Kummer configuration ----------------------------------------------------
 
 
-def kummer_report(conics=None, generators=None, census=None):
+def kummer_report(conics=None, census=None):
     """Verify the 16-conic Kummer configuration and its symmetry group.
 
     The 16 conics are closed under the generators as in orbit_census
@@ -831,7 +826,7 @@ def kummer_report(conics=None, generators=None, census=None):
     rep = Report("Kummer configuration")
     if conics is None:
         conics = load_packaged(KUMMER_FILE).conics
-    gens = generators if generators is not None else catalog.kummer_generators()
+    gens = catalog.kummer_generators()
     n = len(conics)
     rep.add("sixteen conics", n == 16, f"{n}")
     valid = _conics_valid(conics)[0]

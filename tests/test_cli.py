@@ -151,6 +151,15 @@ def test_case_ii_pair_cap_covers_only_the_filtered_run(capsys, census):
     assert "\n  reductions to zero found mod p 517\n" in err
 
 
+def test_fibers_pair_cap_is_the_case_iii_solve(capsys):
+    # the split fibers are read from the one case (iii) solve, 65 pairs; the
+    # locus charts before it fit in 64
+    assert cli.main(["fibers", "--budget-pairs", "65"]) == cli.EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+    assert cli.main(["fibers", "--budget-pairs", "64"]) == cli.EXIT_BUDGET
+    assert "\n  pairs processed 64\n" in capsys.readouterr().err
+
+
 def test_packed_overflow_stop_prints_the_groebner_work(capsys, monkeypatch):
     from conic_census.groebner import buchberger
     from conic_census.poly import LEX, PolyRing

@@ -32,7 +32,7 @@ from conic_census.groebner import (
     standard_monomials,
     zero_dim_degree,
 )
-from conic_census.poly import DEGREVLEX, LEX, Poly, PolyRing, compress_variables
+from conic_census.poly import DEGREVLEX, LEX, Poly, PolyRing, compress_variables, specialize
 
 
 @pytest.fixture
@@ -465,10 +465,16 @@ def test_denominator_divisible_by_p_turns_the_filter_off(lex2, monkeypatch, clos
 
 @pytest.fixture(scope="module")
 def split_fibers():
-    return [
-        catalog.gauge_fixed_system("iii", a=-alpha)[0]
-        for alpha in catalog.split_parameters()
-    ]
+    # the case (iii) ansatz system on the plane of each split fiber,
+    # z2 - alpha*z3: a4 = 1 and a = -alpha fixed, its linear part inlined;
+    # zero dimensional of degree 2, one point per ordering of the two conics
+    ring, eqs = catalog.ansatz_equations("iii")
+    systems = []
+    for alpha in catalog.split_parameters():
+        fixed = {ring.index("a4"): ONE, ring.index("a"): -alpha}
+        red, _ = inline_linear([e for e in (specialize(e, fixed) for e in eqs) if e])
+        systems.append(compress_variables(red)[0])
+    return systems
 
 
 def test_buchberger_never_filters(split_fibers, monkeypatch):

@@ -7,8 +7,9 @@ imported alias, its own definition aside.  A method counts as called only
 through an attribute or a class-body alias (__radd__ = __add__): a local
 variable of the same name calls nothing.  Code that only tests or tools use
 belongs in tests/ or tools/.  A field of a @dataclass counts as read when
-some module of the package loads it as an attribute (x.name): a field that
-is only set holds nothing the program reads.
+some module of the package loads it as an attribute (x.name) that is not
+called (x.name(...) calls a method of that name): a field that is only set
+holds nothing the program reads.
 """
 
 import ast
@@ -107,14 +108,33 @@ def _fields(trees):
     }
 
 
-def test_every_dataclass_field_in_the_package_is_read():
-    trees = _trees()
-    read = {
+def _read_attributes(trees):
+    """The attribute names loaded and not called: x.name, but not x.name(...)."""
+    called = {
+        id(node.func)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    return {
         node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in called
     }
+
+
+def test_a_called_attribute_reads_no_field():
+    # ring.var(0) calls a method named var; it reads no field var
+    tree = ast.parse("ring.var(0)\nn = result.points\nresult.trace.lines()\nf(x.budget)")
+    assert _read_attributes({"m.py": tree}) == {"points", "trace", "budget"}
+
+
+def test_every_dataclass_field_in_the_package_is_read():
+    trees = _trees()
+    read = _read_attributes(trees)
     fields = _fields(trees)
     assert ("groebner.py", "SolveResult", "points") in {f[:3] for f in fields}
     unread = sorted(

@@ -15,7 +15,7 @@ from conic_census.certificates import make_certificate, read_certificate
 from conic_census.errors import ResourceBudgetExceeded, VerificationFailed
 from conic_census.field import ONE, ZERO, KElem, kelem
 from conic_census.geometry import Conic, ZRING
-from conic_census.groebner import Budget
+from conic_census.groebner import Budget, SolveResult
 from conic_census.poly import ring_map
 
 CENSUS800 = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "census800.cert"
@@ -97,7 +97,24 @@ def test_singular_parameter_locus():
     assert locus == catalog.degeneration_polynomial()
 
 
-def test_singular_parameter_locus_smooth_family():
+@pytest.fixture
+def fresh_locus():
+    """An empty locus cache for one test, emptied again after it, so that no
+    later test reads a locus computed from a substituted family."""
+    pipeline.singular_parameter_locus.cache_clear()
+    yield
+    pipeline.singular_parameter_locus.cache_clear()
+
+
+@pytest.fixture
+def fresh_ansatz():
+    """An empty ansatz-solve cache for one test, emptied again after it."""
+    pipeline._ansatz_solution.cache_clear()
+    yield
+    pipeline._ansatz_solution.cache_clear()
+
+
+def test_singular_parameter_locus_smooth_family(monkeypatch, fresh_locus):
     # a pencil with smooth total space in these charts: constant fiber x^4+y^4+z^4
     from conic_census.catalog import FIBER_RING
     from conic_census.poly import PolyRing
@@ -106,7 +123,8 @@ def test_singular_parameter_locus_smooth_family():
     x, y, z = ring.gens()
     z0, z1, z3, t = FIBER_RING.gens()
     fam = ring_map(x**4 + y**4 + z**4, FIBER_RING, [z0, z1, z3])
-    locus = pipeline.singular_parameter_locus(fam)
+    monkeypatch.setattr(catalog, "fiber_family", lambda: fam)
+    locus = pipeline.singular_parameter_locus()
     assert locus == pipeline.XRING.one
 
 
@@ -117,28 +135,31 @@ def test_verify_components():
     assert sum("contain" in n for n in names) == 7
 
 
-def test_singular_parameter_locus_once_per_process(monkeypatch):
+def test_singular_parameter_locus_once_per_process(monkeypatch, fresh_locus):
     runs = []  # one per buchberger call of the pipeline
     run = pipeline.buchberger
     monkeypatch.setattr(pipeline, "buchberger", lambda *a, **k: runs.append(1) or run(*a, **k))
-    pipeline._default_locus.cache_clear()
     assert pipeline.fiber_survey().ok
     assert len(runs) == 3  # the locus, one run per chart
     assert pipeline.verify_components().ok
     # the seven component ideals; the locus is the one fiber_survey computed
     assert len(runs) == 3 + len(catalog.singular_component_generators())
-    # a budget given computes afresh, so its stop still raises
-    with pytest.raises(ResourceBudgetExceeded):
-        pipeline.singular_parameter_locus(budget=Budget(max_pairs=1))
+    # a budget stop is not cached, so it raises on every call
+    for _ in range(2):
+        with pytest.raises(ResourceBudgetExceeded):
+            pipeline.singular_parameter_locus(budget=Budget(max_pairs=1))
+    assert len(runs) == 3 + len(catalog.singular_component_generators()) + 2
 
 
-def test_verify_components_detects_wrong_component():
+def test_verify_components_detects_wrong_component(monkeypatch):
     z0, z1, z3, t = catalog.FIBER_RING.gens()
     comps = catalog.singular_component_generators()
     # flip a sign: t^2 + 2t - 1 becomes t^2 + 2t + 1, not a branch
     broken = [("branch-1", [z0, z1, t**2 + 2 * t + 1])] + comps[1:]
-    with pytest.raises(VerificationFailed):
-        pipeline.verify_components(components=broken)
+    monkeypatch.setattr(catalog, "singular_component_generators", lambda: broken)
+    with pytest.raises(VerificationFailed) as err:
+        pipeline.verify_components()
+    assert err.value.report.first_failure() == "branch-1 contains the singular locus ideal"
 
 
 def test_factor_fiber_split():
@@ -153,6 +174,30 @@ def test_factor_fiber_split():
         assert c.on_surface(f)
     assert fac.conics[0].residual(f) == fac.conics[1]
     assert catalog.seed_conics()[2] in fac.conics
+
+
+def test_split_fibers_read_one_case_iii_solve(monkeypatch, fresh_ansatz):
+    hints = []  # the hints of each solve_system call of the pipeline
+    solve = pipeline.solve_system
+    monkeypatch.setattr(
+        pipeline, "solve_system", lambda *a, **k: hints.append(k.get("hints")) or solve(*a, **k)
+    )
+    assert pipeline.fiber_survey().ok
+    # one case (iii) solve for the eight split fibers, then three charts for
+    # each of the four nodal fibers
+    assert hints == [catalog.solver_hints("iii")] + [None] * 12
+
+
+def test_factor_fiber_needs_the_whole_case_iii_solve(monkeypatch, fresh_ansatz):
+    solve = pipeline.solve_system
+
+    def one_point_short(*args, **kwargs):
+        G, Gl, sol = solve(*args, **kwargs)
+        return G, Gl, SolveResult(sol.points[1:], sol.unresolved)
+
+    monkeypatch.setattr(pipeline, "solve_system", one_point_short)
+    with pytest.raises(VerificationFailed, match="did not solve completely"):
+        pipeline.factor_fiber(catalog.split_parameters()[0])
 
 
 def test_split_fiber_conics_are_the_case_iii_conics_on_its_plane(census):
@@ -237,8 +282,8 @@ def test_permutation_match():
 
 def test_dot_graph():
     rows = [[-2, 1, 0], [1, -2, 0], [0, 0, -2]]
-    text = pipeline.dot_graph(rows, name="demo")
-    assert "graph demo" in text
+    text = pipeline.dot_graph(rows)
+    assert text.startswith("graph gram {")
     assert "1 -- 2" in text
     assert "--" in text and "3 -- " not in text
 
