@@ -180,27 +180,28 @@ def degeneration_factors():
     return [[-1, -2, 1], [-1, 2, 1], [1, 0, 3, 0, 1], [5, 0, 6, 0, 5]]
 
 
-def _uni_product(factors):
-    """The product in XRING of coefficient lists (low to high)."""
-    p = XRING.one
+def _factor_product(ring, i, factors):
+    """The product of coefficient lists (low to high) as polynomials in
+    variable i of ring."""
+    p = ring.one
     for cs in factors:
-        p = p * poly_from_uni(XRING, 0, [kelem(c) for c in cs])
+        p = p * poly_from_uni(ring, i, cs)
     return p
 
 
 def degeneration_polynomial():
     """g(x): the monic squarefree polynomial of singular fiber parameters."""
-    return _uni_product(degeneration_factors()).monic()
+    return _factor_product(XRING, 0, degeneration_factors()).monic()
 
 
 def nodal_parameter_polynomial():
     """(x^2 - 2x - 1)(x^2 + 2x - 1): parameters of the nodal fibers."""
-    return _uni_product(degeneration_factors()[:2])
+    return _factor_product(XRING, 0, degeneration_factors()[:2])
 
 
 def split_parameter_polynomial():
     """(x^4 + 3x^2 + 1)(5x^4 + 6x^2 + 5): parameters of the split fibers."""
-    return _uni_product(degeneration_factors()[2:])
+    return _factor_product(XRING, 0, degeneration_factors()[2:])
 
 
 def nodal_parameters():
@@ -248,7 +249,22 @@ NODAL_POINT = (0, 0, 1)  # the unique singular point of each nodal fiber
 # -- quadric ansatz systems for the splitting-plane search ----------------------
 
 CASES = ("i", "ii", "iii", "iv")
-CASE_PARAMS = {"i": ("a", "b", "c"), "ii": ("a", "b"), "iii": ("a",)}
+
+# The plane chart of each ansatz case: the plane's coefficients on z0..z3,
+# numbers or parameter names, and the j of the z_j that the chart
+# coordinates T0 and T1 stand for.  The chart is z3 = 1, solved for the
+# pivot, the plane's first nonzero coefficient (a 1).
+CHARTS = {
+    "i": ((1, "c", "b", "a"), (2, 1)),
+    "ii": ((0, 1, "b", "a"), (2, 0)),
+    "iii": ((0, 0, 1, "a"), (0, 1)),
+}
+# the parameter names of each chart in alphabetical order, which is their
+# order in the ansatz ring and so sets the Groebner order
+CASE_PARAMS = {
+    case: tuple(sorted(x for x in plane if isinstance(x, str)))
+    for case, (plane, _) in CHARTS.items()
+}
 EXPECTED_PLANES = {"i": 360, "ii": 32, "iii": 8}
 EXPECTED_CONICS = {"i": 720, "ii": 64, "iii": 16}
 
@@ -264,26 +280,30 @@ def ansatz_ring(case):
 
 
 def _chart_images(case, ring):
-    """Images of (z0, z1, z2, z3) on the plane, in the chart z3 = 1."""
-    t0 = ring.var(ring.index("T0"))
-    t1 = ring.var(ring.index("T1"))
-    one = ring.one
-    a = ring.var(ring.index("a"))
-    if case == "i":
-        b = ring.var(ring.index("b"))
-        c = ring.var(ring.index("c"))
-        return [-(a * one + b * t0 + c * t1), t1, t0, one]
-    if case == "ii":
-        b = ring.var(ring.index("b"))
-        return [t1, -(a * one + b * t0), t0, one]
-    if case == "iii":
-        return [t0, t1, -a, one]
-    raise ValueError(f"no ansatz for case {case!r}")
+    """Images of (z0, z1, z2, z3) on the plane of CHARTS[case], in its chart
+    z3 = 1: T0, T1 and 1 for the chart coordinates and z3, and for the
+    pivot minus the rest of the plane."""
+    plane, coords = CHARTS[case]
+    images = [None, None, None, ring.one]
+    for j, name in zip(coords, ("T0", "T1")):
+        images[j] = ring.var(ring.index(name))
+    pivot = plane.index(1)
+    images[pivot] = -sum(
+        (ring.var(ring.index(x)) if isinstance(x, str) else x) * images[j]
+        for j, x in enumerate(plane)
+        if j != pivot and x != 0
+    )
+    return images
 
 
-def _conic_form(ring, idx, t0, t1):
-    m1, m2, m3, m4, m5, m6 = (ring.var(i) for i in idx)
-    return m1 * t0**2 + m2 * t0 + m3 + m4 * t1**2 + m5 * t1 + m6 * t0 * t1
+def _conic_form(m, t0, t1, one):
+    """m1 T0^2 + m2 T0 + m3 + m4 T1^2 + m5 T1 + m6 T0 T1, each term made
+    quadratic by powers of one."""
+    m1, m2, m3, m4, m5, m6 = m
+    return (
+        m1 * t0**2 + m2 * t0 * one + m3 * one**2
+        + m4 * t1**2 + m5 * t1 * one + m6 * t0 * t1
+    )
 
 
 @functools.cache
@@ -298,8 +318,10 @@ def ansatz_equations(case):
     i_t0, i_t1 = ring.index("T0"), ring.index("T1")
     t0, t1 = ring.var(i_t0), ring.var(i_t1)
     f_on_plane = ring_map(surface(), ring, _chart_images(case, ring))
-    c_a = _conic_form(ring, [ring.index(f"a{k}") for k in range(1, 7)], t0, t1)
-    c_b = _conic_form(ring, [ring.index(f"b{k}") for k in range(1, 7)], t0, t1)
+    c_a, c_b = (
+        _conic_form([ring.var(ring.index(f"{x}{k}")) for k in range(1, 7)], t0, t1, ring.one)
+        for x in "ab"
+    )
     diff = c_a * c_b - f_on_plane
     groups = {}
     for m, coeff in diff.terms.items():
@@ -339,31 +361,16 @@ def conic_from_solution(case, values):
     """Build the (plane, quadric) pair in K[z0..z3] from a solved point.
 
     values maps ansatz variable names to KElem, with a1..a6 the quadric
-    coefficients and the case parameters the plane coefficients.  The chart
-    form is homogenized with z3.
+    coefficients and the case parameters the plane coefficients of
+    CHARTS[case].  The chart form is homogenized with z3.
     """
-    z0, z1, z2, z3 = ZRING.gens()
-    a = [values[f"a{k}"] for k in range(1, 7)]
-    if case == "i":
-        plane = z0 + values["c"] * z1 + values["b"] * z2 + values["a"] * z3
-        t0, t1 = z2, z1
-    elif case == "ii":
-        plane = z1 + values["b"] * z2 + values["a"] * z3
-        t0, t1 = z2, z0
-    elif case == "iii":
-        plane = z2 + values["a"] * z3
-        t0, t1 = z0, z1
-    else:
-        raise ValueError(f"no conic construction for case {case!r}")
-    quadric = (
-        a[0] * t0**2
-        + a[1] * t0 * z3
-        + a[2] * z3**2
-        + a[3] * t1**2
-        + a[4] * t1 * z3
-        + a[5] * t0 * t1
+    plane, (j0, j1) = CHARTS[case]
+    z = ZRING.gens()
+    plane = sum(
+        (values[x] if isinstance(x, str) else x) * zj for x, zj in zip(plane, z) if x != 0
     )
-    return plane, quadric
+    a = [values[f"a{k}"] for k in range(1, 7)]
+    return plane, _conic_form(a, z[j0], z[j1], z[3])
 
 
 def section_without_last_coordinate():
@@ -416,10 +423,7 @@ def parameter_factors(case):
 
 def expected_parameter_polynomial(case, ring, var_index):
     """The monic product of parameter_factors(case) in the given ring."""
-    p = ring.one
-    for cs in parameter_factors(case):
-        p = p * poly_from_uni(ring, var_index, [kelem(c) for c in cs])
-    return p.monic()
+    return _factor_product(ring, var_index, parameter_factors(case)).monic()
 
 
 def solver_hints(case):

@@ -428,9 +428,9 @@ def _solved(pk, basis, trace, hints):
 def _certified(pk, basis, trace, hints, gens):
     """_solved(pk, basis, trace, hints) when its points certify the basis,
     else None: they must be zero_dim_degree(G) distinct exact zeros of every
-    generator (see the module docstring).  Each monomial of the generators
-    is valued once per point, from one power table per coordinate, and each
-    generator summed by one dot."""
+    generator (see the module docstring).  Each generator is valued at each
+    point by poly.specialize, and one power table per coordinate value is
+    shared by every generator and point."""
     try:
         out = _solved(pk, basis, trace, hints)
     except NotZeroDimensional:
@@ -439,20 +439,10 @@ def _certified(pk, basis, trace, hints, gens):
     points = sol.points
     if len(set(points)) != len(points) or len(points) != zero_dim_degree(G):
         return None
-    monos = {m: k for k, m in enumerate({m for g in gens for m in g.terms})}
-    rows = [(list(g.terms.values()), [monos[m] for m in g.terms]) for g in gens]
+    powers = {}
     for pt in points:
-        powers = [[K1, v] for v in pt]
-        values = []
-        for m in monos:
-            x = K1
-            for t, e in zip(powers, m):
-                if e:
-                    while len(t) <= e:
-                        t.append(t[-1] * t[1])
-                    x = t[e] if x is K1 else x * t[e]
-            values.append(x)
-        if any(dot(cs, [values[k] for k in ks]) for cs, ks in rows):
+        at = dict(enumerate(pt))
+        if any(specialize(g, at, powers=powers) for g in gens):
             return None
     return out
 

@@ -34,7 +34,8 @@ positions; orbit_of_conic is a view of the closure.  label_orbits runs the
 same loop from one conic, with a stop set, its known labels: the BFS ends
 at the first image in it, so labelling a few conics by their orbits costs
 far fewer actions than closing every orbit.  The loop stops at an explicit
-bound on the conics it lists.
+bound on the conics it lists, MAX_SIZE, the bound of generate_group's
+elements too.
 
 The BFS acts once per involution edge.  A generator g whose square is a
 scalar lambda*I (all four census and all four Kummer generators) acts on
@@ -66,6 +67,8 @@ from .errors import ResourceBudgetExceeded, SingularMatrix
 from .field import ONE as K1, ZERO as K0, KElem, dot, kelem
 from .geometry import _QUAD_PAIRS, Conic
 from .linalg import mat_det, mat_mul
+
+MAX_SIZE = 100000  # group elements, or conics listed by one BFS
 
 
 class GroupMatrix:
@@ -161,12 +164,12 @@ class GroupMatrix:
         return cls([[1 if i == j else 0 for j in range(4)] for i in range(4)])
 
 
-def generate_group(gens, max_size=100000):
+def generate_group(gens):
     """BFS closure of the generators; deterministic element order.
 
     Raises SingularMatrix if a generator is singular; every element is then
     known to be invertible.  Raises ResourceBudgetExceeded when the group
-    passes max_size elements.  The BFS runs on 4-tuples of row positions
+    passes MAX_SIZE elements.  The BFS runs on 4-tuples of row positions
     (see the module docstring), so the elements and their order are those
     of the BFS on matrix products m * g, and each new element is built from
     the shared row tuples.
@@ -203,9 +206,9 @@ def generate_group(gens, max_size=100000):
                     m.invertible = True
                     order.append(m)
                     nxt.append(q)
-                    if len(order) > max_size:
+                    if len(order) > MAX_SIZE:
                         raise ResourceBudgetExceeded(
-                            f"group closure exceeded {max_size} elements"
+                            f"group closure exceeded {MAX_SIZE} elements"
                         )
         frontier = nxt
     return order
@@ -288,7 +291,7 @@ def _involutions(gens):
     return out
 
 
-def _closure(gens, involutions, seeds, max_size, stop):
+def _closure(gens, involutions, seeds, stop):
     """(conics, moves, hit): the BFS of conic_closure, ended at hit, the first
     image in stop, or with hit None when no image is in stop; only then is
     each move dict full."""
@@ -310,9 +313,9 @@ def _closure(gens, involutions, seeds, max_size, stop):
                 j = index.setdefault(image, len(conics))
                 if j == len(conics):
                     conics.append(image)
-                    if len(conics) > max_size:
+                    if len(conics) > MAX_SIZE:
                         raise ResourceBudgetExceeded(
-                            f"conic closure exceeded {max_size} conics"
+                            f"conic closure exceeded {MAX_SIZE} conics"
                         )
                 move[done] = j
                 if involution:
@@ -321,7 +324,7 @@ def _closure(gens, involutions, seeds, max_size, stop):
     return conics, moves, None
 
 
-def conic_closure(gens, seeds, max_size=100000):
+def conic_closure(gens, seeds):
     """(conics, moves): the closure of the seeds under gens, by one BFS.
 
     Seeds are closed one at a time, so each seed not reached before starts
@@ -333,15 +336,15 @@ def conic_closure(gens, seeds, max_size=100000):
     (see the module docstring).  Images are looked up by their canonical
     coefficients, so one already listed builds no text or polynomial; each
     listed conic keeps the hash computed here for later lookups.
-    Raises ResourceBudgetExceeded when the closure passes max_size conics,
+    Raises ResourceBudgetExceeded when the closure passes MAX_SIZE conics,
     as it does under a generator of infinite order.
     """
-    conics, moves, _ = _closure(gens, _involutions(gens), seeds, max_size, {})
+    conics, moves, _ = _closure(gens, _involutions(gens), seeds, {})
     positions = range(len(conics))
     return conics, [tuple(map(move.__getitem__, positions)) for move in moves]
 
 
-def label_orbits(gens, conics, labels, max_size=100000):
+def label_orbits(gens, conics, labels):
     """Extend labels, a dict conic -> orbit label, to every one of conics.
 
     Each conic not yet in labels starts the BFS of conic_closure from that
@@ -351,7 +354,7 @@ def label_orbits(gens, conics, labels, max_size=100000):
     gives every conic of the orbit the label None, so a later search that
     meets one stops there too.  The generators' squares are taken once per
     call, before the first search.  Raises ResourceBudgetExceeded when one
-    search lists more than max_size conics; that search records no label.
+    search lists more than MAX_SIZE conics; that search records no label.
     Returns labels.
     """
     involutions = None
@@ -359,7 +362,7 @@ def label_orbits(gens, conics, labels, max_size=100000):
         if conic not in labels:
             if involutions is None:
                 involutions = _involutions(gens)
-            visited, _, hit = _closure(gens, involutions, [conic], max_size, labels)
+            visited, _, hit = _closure(gens, involutions, [conic], labels)
             labels.update(dict.fromkeys(visited, None if hit is None else labels[hit]))
     return labels
 

@@ -810,7 +810,7 @@ def gram_report(conics=None, dot_out=None):
 # -- Kummer configuration ----------------------------------------------------
 
 
-def kummer_report(conics=None, census=None):
+def kummer_report(conics=None):
     """Verify the 16-conic Kummer configuration and its symmetry group.
 
     The 16 conics are closed under the generators as in orbit_census
@@ -819,9 +819,9 @@ def kummer_report(conics=None, census=None):
     scalar classes C as in orbit_census: |G| is the group order, |C| the
     projective order, and the pointwise fixer, the classes that fix all 16
     conics times the |G| / |C| matrices of each, must be the powers of the
-    scalar generator gens[1].  The 16 conics must be in census, a Conic ->
-    label dict used as given; with census None, census_labels labels them
-    with 506 conic actions, where closing the census takes 1,712.
+    scalar generator gens[1].  The 16 conics must be in the census:
+    census_labels labels them with 506 conic actions, where closing the
+    census takes 1,712.
     """
     rep = Report("Kummer configuration")
     if conics is None:
@@ -861,7 +861,7 @@ def kummer_report(conics=None, census=None):
         f"order {len(kernel) * lift}",
     )
 
-    census = census if census is not None else census_labels(conics)
+    census = census_labels(conics)
     members = [census.get(c) for c in conics]
     counts = {}
     for lab in members:

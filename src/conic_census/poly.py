@@ -15,6 +15,10 @@ a variable, and each product of the other rows' forms is formed once.
 substitute_linear (p(M*z), degree by degree) and geometry's plane sections
 are its two callers; ring_map remains for general maps.
 
+specialize is the one place where constants enter a polynomial: it values
+some variables from power tables that callers may share, and Poly.evaluate
+is specialize at a full point.
+
 A univariate polynomial is the list of its coefficients, lowest degree
 first and without trailing zeros, and all its arithmetic (uni_mul,
 uni_monic, uni_gcd_coeffs, uni_squarefree) is on lists; uni_coeffs and
@@ -313,20 +317,7 @@ class Poly:
 
     def evaluate(self, values):
         """Evaluate at a full point (list of KElem), returning a KElem."""
-        vals = [kelem(v) for v in values]
-        total = K0
-        powcache = {}
-        for m, c in self.terms.items():
-            t = c
-            for i, e in enumerate(m):
-                if e:
-                    p = powcache.get((i, e))
-                    if p is None:
-                        p = vals[i] ** e
-                        powcache[(i, e)] = p
-                    t = t * p
-            total = total + t
-        return total
+        return specialize(self, dict(enumerate(values))).coeff(self.ring.zero_mono)
 
     # -- display --------------------------------------------------------------
 

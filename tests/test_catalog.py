@@ -205,6 +205,28 @@ def test_conic_from_solution_rebuilds_seed():
     assert Conic(plane, quadric) == catalog.seed_conics()[2]
 
 
+def test_charts_round_trip_every_census_conic(census_conics):
+    # the pivot of a census plane, z0, z1 or z2, picks the case (i), (ii) or
+    # (iii); a1..a6 are read in that case's chart, scaled to a4 = 1
+    z = ZRING.gens()
+    cases = {}
+    for conic in census_conics:
+        case = ("i", "ii", "iii")[conic.pivot]
+        cases[case] = cases.get(case, 0) + 1
+        plane, (j0, j1) = catalog.CHARTS[case]
+        b = conic.coeffs[10:]
+        assert [x for x in plane if not isinstance(x, str)] == [
+            y for x, y in zip(plane, b) if not isinstance(x, str)
+        ]
+        t0, t1, z3 = z[j0], z[j1], z[3]
+        monos = [t0**2, t0 * z3, z3**2, t1**2, t1 * z3, t0 * t1]
+        a = [conic.quadric.coeff(m.lead_monomial()) for m in monos]
+        values = {f"a{k}": x / a[3] for k, x in enumerate(a, start=1)}
+        values.update((x, y) for x, y in zip(plane, b) if isinstance(x, str))
+        assert Conic(*catalog.conic_from_solution(case, values)) == conic
+    assert cases == catalog.EXPECTED_CONICS
+
+
 def test_expected_parameter_polynomial_degrees():
     from conic_census.poly import PolyRing
 

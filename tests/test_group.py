@@ -111,10 +111,11 @@ def test_projective_classes_match_projective_keys():
     assert len(reps) == catalog.KUMMER_PROJECTIVE_ORDER
 
 
-def test_generate_group_size_cap():
+def test_generate_group_size_cap(monkeypatch):
     gens = catalog.symmetry_generators()
+    monkeypatch.setattr(group, "MAX_SIZE", 100)
     with pytest.raises(ResourceBudgetExceeded):
-        generate_group(gens, max_size=100)
+        generate_group(gens)
 
 
 def test_infinite_group_stops_on_the_element_budget(monkeypatch):
@@ -128,8 +129,9 @@ def test_infinite_group_stops_on_the_element_budget(monkeypatch):
 
     monkeypatch.setattr(group, "dot", counting_dot)
     m = GroupMatrix([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    monkeypatch.setattr(group, "MAX_SIZE", 2000)
     with pytest.raises(ResourceBudgetExceeded, match="group closure exceeded 2000 elements"):
-        generate_group([m], max_size=2000)
+        generate_group([m])
     assert len(calls) == 4 * (2000 + 3)
 
 
@@ -226,7 +228,7 @@ def test_stabilizers_obey_orbit_stabilizer_on_the_census():
     assert fixing_classes(stabilizer, conics) == kernel
 
 
-def test_generator_permutations_need_a_closed_list():
+def test_generator_permutations_need_a_closed_list(monkeypatch):
     # the closure of 15 Kummer conics adds the 16th, so the 15 are not stable
     gens = catalog.kummer_generators()
     conics = load_packaged(KUMMER_FILE).conics
@@ -234,8 +236,9 @@ def test_generator_permutations_need_a_closed_list():
     assert len(closure) == 16
     assert {c.key for c in closure} == {c.key for c in conics}
     assert all(sorted(move) == list(range(16)) for move in moves)
+    monkeypatch.setattr(pipeline, "census_labels", lambda conics: {})
     with pytest.raises(VerificationFailed) as err:
-        pipeline.kummer_report(conics=conics[:-1], census={})
+        pipeline.kummer_report(conics=conics[:-1])
     checks = {name: (ok, detail) for name, ok, detail in err.value.report.checks}
     assert checks["configuration stable under the group"] == (False, "")
     assert checks["sixteen conics"] == (False, "15")
@@ -263,8 +266,9 @@ def test_permutation_action_needs_a_scalar_kernel(monkeypatch):
     assert {m.rows[0][0] for m in scalars} == {ONE, -ONE, I, -I}
     assert projective_classes(scalars) == [GroupMatrix.identity()]
     monkeypatch.setattr(catalog, "kummer_generators", lambda: [s1, scalar])
+    monkeypatch.setattr(pipeline, "census_labels", lambda conics: {})
     with pytest.raises(VerificationFailed) as err:
-        pipeline.kummer_report(conics=pair, census={})
+        pipeline.kummer_report(conics=pair)
     checks = {name: (ok, detail) for name, ok, detail in err.value.report.checks}
     assert checks["configuration stable under the group"] == (True, "")
     # the pointwise fixer is all 8 matrices: 2 classes of 4
@@ -272,11 +276,11 @@ def test_permutation_action_needs_a_scalar_kernel(monkeypatch):
     assert checks["symmetry group order"] == (False, "8")
     # the same group, with gens[1] a scalar of order 2 or not a scalar at all
     conics = load_packaged(KUMMER_FILE).conics
-    labels = {c: "C3" for c in conics}
+    monkeypatch.setattr(pipeline, "census_labels", lambda conics: {c: "C3" for c in conics})
     for second in (scalar * scalar, scalar * g1):
         monkeypatch.setattr(catalog, "kummer_generators", lambda: [g1, second, g3, g4, scalar])
         with pytest.raises(VerificationFailed) as err:
-            pipeline.kummer_report(census=labels)
+            pipeline.kummer_report()
         assert err.value.report.first_failure() == "pointwise fixer is the scalar subgroup"
 
 
@@ -476,14 +480,15 @@ def test_closure_and_search_stop_at_their_cap(monkeypatch):
     c1, c2, c3 = catalog.seed_conics()
     conic = next(c for c in (c1, c2, c3) if act_on_conic(doubling, c) != c)
     calls = _capped(monkeypatch, 1000)
+    monkeypatch.setattr(group, "MAX_SIZE", 50)
     with pytest.raises(ResourceBudgetExceeded, match="conic closure exceeded 50 conics"):
-        conic_closure([doubling], [conic], max_size=50)
+        conic_closure([doubling], [conic])
     assert len(calls) == 50
     labels = {c: "C" for c in (c1, c2, c3) if c != conic}
     before = dict(labels)
     del calls[:]
     with pytest.raises(ResourceBudgetExceeded, match="conic closure exceeded 50 conics"):
-        label_orbits([doubling], [conic], labels, max_size=50)
+        label_orbits([doubling], [conic], labels)
     assert len(calls) == 50
     assert labels == before  # the stopped search recorded no label
 

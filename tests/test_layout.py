@@ -9,7 +9,10 @@ variable of the same name calls nothing.  Code that only tests or tools use
 belongs in tests/ or tools/.  A field of a @dataclass counts as read when
 some module of the package loads it as an attribute (x.name) that is not
 called (x.name(...) calls a method of that name): a field that is only set
-holds nothing the program reads.
+holds nothing the program reads.  A parameter with a default counts as
+passed when some call in the package passes it by keyword, by ** or by
+position, a call of a class standing for a call of its __init__: a default
+no call overrides is a constant, or an option that only tests set.
 """
 
 import ast
@@ -143,3 +146,96 @@ def test_every_dataclass_field_in_the_package_is_read():
         if name not in read
     )
     assert unread == []
+
+
+# parameters with a default that no call in the package passes, each for a
+# reason outside it
+ALLOWED_DEFAULTS = {
+    ("main", "argv"),  # the console-script entry point calls main()
+    ("fiber_survey", "census"),  # the benchmark passes the committed census
+}
+
+
+def _defaults(trees):
+    """(module, function, parameter, line, its position or None) of every
+    parameter with a default.  The position counts the arguments of a call,
+    so a method's self or cls is not counted, and a keyword-only parameter
+    has none.  An __init__ is named by its class, as its calls are."""
+    out = set()
+    for module, tree in trees.items():
+        classes = {
+            id(stmt): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name == "__init__":
+                name = classes[id(node)]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            skip = 1 if id(node) in classes and not static else 0
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for k in range(len(positional) - len(args.defaults), len(positional)):
+                out.add((module, name, positional[k].arg, node.lineno, k - skip))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out.add((module, name, arg.arg, node.lineno, None))
+    return out
+
+
+def _passed(trees):
+    """callee -> what its calls in the package pass: parameter names by
+    keyword, "**", positions, and "*" for a *args, which passes any
+    position."""
+    out = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keys = out.setdefault(name, set())
+            keys.update(kw.arg or "**" for kw in node.keywords)
+            keys.update(
+                "*" if isinstance(arg, ast.Starred) else k for k, arg in enumerate(node.args)
+            )
+    return out
+
+
+def _unpassed(trees):
+    passed = _passed(trees)
+    return sorted(
+        f"{module}:{line} {function}({param}=)"
+        for module, function, param, line, position in _defaults(trees)
+        if (function, param) not in ALLOWED_DEFAULTS
+        and not passed.get(function, set())
+        & ({param, "**"} | ({position, "*"} if position is not None else set()))
+    )
+
+
+def test_a_default_counts_as_passed_by_keyword_star_star_or_position():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3): pass\n"
+        "def g(x=0): pass\n"
+        "def h(x=0): pass\n"
+        "class C:\n"
+        "    def __init__(self, y=0): pass\n"
+        "    def m(self, z=0, w=1): pass\n"
+        "class D:\n"
+        "    def __init__(self, v=0): pass\n"
+        "f(0, 1, d=2)\nh(**opts)\nC(5)\nobj.m(*zs)\n"
+    )
+    assert _unpassed({"m.py": tree}) == ["m.py:1 f(c=)", "m.py:2 g(x=)", "m.py:8 D(v=)"]
+
+
+def test_every_default_in_the_package_is_passed_somewhere():
+    trees = _trees()
+    assert _unpassed(trees) == []
+    defaults = {(function, param) for _, function, param, _, _ in _defaults(trees)}
+    assert ALLOWED_DEFAULTS <= defaults
+    passed = _passed(trees)
+    assert not any(param in passed.get(function, ()) for function, param in ALLOWED_DEFAULTS)
