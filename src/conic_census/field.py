@@ -56,8 +56,9 @@ _SIGNS = tuple(
     tuple(-1 if bin(t & j).count("1") & 1 else 1 for j in range(_N))
     for t in range(_N)
 )
-# _FLIPPED[t] = mask of the basis elements that automorphism t negates
-_FLIPPED = tuple(sum(1 << j for j in range(_N) if _SIGNS[t][j] < 0) for t in range(_N))
+# FLIPPED[t] = mask of the basis elements that automorphism t negates; t and u
+# agree on x exactly when FLIPPED[t] & x.mask == FLIPPED[u] & x.mask
+FLIPPED = tuple(sum(1 << j for j in range(_N) if _SIGNS[t][j] < 0) for t in range(_N))
 
 _SYM = ("", "i", "s2", "i*s2", "s5", "i*s5", "s10", "i*s10")
 
@@ -246,7 +247,7 @@ class KElem:
 
     def galois(self, t):
         """Image under the automorphism flipping generators per bits of t (0..7)."""
-        if not self.mask & _FLIPPED[t]:  # no coordinate changes sign: fixed
+        if not self.mask & FLIPPED[t]:  # no coordinate changes sign: fixed
             return self
         return KElem(tuple(map(mul, _SIGNS[t], self.num)), self.den, self.mask)
 

@@ -35,16 +35,38 @@ product, and each output coefficient costs one normalised dot product
 (field.dot).
 Each conic keeps the quotient for the last surface it was asked about, so
 on_surface and residual on the same f (the same object or an equal form)
-share one section and one division.  A plane carrying two conics needs only
-one: a division S = Q_a * q that succeeds on a quartic f is recorded under
-the canonical plane, and a conic b of that plane asked about the same f
-first tests whether q = lc(q) * Q_b (at most six products).  If so, b is a's
-residual: S / Q_b = lc(q) * Q_a and b's residual is a, with no section or
-division of its own.  The record holds the divided conic by weak reference
-only, so it answers while that conic lives and never grows past the live
-conics; it answers only for the residual, never for the divided conic.  On
-a surface of another degree the quotient is no quadric: nothing is
-recorded, and residual raises ValueError naming the degree.
+share one section and one division.  A division S = Q_a * q that succeeds on
+a quartic f is recorded under the canonical plane, and it answers for that
+plane and for its images under the automorphisms of K that fix f.  A conic c
+on the plane P asked about f first looks up the record of each plane
+sigma_t(P): t = 0, the identity, and each t whose automorphism sigma_t
+(KElem.galois(t), coefficient-wise) fixes every coefficient of f, one t per
+distinct image of P.  Where the record a was divided by the same f:
+
+- if sigma_t(c) = a, c's quotient is sigma_t(q);
+- if q = lc(q) * Q_sigma_t(c) (at most six products), sigma_t(c) is a's
+  residual: c's quotient is sigma_t(lc(q)) * Q_sigma_t(a), and c's residual
+  is sigma_t(a).
+
+Either way c makes no section or division of its own.  This is exact:
+
+- each sigma_t is an involution, and it fixes f, so it maps V(f) to itself;
+- the canonical form (_canonical) uses only field operations and zero
+  tests, so sigma_t of a canonical record is the canonical record of the
+  conjugate conic, with the same pivot and lead;
+- f|sigma_t(P) = Q_a * q, carried over by sigma_t, is
+  f|P = Q_sigma_t(a) * sigma_t(q), and q = lc * Q_sigma_t(c) becomes
+  sigma_t(q) = sigma_t(lc) * Q_c;
+- 4 det of a conjugate quadric is sigma_t(4 det), so is_irreducible
+  transfers as well (pipeline._conics_valid skips conjugate groups whole).
+
+A conic that is neither is divided itself, so a damaged record on a
+conjugate plane is never passed.  On the census, whose 400 planes fall into
+160 classes under the eight automorphisms, a per-conic loop makes 160
+sections.  The record holds the divided conic by weak reference only, so it
+answers while that conic lives and never grows past the live conics.  On a
+surface of another degree the quotient is no quadric: nothing is recorded,
+and residual raises ValueError naming the degree.
 
 Intersection numbers between members of the census follow the plane geometry:
 equal conics have self-intersection -2 (smooth rational curve on a K3),
@@ -65,7 +87,7 @@ import functools
 import weakref
 
 from .errors import CommonComponent, DegenerateConic, NotOnSurface, RingMismatch
-from .field import ONE as K1, ZERO as K0, KElem, dot
+from .field import FLIPPED, ONE as K1, ZERO as K0, KElem, dot
 from .poly import (
     DEGREVLEX,
     Poly,
@@ -171,6 +193,46 @@ _TERNARY_QUAD = tuple(
 
 # canonical plane -> the conic last divided there by a quartic, held weakly
 _DIVIDED = weakref.WeakValueDictionary()
+# [f, fixers]: the last surface asked about, and the t = 1..7 whose
+# automorphism fixes each of its coefficients
+_FIXERS = [None, ()]
+
+
+def _mask(xs):
+    """The OR of the masks of xs: the basis coordinates any of them holds."""
+    m = 0
+    for x in xs:
+        m |= x.mask
+    return m
+
+
+def galois_image(xs, t):
+    """sigma_t of each of xs, for the automorphism KElem.galois(t)."""
+    return tuple(x.galois(t) for x in xs)
+
+
+def plane_conjugates(plane, f):
+    """(t, sigma_t(plane)) for t = 0 and each t = 1..7 whose automorphism fixes
+    every coefficient of f, one t per distinct image, smallest t first.
+
+    sigma_t and sigma_u move the plane alike exactly when FLIPPED[t] and
+    FLIPPED[u] agree on the coordinates its coefficients hold.  The fixers
+    are kept for the last f (the same object or an equal form).
+    """
+    g, fixers = _FIXERS
+    if g is not f and not (g is not None and g == f):
+        fmask = _mask(f.terms.values())
+        fixers = tuple(t for t in range(1, 8) if not FLIPPED[t] & fmask)
+        _FIXERS[:] = f, fixers
+    mask = _mask(plane)
+    seen = {0}
+    images = [(0, plane)]
+    for t in fixers:
+        moved = FLIPPED[t] & mask
+        if moved not in seen:
+            seen.add(moved)
+            images.append((t, galois_image(plane, t)))
+    return images
 
 
 @functools.lru_cache(maxsize=4096)
@@ -329,9 +391,9 @@ class Conic:
 
     def residual(self, f):
         """The other half of the plane section of a quartic: f|plane = quadric * residual."""
-        x, a = self._divided(f) or (None, None)
+        x, a, t = self._divided(f) or (None, None, 0)
         if a is not None:
-            return a
+            return a if t == 0 else Conic.from_coeffs(galois_image(a.coeffs, t))
         if x is None:
             raise NotOnSurface("conic does not lie on the surface")
         d = sum(next(iter(x.terms))) + 2  # x has degree deg f - 2
@@ -340,37 +402,50 @@ class Conic:
         return Conic(self.plane, x)
 
     def _divided(self, f):
-        """How f|plane = quadric * q is shown: None if it does not hold, else (x, a).
+        """How f|plane = quadric * q is shown: None if it does not hold, else (x, a, t).
 
-        a None: x is q from this conic's own division, kept for the last f
-        (the same object or an equal form), else _section_quotient(f), which
-        a quartic f records under the plane.  a a conic: the plane's record
-        holds a, divided by f with quotient x * quadric, so q = x * Q_a.
+        a None: x is q, from this conic's own division or from sigma_t of
+        the quotient of the conic a plane record holds when that conic is
+        sigma_t(self); kept for the last f (the same object or an equal
+        form).  a a conic: the record of sigma_t(plane) holds a, divided by
+        f with a quotient lc * Q_sigma_t(self), so q = x * Q_sigma_t(a) with
+        x = sigma_t(lc), and sigma_t(a) is the residual.  A conic no record
+        answers for is divided itself (_section_quotient), and a quartic f
+        records it under the plane.
         """
         last = self._last
         if last is not None and (last[0] is f or last[0] == f):
-            return None if last[1] is None else (last[1], None)
-        a = _DIVIDED.get(self.coeffs[10:])
-        if a is not None and a is not self:
+            return None if last[1] is None else (last[1], None, 0)
+        coeffs = self.coeffs
+        for t, plane in plane_conjugates(coeffs[10:], f):
+            a = _DIVIDED.get(plane)
+            if a is None:
+                continue
             g, qa = a._last
-            if qa is not None and (g is f or g == f):
-                # qa = lc * quadric, lc at the monic quadric's lead
-                quad = [(m, y) for m, y in zip(_QUAD_MONOS, self.coeffs) if y]
-                lead = next(k for k in _LEAD_ORDER if self.coeffs[k])
-                lc = qa.terms.get(_QUAD_MONOS[lead])
-                if (
-                    lc is not None
-                    and len(qa.terms) == len(quad)
-                    and all(qa.terms.get(m) == lc * y for m, y in quad)
-                ):
-                    return lc, a
+            if qa is None or not (g is f or g == f):
+                continue
+            quad = galois_image(coeffs[:10], t)
+            if quad == a.coeffs[:10]:
+                if t:
+                    qa = Poly(ZRING, {m: y.galois(t) for m, y in qa.terms.items()})
+                self._last = (f, qa)
+                return qa, None, 0
+            # is qa = lc * quad, lc at the monic quadric's lead?
+            lc = qa.terms.get(_QUAD_MONOS[next(k for k in _LEAD_ORDER if quad[k])])
+            nonzero = [(m, y) for m, y in zip(_QUAD_MONOS, quad) if y]
+            if (
+                lc is not None
+                and len(qa.terms) == len(nonzero)
+                and all(qa.terms.get(m) == lc * y for m, y in nonzero)
+            ):
+                return lc.galois(t), a, t
         q = self._section_quotient(f)
         self._last = (f, q)
         if q is None:
             return None
         if sum(next(iter(q.terms))) == 2:  # f is a quartic
-            _DIVIDED[self.coeffs[10:]] = self
-        return q, None
+            _DIVIDED[coeffs[10:]] = self
+        return q, None, 0
 
     def _section_quotient(self, f):
         """The form q with f|plane = quadric * q, or None if there is none.

@@ -23,7 +23,13 @@ from .certificates import (
 )
 from .errors import NonPrincipal, VerificationFailed
 from .field import ONE, ZERO, kelem
-from .geometry import Conic, intersection_number, singular_charts
+from .geometry import (
+    Conic,
+    galois_image,
+    intersection_number,
+    plane_conjugates,
+    singular_charts,
+)
 from .groebner import (
     buchberger,
     elimination_ideal,
@@ -127,8 +133,10 @@ def _coplanar_on_surface(group):
     residual, built from that quotient, is compared with b.  If it equals b,
     both lie on the surface and each is the other's residual, so b needs no
     section or division.  Other groups, and a pair whose residual is not b,
-    ask each conic's on_surface, which reads a conic's answer from the
-    plane's record (geometry) when it is the residual of one already divided.
+    ask each conic's on_surface, which reads a conic's answer from the plane
+    records (geometry) when it, or its residual, is a conic already divided
+    on its plane or, under an automorphism of K that fixes f, on a conjugate
+    plane.
     """
     f = _surface()
     if len(group) == 2:
@@ -146,27 +154,19 @@ def _conics_valid(conics):
     a damaged plane is found before the pairs.  A group is checked by the
     irreducibility of its conics and _coplanar_on_surface, unless it is the
     conjugate of a group already checked under an automorphism sigma_t of K
-    (KElem.galois(t), t = 1..7, acting coefficient-wise) that fixes every
-    coefficient of the surface f: the same number of conics, and the same
-    canonical coefficient tuples as a set.  Such a group passes with the
-    verdict of the group it is conjugate to.  This is exact:
-
-    - sigma fixes f, so sigma maps V(f) to itself;
-    - the canonical form (geometry._canonical) uses only field operations
-      and zero tests, so sigma of a canonical record is the canonical
-      record of the conjugate conic, with the same pivot and lead;
-    - 4 det of the conjugate quadric is sigma(4 det), so irreducibility
-      transfers;
-    - f|plane = lam * Q_a * Q_b gives f|sigma(plane) = sigma(lam) * Q_sigma(a)
-      * Q_sigma(b), so lying on the surface and being mutual residuals both
-      transfer.
+    that fixes every coefficient of the surface f (geometry.plane_conjugates):
+    the same number of conics, and the same canonical coefficient tuples as
+    a set.  Such a group passes with the verdict of the group it is
+    conjugate to, which is exact by the proof in the geometry docstring:
+    irreducibility, lying on the surface and being mutual residuals all
+    transfer under sigma_t.  Skipping the group whole also skips its
+    irreducibility tests and its residual Conic.
 
     An equal plane alone is not enough: a group on a conjugate plane whose
     conics differ is checked itself.  On the census, which K's eight
     automorphisms permute, 160 of the 400 planes are checked.
     """
     f = _surface()
-    ts = [t for t in range(1, 8) if all(x.galois(t) == x for x in f.terms.values())]
     conjugates = {}  # sigma_t(plane of a checked group g) -> (t, g, g's pairing)
     paired = True
     for g in sorted(_by_plane(conics).values(), key=lambda group: len(group) == 2):
@@ -175,7 +175,7 @@ def _conics_valid(conics):
         if known is not None:
             t, h, pair = known
             if len(g) == len(h) and {c.coeffs for c in g} == {
-                tuple(x.galois(t) for x in c.coeffs) for c in h
+                galois_image(c.coeffs, t) for c in h
             }:
                 paired = paired and pair
                 continue
@@ -185,8 +185,8 @@ def _conics_valid(conics):
         if not on:
             return False, None
         paired = paired and pair
-        for t in ts:
-            conjugates.setdefault(tuple(x.galois(t) for x in plane), (t, g, pair))
+        for t, image in plane_conjugates(plane, f)[1:]:
+            conjugates.setdefault(image, (t, g, pair))
     return True, paired
 
 

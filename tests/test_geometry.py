@@ -224,9 +224,11 @@ def _oracle_quotient(c, f):
 
 def _quotient(c, f):
     """The form q with f|plane = quadric * q as c._divided(f) shows it, or None:
-    its own quotient, or x * Q_a when the plane's record a answers."""
-    x, a = c._divided(f) or (None, None)
-    return x if a is None else a.quadric * x
+    a quotient, or x * Q_sigma_t(a) when a plane record a answers for the residual."""
+    x, a, t = c._divided(f) or (None, None, 0)
+    if a is None:
+        return x
+    return Conic.from_coeffs(geometry.galois_image(a.coeffs, t)).quadric * x
 
 
 def _oracle_nullspace(rows, ncols):
@@ -404,24 +406,110 @@ def _shifted(c):
     return Conic.from_coeffs(a + list(c.coeffs[10:]))
 
 
-def test_per_conic_on_surface_divides_once_per_plane(fresh_plane_records, monkeypatch):
-    sections = _count_sections(monkeypatch)
+def _census_copies():
+    """The 800 census conics as fresh copies, in orbit order: nothing kept."""
     gens = catalog.symmetry_generators()
     seeds = [Conic.from_coeffs(c.coeffs) for c in catalog.seed_conics()]
     conics = [c for s in seeds for c in group.orbit_of_conic(gens, s).values()]
     assert len(conics) == 800
+    return conics
+
+
+def _spy_conjugates(monkeypatch):
+    """The t of every plane the record lookups of _divided look at."""
+    ts = set()
+    conjugates = geometry.plane_conjugates
+
+    def spy(plane, f):
+        images = conjugates(plane, f)
+        ts.update(t for t, _ in images)
+        return images
+
+    monkeypatch.setattr(geometry, "plane_conjugates", spy)
+    return ts
+
+
+def test_per_conic_on_surface_divides_once_per_galois_class(fresh_plane_records, monkeypatch):
+    """The per-conic census loop makes one section per Galois class of planes.
+
+    The eight automorphisms of K fix f and permute the census, so the first
+    conic divided in a class answers for its residual and for the conics of
+    every conjugate plane: 160 sections for 400 planes.
+    """
+    sections = _count_sections(monkeypatch)
+    conics = _census_copies()
     f = catalog.surface()
-    assert all(c.on_surface(f) for c in conics)
-    # the first conic of each plane is divided, its residual read from the record
-    assert len(sections) == 400
+    assert all(c.is_irreducible() and c.on_surface(f) for c in conics)
+    assert len(sections) == 160
     assert all(c.residual(f).residual(f) == c for c in conics)
-    assert len(sections) == 400
+    assert len(sections) == 160
+
+
+def test_transfer_only_under_automorphisms_that_fix_the_surface(
+    fresh_plane_records, monkeypatch
+):
+    """i*f has the zero set of f, but only the automorphisms that fix i (t =
+    2, 4, 6) fix its coefficients: the per-conic loop makes one section per
+    orbit of planes under those four, and every quotient is exact."""
+    sections = _count_sections(monkeypatch)
+    ts = _spy_conjugates(monkeypatch)
+    conics = _census_copies()
+    f = I * catalog.surface()
+    assert all(c.is_irreducible() and c.on_surface(f) for c in conics)
+    # no census plane holds s2, so sigma_2 fixes every plane and sigma_6
+    # moves each as sigma_4 does: one t per image leaves 0 and 4
+    assert ts == {0, 4}
+    planes = {c.coeffs[10:] for c in conics}
+    classes = {frozenset(geometry.galois_image(b, t) for t in (0, 2, 4, 6)) for b in planes}
+    assert len(sections) == len(classes) == 280
+    for c in conics:
+        assert _quotient(c, f) == _oracle_quotient(c, f)
+        assert c.residual(f).residual(f) == c
+    assert len(sections) == 280
+
+
+def test_a_damaged_conic_on_a_conjugate_plane_is_divided(
+    census_conics, fresh_plane_records, monkeypatch
+):
+    """The damaged record of the CI step: the first census conic whose plane
+    is the conjugate of an earlier plane, with its last nonzero quadric
+    coefficient shifted.  The conjugate plane's division is recorded, but the
+    damaged conic is neither its conjugate nor its residual's, so it is
+    divided itself and found off the surface; an intact conic of its plane
+    is answered from the conjugate record."""
+    f = catalog.surface()
+    first = {}  # plane -> the first census conic on it
+    for c in census_conics:
+        plane = c.coeffs[10:]
+        earlier = [first[b] for t in range(1, 8) if (b := geometry.galois_image(plane, t)) in first]
+        if plane not in first and earlier:
+            break
+        first.setdefault(plane, c)
+    intact = Conic.from_coeffs(earlier[0].coeffs)
+    assert intact.on_surface(f)  # divided and recorded
+    sections = _count_sections(monkeypatch)
+    damaged = _shifted(c)
+    assert damaged.coeffs[10:] == c.coeffs[10:]
+    assert _oracle_quotient(damaged, f) is None
+    assert not damaged.on_surface(f)
+    with pytest.raises(NotOnSurface):
+        damaged.residual(f)
+    assert len(sections) == 1
+    for d in census_conics:
+        if d.coeffs[10:] == c.coeffs[10:]:
+            d = Conic.from_coeffs(d.coeffs)
+            assert _quotient(d, f) == _oracle_quotient(d, f)
+    assert len(sections) == 1
 
 
 @pytest.mark.parametrize("edit", ["off_surface", "copy_of_divided", "copy_of_residual"])
 def test_the_record_answers_only_for_the_residual(
     census_conics, fresh_plane_records, monkeypatch, edit
 ):
+    """A plane's record answers for the residual of the divided conic a and,
+    as t = 0 of the lookup that also covers conjugate planes, for a conic
+    equal to a, whose quotient is a's; any other conic of the plane, here
+    one off the surface, is divided itself."""
     sections = _count_sections(monkeypatch)
     f = catalog.surface()
     for a, b in _plane_pairs(census_conics, 10, 31):
@@ -440,25 +528,37 @@ def test_the_record_answers_only_for_the_residual(
                 d.residual(f)
         else:
             assert d.residual(f) == (b if d == a else a)
-        # only a's residual is answered without a division of its own
-        assert len(sections) == (0 if edit == "copy_of_residual" else 1)
+        # only a conic off the surface needs a division of its own
+        assert len(sections) == (1 if edit == "off_surface" else 0)
 
 
 def test_the_record_answers_only_for_its_surface(census_conics, fresh_plane_records, monkeypatch):
+    """A record answers only for the surface its conic was divided by (the
+    same object or an equal form).  Another quartic, and 2f, are worked out
+    for b, unless an earlier pair on a conjugate plane already recorded its
+    own division by 2f, which answers for b since the automorphisms that
+    fix f fix 2f."""
     sections = _count_sections(monkeypatch)
     f = catalog.surface()
     fermat = z0**4 + z1**4 + z2**4 + z3**4
+    divided_by_2f = set()
+    counts = []
     for a, b in _plane_pairs(census_conics, 10, 37):
         assert a.on_surface(f)
         sections.clear()
         assert b.residual(f) is a
         assert len(sections) == 0
-        # another surface, and f times a scalar, are worked out for b
         assert _oracle_quotient(b, fermat) is None
         assert not b.on_surface(fermat)
+        assert len(sections) == 1
         assert _quotient(b, 2 * f) == _oracle_quotient(b, 2 * f)
         assert b.residual(2 * f) == a
-        assert len(sections) == 2
+        plane = b.coeffs[10:]
+        conjugate = any(image in divided_by_2f for _, image in geometry.plane_conjugates(plane, f))
+        assert len(sections) == (1 if conjugate else 2)
+        counts.append(len(sections))
+        divided_by_2f.add(plane)
+    assert set(counts) == {1, 2}
 
 
 def test_a_deleted_divided_conic_leaves_no_record(census_conics, fresh_plane_records, monkeypatch):

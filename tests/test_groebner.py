@@ -608,6 +608,34 @@ def test_mutated_points_never_certify_a_basis(
     assert G.polys == buchberger(polys).polys
 
 
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_points_that_miss_one_generator_never_certify_a_basis(
+    lex2, filter_forced, closings, monkeypatch, at
+):
+    ring, x, y = lex2
+    # x^2 - 1 and y^2 - 1 vanish at all four points (+-1, +-1), x*y - 1 only
+    # at (-1, -1) and (1, 1), the points of the filtered basis; (1, -1) in
+    # place of (1, 1) is a right count of distinct points that zero every
+    # generator but x*y - 1, placed first, in the middle or last
+    gens = [x**2 - 1, y**2 - 1]
+    gens.insert(at, x * y - 1)
+    stray = (ONE, -ONE)
+    assert [bool(specialize(g, dict(enumerate(stray)))) for g in gens] == [
+        k == at for k in range(3)
+    ]
+    solve = groebner.solve_zero_dim
+
+    def one_stray(Gl, hints=()):
+        points = solve(Gl, hints).points
+        assert points == [(-ONE, -ONE), (ONE, ONE)]
+        return SolveResult([points[0], stray], [])
+
+    monkeypatch.setattr(groebner, "solve_zero_dim", one_stray)
+    G = solve_system(gens)[0]
+    assert G.trace.pairs_mod_p > 0 and len(closings) == 1
+    assert G.polys == buchberger(gens).polys
+
+
 def _box_scan(G):
     """Standard monomials by testing every monomial below the pure-power
     bounds, in increasing ring order."""
