@@ -345,6 +345,11 @@ def mod_p(x):
     return sum(n * f for n, f in zip(x.num, _PHI)) * pow(x.den, -1, P) % P
 
 
+def dot_p(xs, ys):
+    """The coefficient sum over F_P: dot of integer images, reduced mod P."""
+    return sum(map(mul, xs, ys)) % P
+
+
 def _make(nums, den):
     if den < 0:
         den = -den

@@ -75,19 +75,33 @@ conics in distinct planes meet only along the common line, where the count is
 the degree of the gcd of the two restricted binary quadratics (0, 1 or 2).
 Two points spanning the line come from the 2x2 minors of the two planes
 (Cramer's rule), with no inverse in K.
-The restrictions come straight from the quadric coefficients: on the line
-u*s + v*t, sum a_ij z_i z_j has coefficients sum a_ij s_i s_j,
-sum a_ij (s_i t_j + s_j t_i) and sum a_ij t_i t_j.  With m01, m02, m12 the
-2x2 minors of the two coefficient rows, the resultant is m02^2 - m01*m12: a
-nonzero resultant means no common point (0), all three minors zero means
-proportional quadratics (2), anything else one common point (1).
+With w_i(v) = sum_{j >= i} a_ij v_j, a quadric sum a_ij z_i z_j is
+Q(s) u^2 + B(s, t) u*v + Q(t) v^2 on the line u*s + v*t, where
+Q(v) = sum v_i w_i(v) and B(s, t) = sum s_i w_i(t) + t_i w_i(s).  With m01,
+m02, m12 the 2x2 minors of the two coefficient rows, the resultant is
+m02^2 - m01*m12: a nonzero resultant means no common point (0), all three
+minors zero means proportional quadratics (2), anything else one common
+point (1).
+
+Most pairs are disjoint, and that is proved over F_P first: the same body
+(_line_meet) runs on the images of the 28 coefficients (field.mod_p, kept
+per conic) with field.dot_p as its sum.  A resultant nonzero mod P answers
+0; anything else (an image None, no plane minor a unit mod P, a resultant
+= 0 mod P) goes to K, so F_P never answers 1, 2 or CommonComponent.  This
+is exact: mod_p is a ring map phi on the elements whose denominator P does
+not divide, and each minor, point and resultant is an integer polynomial in
+the 28 coefficients.  So a minor with phi(p_ij) != 0 is nonzero and its two
+points span the line over K, and the resultant over K on them, with image
+phi(res) != 0, is nonzero: the conics share no point.  Other spanning
+points multiply it by delta^4 != 0, delta the change of points'
+determinant, so the K route agrees.
 """
 
 import functools
 import weakref
 
 from .errors import CommonComponent, DegenerateConic, NotOnSurface, RingMismatch
-from .field import FLIPPED, ONE as K1, ZERO as K0, KElem, dot
+from .field import FLIPPED, ONE as K1, ZERO as K0, KElem, dot, dot_p, mod_p
 from .poly import (
     DEGREVLEX,
     Poly,
@@ -127,6 +141,7 @@ _PLANE_MONOS = tuple(_unit(i) for i in range(4))
 _QIDX = tuple(
     tuple(_QUAD_PAIRS.index((min(i, j), max(i, j))) for j in range(4)) for i in range(4)
 )
+_ROWS = tuple(slice(_QIDX[i][i], _QIDX[i][3] + 1) for i in range(4))  # a_ii..a_i3
 # record positions of the quadric coefficients, largest monomial first
 _LEAD_ORDER = tuple(
     sorted(range(10), key=lambda k: ZRING.key(_QUAD_MONOS[k]), reverse=True)
@@ -292,7 +307,8 @@ class Conic:
     """
 
     __slots__ = (
-        "pivot", "coeffs", "_hash", "_key", "_plane", "_quadric", "_last", "__weakref__"
+        "pivot", "coeffs", "_hash", "_key", "_coeffs_p", "_plane", "_quadric", "_last",
+        "__weakref__"
     )
 
     def __init__(self, plane, quadric):
@@ -310,7 +326,7 @@ class Conic:
     def _set(self, b, a):
         self.pivot, b, a = _canonical(b, a)
         self.coeffs = a + b
-        self._hash = self._key = self._plane = self._quadric = None
+        self._hash = self._key = self._coeffs_p = self._plane = self._quadric = None
         self._last = None  # (f, quotient) of the last surface asked about
 
     @classmethod
@@ -328,6 +344,15 @@ class Conic:
         if self._key is None:
             self._key = tuple(x.to_text() for x in self.coeffs)
         return self._key
+
+    @property
+    def coeffs_p(self):
+        """The 14 canonical coefficients in F_P (field.mod_p), or None when
+        P divides a denominator."""
+        if self._coeffs_p is None:
+            image = tuple(map(mod_p, self.coeffs))
+            self._coeffs_p = () if None in image else image
+        return self._coeffs_p or None
 
     @property
     def plane(self):
@@ -474,29 +499,6 @@ class Conic:
         monos = dense_monomials(3, d - 2)[0]
         return Poly(ZRING, {m[:p] + (0,) + m[p:]: x for m, x in zip(monos, r) if x})
 
-    def point_on_plane_line(self, other):
-        """Two independent points spanning the line plane(self) = plane(other) = 0.
-
-        With p_ij = b_i c_j - b_j c_i the 2x2 minors of the planes b and c,
-        p_jk e_i + p_ki e_j + p_ij e_k lies on both (Cramer's rule); p_ij != 0
-        and k each of the other two columns give two independent points.
-        """
-        b, c = self.coeffs[10:], other.coeffs[10:]
-        p = [[K0] * 4 for _ in range(4)]
-        for i, j in _PLANE_PAIRS:
-            p[i][j] = dot((b[i], b[j]), (c[j], -c[i]))
-            p[j][i] = -p[i][j]
-        i, j = next(((i, j) for i, j in _PLANE_PAIRS if p[i][j]), (None, None))
-        if i is None:
-            raise CommonComponent("planes coincide; no unique common line")
-        points = []
-        for k in range(4):
-            if k not in (i, j):
-                v = [K0] * 4
-                v[i], v[j], v[k] = p[j][k], p[k][i], p[i][j]
-                points.append(v)
-        return points
-
 
 def _degree(f):
     """Degree of a form f in K[z0..z3]."""
@@ -520,38 +522,74 @@ def _section(f, d, pivot, b):
     return dense_image(f.terms, d, rows)
 
 
+def point_on_plane_line(b, c, total):
+    """Two independent points on the planes b and c, or None when no minor
+    p_ij = b_i c_j - b_j c_i is nonzero; total is the coefficient sum,
+    field.dot over K or field.dot_p over F_P.  With the first p_ij != 0 and
+    k each other column, p_jk e_i + p_ki e_j + p_ij e_k (Cramer's rule).
+    """
+    p = {}
+    for i, j in _PLANE_PAIRS:
+        p[i, j] = total((b[i], b[j]), (c[j], -c[i]))
+        p[j, i] = -p[i, j]
+    i, j = next(((i, j) for i, j in _PLANE_PAIRS if p[i, j]), (None, None))
+    if i is None:
+        return None
+    points = []
+    for k in range(4):
+        if k not in (i, j):
+            v = [total((), ())] * 4
+            v[i], v[j], v[k] = p[j, k], p[k, i], p[i, j]
+            points.append(v)
+    return points
+
+
+def _line_meet(x, y, total):
+    """(restrictions, minors, resultant) of the quadrics of the rows x, y
+    (a00..a33, b0..b3) on the common line of their planes, or None when no
+    minor of the planes is nonzero; total as in point_on_plane_line.
+    """
+    points = point_on_plane_line(x[10:], y[10:], total)
+    if points is None:
+        return None
+    s, t = points
+    rows = []
+    for q in (x, y):
+        ws, wt = ([total(q[r], v[i:]) for i, r in enumerate(_ROWS)] for v in (s, t))
+        rows.append((total(s, ws), total(s + t, wt + ws), total(t, wt)))
+    (a0, a1, a2), (b0, b1, b2) = rows
+    # 2x2 minors of the coefficient rows; both quadratics are proportional
+    # iff all vanish, and their resultant is m02^2 - m01*m12
+    m01 = total((a0, a1), (b1, -b0))
+    m02 = total((a0, a2), (b2, -b0))
+    m12 = total((a1, a2), (b2, -b1))
+    return rows, (m01, m02, m12), total((m02, m01), (m02, -m12))
+
+
 def intersection_number(c1, c2):
     """Intersection number of two irreducible census conics on the surface.
 
     Both conics must be irreducible; reducible inputs can share a line, which
-    is reported as CommonComponent rather than a number.
+    is reported as CommonComponent rather than a number.  Conics in distinct
+    planes are met over F_P first, and over K unless that proves them
+    disjoint (see the module docstring).
     """
     if c1 == c2:
         return -2
     if c1.coeffs[10:] == c2.coeffs[10:]:
         # Distinct irreducible conics in one plane: Bezout, no common part.
         return 4
-    s, t = c1.point_on_plane_line(c2)
-    # a quadric sum a_ij z_i z_j on the line u*s + v*t is the binary quadratic
-    # with coefficients sum a_ij s_i s_j, sum a_ij (s_i t_j + s_j t_i) and
-    # sum a_ij t_i t_j on u^2, u*v and v^2
-    line = (
-        [s[i] * s[j] for i, j in _QUAD_PAIRS],
-        [dot((s[i], s[j]), (t[j], t[i])) for i, j in _QUAD_PAIRS],
-        [t[i] * t[j] for i, j in _QUAD_PAIRS],
-    )
-    a0, a1, a2 = (dot(c1.coeffs[:10], v) for v in line)
-    b0, b1, b2 = (dot(c2.coeffs[:10], v) for v in line)
-    if not (a0 or a1 or a2) or not (b0 or b1 or b2):
-        raise CommonComponent("conic contains the common line of the two planes")
-    # 2x2 minors of the coefficient rows; both quadratics are proportional
-    # iff all vanish, and their resultant is m02^2 - m01*m12
-    m01 = dot((a0, a1), (b1, -b0))
-    m02 = dot((a0, a2), (b2, -b0))
-    m12 = dot((a1, a2), (b2, -b1))
-    if dot((m02, m01), (m02, -m12)):
+    x, y = c1.coeffs_p, c2.coeffs_p
+    met = x and y and _line_meet(x, y, dot_p)
+    if met and met[2]:
         return 0
-    return 1 if (m01 or m02 or m12) else 2
+    # canonical planes that differ are independent: a minor is nonzero
+    rows, minors, res = _line_meet(c1.coeffs, c2.coeffs, dot)
+    if not all(any(row) for row in rows):
+        raise CommonComponent("conic contains the common line of the two planes")
+    if res:
+        return 0
+    return 1 if any(minors) else 2
 
 
 def singular_charts(f, n):

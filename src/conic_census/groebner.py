@@ -77,7 +77,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .errors import (
     NotZeroDimensional,
@@ -85,7 +85,7 @@ from .errors import (
     OrderNotLex,
     ResourceBudgetExceeded,
 )
-from .field import P, ZERO as K0, ONE as K1, dot, mod_p, sqrt_in_k
+from .field import P, ZERO as K0, ONE as K1, dot, dot_p, mod_p, sqrt_in_k
 from .poly import (
     LEX,
     Poly,
@@ -262,11 +262,6 @@ def _tall(tail):
     )
 
 
-def _dot_p(xs, ys):
-    """The coefficient sum over F_P: dot of integer images, reduced mod P."""
-    return sum(map(mul, xs, ys)) % P
-
-
 def normal_form(p, divisors):
     """Remainder of p on division by the divisor list.
 
@@ -311,7 +306,7 @@ def _remainder(pk, work, prepared, memo, total):
     leading term first, as packed (monomial, coefficient) pairs.
 
     work maps each monomial to two factor lists whose coefficient sum
-    total(xs, ys) is its coefficient: field.dot over K, _dot_p over F_P.
+    total(xs, ys) is its coefficient: field.dot over K, field.dot_p over F_P.
     The reduction appends to the lists and sums them (over K, one gcd
     normalisation) only when the monomial is reached, a zero sum meaning
     the terms cancelled.  work is consumed as the terms are drawn, so a
@@ -537,7 +532,7 @@ def _run(pk, starts, budget, trace, t0, filtering):
             trace.pairs_processed += 1
             if images is not None:
                 work = _s_pending(pk, images[i], images[j])
-                if next(_remainder(pk, work, images, memo, _dot_p), None) is None:
+                if next(_remainder(pk, work, images, memo, dot_p), None) is None:
                     trace.zero_reductions += 1
                     trace.pairs_mod_p += 1
                     continue

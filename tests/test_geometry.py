@@ -2,15 +2,18 @@
 
 import random
 import weakref
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from conic_census import catalog
 from conic_census import geometry
 from conic_census import group
+from conic_census import pipeline
 from conic_census.errors import CommonComponent, DegenerateConic, NotOnSurface
-from conic_census.field import I, ONE, SQRT2, SQRT10, ZERO, dot, kelem
-from conic_census.geometry import Conic, ZRING, intersection_number
+from conic_census.field import I, ONE, P, SQRT2, SQRT10, ZERO, dot, dot_p, kelem, mod_p
+from conic_census.geometry import Conic, ZRING, intersection_number, point_on_plane_line
 from conic_census.linalg import mat_det
 from conic_census.pipeline import hypersurface_smooth
 from conic_census.poly import Poly, PolyRing, dense_monomials
@@ -330,21 +333,100 @@ def test_intersection_number_matches_oracle(census_conics):
 
 
 def test_common_line_lies_on_both_planes(census_conics):
+    # the one line body, over K and over F_P on the conics' images
     rng = random.Random(11)
     by_plane = {}
     for c in census_conics:
         by_plane.setdefault(c.coeffs[10:], []).append(c)
     for c, d in rng.sample(list(by_plane.values()), 10):
-        with pytest.raises(CommonComponent):
-            c.point_on_plane_line(d)
+        assert point_on_plane_line(c.coeffs[10:], d.coeffs[10:], dot) is None
+        assert point_on_plane_line(c.coeffs_p[10:], d.coeffs_p[10:], dot_p) is None
     for _ in range(200):
         c, d = rng.sample(census_conics, 2)
         if c.coeffs[10:] == d.coeffs[10:]:
             continue
-        s, t = c.point_on_plane_line(d)
+        s, t = point_on_plane_line(c.coeffs[10:], d.coeffs[10:], dot)
         for b in (c.coeffs[10:], d.coeffs[10:]):
             assert not dot(b, s) and not dot(b, t)
         assert any(s[i] * t[j] - s[j] * t[i] for i in range(4) for j in range(i + 1, 4))
+        sp, tp = point_on_plane_line(c.coeffs_p[10:], d.coeffs_p[10:], dot_p)
+        for b in (c.coeffs_p[10:], d.coeffs_p[10:]):
+            assert dot_p(b, sp) == dot_p(b, tp) == 0
+            assert dot_p(b, map(mod_p, s)) == dot_p(b, map(mod_p, t)) == 0
+        assert any(dot_p((sp[i], sp[j]), (tp[j], -tp[i])) for i in range(4) for j in range(i))
+
+
+def _count_k_route(monkeypatch):
+    """The coefficient rows of each pair intersection_number meets over K."""
+    pairs = []
+    meet = geometry._line_meet
+
+    def counted(x, y, total):
+        if total is dot:
+            pairs.append((x, y))
+        return meet(x, y, total)
+
+    monkeypatch.setattr(geometry, "_line_meet", counted)
+    return pairs
+
+
+def test_only_pairs_meeting_once_reach_k_in_gram_and_kummer(monkeypatch):
+    k_route = _count_k_route(monkeypatch)
+    ones = []
+
+    def recorded(c1, c2):
+        n = intersection_number(c1, c2)
+        if n == 1:
+            ones.append((c1.coeffs, c2.coeffs))
+        return n
+
+    monkeypatch.setattr(pipeline, "intersection_number", recorded)
+    # 5 matrices of 210 pairs: 20 self-intersections, 22 meeting once, 168 disjoint
+    pipeline.gram_report()
+    assert len(ones) == 110 and Counter(k_route) == Counter(ones)
+    k_route.clear()
+    pipeline.kummer_report()  # 120 disjoint pairs
+    assert k_route == []
+
+
+def _hand_pair(plane1, quadric1, plane2, quadric2):
+    c, d = Conic(plane1, quadric1), Conic(plane2, quadric2)
+    assert c.is_irreducible() and d.is_irreducible()
+    return c, d
+
+
+def test_resultant_zero_mod_p_only_is_met_over_k(monkeypatch):
+    # on the line z0 = z1 = 0: z2*z3 against (z2 - P z3)(z2 - 2 z3), no
+    # common root over K, the common root z2 = 0 mod P
+    c, d = _hand_pair(z0, z1**2 + z2 * z3, z1, z0**2 + (z2 - P * z3) * (z2 - 2 * z3))
+    k_route = _count_k_route(monkeypatch)
+    met = geometry._line_meet(c.coeffs_p, d.coeffs_p, dot_p)
+    assert met is not None and met[2] == 0
+    for a, b in ((c, d), (d, c)):
+        assert intersection_number(a, b) == _oracle_intersection(a, b) == 0
+    assert len(k_route) == 2
+
+
+def test_conic_containing_the_common_line_is_met_over_k():
+    # z1*z2 on z0 = 0 contains the line z0 = z1 = 0: zero mod P as well
+    c, d = Conic(z0, z1 * z2), Conic(z1, z0**2 + z2 * z3)
+    for a, b in ((c, d), (d, c)):
+        with pytest.raises(CommonComponent):
+            intersection_number(a, b)
+
+
+def test_denominator_divisible_by_p_is_met_over_k(monkeypatch):
+    plane, quadric = z0 + z1 * kelem(Fraction(1, P)), P * z0 * z1 + z1 * z3 + z2**2
+    k_route = _count_k_route(monkeypatch)
+    seen = set()
+    for q in (z0 * z1 + z1**2 + z0 * z3 + z3**2, z0**2 + P * z0 * z1 + z1 * z3):
+        c, d = _hand_pair(plane, quadric, z2, q)
+        assert c.coeffs_p is None and d.coeffs_p is not None
+        for a, b in ((c, d), (d, c)):
+            n = intersection_number(a, b)
+            assert n == _oracle_intersection(a, b)
+            seen.add(n)
+    assert seen == {0, 1} and len(k_route) == 4
 
 
 def test_quotient_is_kept_per_surface(census_conics, fresh_plane_records, monkeypatch):
