@@ -34,8 +34,9 @@ def frac(a, b=1):
 # -- the surface and its symmetry group ---------------------------------------
 
 
+@functools.cache
 def surface():
-    """The quartic sum(zi^4) - 6 sum_{i<j} zi^2 zj^2 in K[z0..z3]."""
+    """The quartic sum(zi^4) - 6 sum_{i<j} zi^2 zj^2 in K[z0..z3], one object per process."""
     z = ZRING.gens()
     f = z[0] ** 4 + z[1] ** 4 + z[2] ** 4 + z[3] ** 4
     for i in range(4):

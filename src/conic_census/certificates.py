@@ -48,6 +48,7 @@ from .geometry import Conic, RECORD_FIELDS
 from .group import GroupMatrix
 
 HEADER = "conic-census certificate 1"
+MAX_BYTES = 16 * 2**20  # the longest file read; census800.cert is 217,960 bytes
 
 # line keywords that terminate or structure the metadata block
 _RESERVED = ("conic", "count", "kind")
@@ -308,9 +309,11 @@ def parse_certificate(text: str) -> ConicCertificate:
 def read_certificate(path) -> ConicCertificate:
     with open(path, "r", encoding="ascii") as fh:
         try:
-            text = fh.read()
+            text = fh.read(MAX_BYTES + 1)
         except UnicodeDecodeError as exc:
             raise ParseError(f"non-ASCII byte at offset {exc.start}") from None
+    if len(text) > MAX_BYTES:
+        raise ParseError(f"certificate longer than {MAX_BYTES} bytes")
     return parse_certificate(text)
 
 

@@ -29,22 +29,22 @@ conic lies on the surface iff its reduced quadric Q, which is monic, divides
 the section S: the quotient R comes from a triangular solve, largest
 monomial first (each coefficient of R is one coefficient of S minus products
 with coefficients of R already known, so no inverse is needed), and is
-accepted only if Q * R equals S on every coefficient.  R is the quadric of
-the residual conic.  The monomial and product tables of poly drive every
-product, and each output coefficient costs one normalised dot product
-(field.dot).
-Each conic keeps the quotient for the last surface it was asked about, so
-on_surface and residual on the same f (the same object or an equal form)
-share one section and one division.  A division S = Q_a * q that succeeds on
-a quartic f is recorded under the canonical plane, and it answers for that
-plane and for its images under the automorphisms of K that fix f.  A conic c
-on the plane P asked about f first looks up the record of each plane
-sigma_t(P): t = 0, the identity, and each t whose automorphism sigma_t
-(KElem.galois(t), coefficient-wise) fixes every coefficient of f, one t per
-distinct image of P.  Where the record a was divided by the same f:
+accepted only if Q * R equals S on every coefficient.  R, kept as that dense
+list, is the quadric of the residual conic.  The monomial and product tables
+of poly drive every product, and each output coefficient costs one
+normalised dot product (field.dot).  Each conic keeps the quotient for the
+last surface f it was asked about, compared by identity (catalog.surface is
+one object per process; an equal form is divided anew), so on_surface and
+residual on f share one section and one division.  A division S = Q_a * q
+that succeeds on a quartic f is recorded under the canonical plane, and it
+answers for that plane and for its images under the automorphisms of K that
+fix f.  A conic c on the plane P asked about f first looks up the record of
+each plane sigma_t(P): t = 0, the identity, and each t whose automorphism
+sigma_t (KElem.galois(t), coefficient-wise) fixes every coefficient of f,
+one t per distinct image of P.  Where the record a was divided by the same f:
 
 - if sigma_t(c) = a, c's quotient is sigma_t(q);
-- if q = lc(q) * Q_sigma_t(c) (at most six products), sigma_t(c) is a's
+- if q = lc(q) * Q_sigma_t(c) (six products), sigma_t(c) is a's
   residual: c's quotient is sigma_t(lc(q)) * Q_sigma_t(a), and c's residual
   is sigma_t(a).
 
@@ -232,10 +232,10 @@ def plane_conjugates(plane, f):
 
     sigma_t and sigma_u move the plane alike exactly when FLIPPED[t] and
     FLIPPED[u] agree on the coordinates its coefficients hold.  The fixers
-    are kept for the last f (the same object or an equal form).
+    are kept for the last f, compared by identity.
     """
     g, fixers = _FIXERS
-    if g is not f and not (g is not None and g == f):
+    if g is not f:
         fmask = _mask(f.terms.values())
         fixers = tuple(t for t in range(1, 8) if not FLIPPED[t] & fmask)
         _FIXERS[:] = f, fixers
@@ -421,25 +421,26 @@ class Conic:
             return a if t == 0 else Conic.from_coeffs(galois_image(a.coeffs, t))
         if x is None:
             raise NotOnSurface("conic does not lie on the surface")
-        d = sum(next(iter(x.terms))) + 2  # x has degree deg f - 2
-        if d != 4:
+        if len(x) != 6:  # x has degree deg f - 2
+            d = _degree(f)
             raise ValueError(f"the residual is a conic only on a quartic, not on degree {d}")
-        return Conic(self.plane, x)
+        quad = {_QUAD_MONOS[k]: y for k, y in zip(_TERNARY_QUAD[self.pivot], x) if y}
+        return Conic(self.plane, Poly(ZRING, quad))
 
     def _divided(self, f):
         """How f|plane = quadric * q is shown: None if it does not hold, else (x, a, t).
 
-        a None: x is q, from this conic's own division or from sigma_t of
-        the quotient of the conic a plane record holds when that conic is
-        sigma_t(self); kept for the last f (the same object or an equal
-        form).  a a conic: the record of sigma_t(plane) holds a, divided by
+        a None: x is q, a dense ternary list, from this conic's own division
+        or from sigma_t of the quotient of the conic a plane record holds
+        when that conic is sigma_t(self); kept for the last f (the same
+        object).  a a conic: the record of sigma_t(plane) holds a, divided by
         f with a quotient lc * Q_sigma_t(self), so q = x * Q_sigma_t(a) with
         x = sigma_t(lc), and sigma_t(a) is the residual.  A conic no record
         answers for is divided itself (_section_quotient), and a quartic f
         records it under the plane.
         """
         last = self._last
-        if last is not None and (last[0] is f or last[0] == f):
+        if last is not None and last[0] is f:
             return None if last[1] is None else (last[1], None, 0)
         coeffs = self.coeffs
         for t, plane in plane_conjugates(coeffs[10:], f):
@@ -447,33 +448,29 @@ class Conic:
             if a is None:
                 continue
             g, qa = a._last
-            if qa is None or not (g is f or g == f):
+            if g is not f or qa is None or len(qa) != 6:
                 continue
             quad = galois_image(coeffs[:10], t)
             if quad == a.coeffs[:10]:
                 if t:
-                    qa = Poly(ZRING, {m: y.galois(t) for m, y in qa.terms.items()})
+                    qa = galois_image(qa, t)
                 self._last = (f, qa)
                 return qa, None, 0
             # is qa = lc * quad, lc at the monic quadric's lead?
-            lc = qa.terms.get(_QUAD_MONOS[next(k for k in _LEAD_ORDER if quad[k])])
-            nonzero = [(m, y) for m, y in zip(_QUAD_MONOS, quad) if y]
-            if (
-                lc is not None
-                and len(qa.terms) == len(nonzero)
-                and all(qa.terms.get(m) == lc * y for m, y in nonzero)
-            ):
+            quad = [quad[k] for k in _TERNARY_QUAD[self.pivot]]
+            lc = qa[next(k for k, y in enumerate(quad) if y)]
+            if all(x == lc * y for x, y in zip(qa, quad)):
                 return lc.galois(t), a, t
         q = self._section_quotient(f)
         self._last = (f, q)
         if q is None:
             return None
-        if sum(next(iter(q.terms))) == 2:  # f is a quartic
+        if len(q) == 6:  # f is a quartic
             _DIVIDED[coeffs[10:]] = self
         return q, None, 0
 
     def _section_quotient(self, f):
-        """The form q with f|plane = quadric * q, or None if there is none.
+        """The dense ternary form q with f|plane = quadric * q, or None.
 
         The section is divided by the monic reduced quadric with a triangular
         solve in descending degrevlex order; the quotient is accepted only if
@@ -496,8 +493,7 @@ class Conic:
         for n, ii, jj in check:
             if dot([quad[i] for i in ii], [r[j] for j in jj]) != sect[n]:
                 return None
-        monos = dense_monomials(3, d - 2)[0]
-        return Poly(ZRING, {m[:p] + (0,) + m[p:]: x for m, x in zip(monos, r) if x})
+        return r
 
 
 def _degree(f):

@@ -31,6 +31,7 @@ from .geometry import (
     singular_charts,
 )
 from .groebner import (
+    GroebnerBasis,
     buchberger,
     elimination_ideal,
     fglm,
@@ -112,11 +113,6 @@ class Report:
         }
 
 
-@functools.lru_cache(maxsize=1)
-def _surface():
-    return catalog.surface()
-
-
 def _by_plane(conics):
     """Plane coefficients -> the conics on that plane, in order."""
     planes = {}
@@ -138,7 +134,7 @@ def _coplanar_on_surface(group):
     on its plane or, under an automorphism of K that fixes f, on a conjugate
     plane.
     """
-    f = _surface()
+    f = catalog.surface()
     if len(group) == 2:
         a, b = group
         if a.on_surface(f) and a.residual(f) == b:
@@ -166,7 +162,7 @@ def _conics_valid(conics):
     conics differ is checked itself.  On the census, which K's eight
     automorphisms permute, 160 of the 400 planes are checked.
     """
-    f = _surface()
+    f = catalog.surface()
     conjugates = {}  # sigma_t(plane of a checked group g) -> (t, g, g's pairing)
     paired = True
     for g in sorted(_by_plane(conics).values(), key=lambda group: len(group) == 2):
@@ -252,7 +248,7 @@ def orbit_census(out=None):
     so census_labels then labels any census conic with no action.
     """
     rep = Report("orbit census")
-    f = _surface()
+    f = catalog.surface()
     gens = catalog.symmetry_generators()
     for i, m in enumerate(gens, start=1):
         rep.add(f"generator {i} preserves the surface", substitute_linear(f, m.rows) == f)
@@ -637,7 +633,9 @@ def enumerate_case(case, budget=None, census=None):
     attempt it).  Case iv has no conics: the plane section is a smooth
     quartic, which is verified instead.  The conics found must be in
     census, a Conic -> label dict used as given; with census None,
-    census_labels labels them.
+    census_labels labels them.  Gl's elements in the plane parameters alone
+    are the reduced lex basis of the plane ideal (the Elimination Theorem,
+    Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3 §1).
     """
     if case not in catalog.CASES:
         raise ValueError(f"unknown case {case!r}")
@@ -671,7 +669,7 @@ def enumerate_case(case, budget=None, census=None):
 
     plane_gens = elimination_ideal(Gl, keep=set(params))
     pg, pring, _ = compress_variables(plane_gens)
-    pdeg = zero_dim_degree(buchberger(pg, budget=budget))
+    pdeg = zero_dim_degree(GroebnerBasis(pring, pg))
     rep.add(
         "plane scheme degree",
         pdeg == catalog.EXPECTED_PLANES[case],
@@ -916,7 +914,7 @@ def verify_certificate(source):
         )
 
     gens = cert.typed_values("generator")
-    f = _surface()
+    f = catalog.surface()
     for i, m in enumerate(gens, start=1):
         rep.add(f"generator {i} preserves the surface", substitute_linear(f, m.rows) == f)
 

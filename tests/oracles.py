@@ -3,7 +3,8 @@ package: the program's univariate arithmetic runs on coefficient lists
 (poly.uni_*) and is checked against these."""
 
 from conic_census.errors import RingMismatch
-from conic_census.poly import Poly
+from conic_census.geometry import ZRING
+from conic_census.poly import Poly, dense_monomials
 
 
 def divide_exact(p, d):
@@ -41,3 +42,14 @@ def divide_exact(p, d):
             elif v is not None:
                 del rest[nm]
     return Poly(ring, q)
+
+
+def ternary_poly(q, pivot):
+    """The dense ternary form q (poly.dense_monomials order, in the variables
+    other than z_pivot), as geometry keeps quotients, as a Poly in K[z0..z3];
+    None stays None."""
+    if q is None:
+        return None
+    d = next(d for d in range(len(q)) if len(dense_monomials(3, d)[0]) == len(q))
+    monos = dense_monomials(3, d)[0]
+    return Poly(ZRING, {m[:pivot] + (0,) + m[pivot:]: x for m, x in zip(monos, q) if x})

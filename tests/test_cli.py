@@ -6,7 +6,7 @@ import pytest
 
 from importlib import resources
 
-from conic_census import catalog, cli
+from conic_census import catalog, certificates, cli
 from conic_census.certificates import KUMMER_FILE, certificate_text, make_certificate
 from conic_census.field import KElem, ONE, kelem
 from conic_census.geometry import Conic
@@ -232,6 +232,20 @@ def test_verify_garbage_file(capsys, tmp_path):
 def test_verify_missing_file(capsys, tmp_path):
     rc = cli.main(["verify", "--in", str(tmp_path / "absent.cert")])
     assert rc == cli.EXIT_PARSE
+
+
+def test_verify_rejects_a_file_past_the_size_cap(capsys, census, tmp_path, monkeypatch):
+    # the reader takes at most MAX_BYTES + 1 characters, so memory stays
+    # bounded; trailing blank text alone would otherwise verify
+    data = census.path.read_bytes()
+    monkeypatch.setattr(certificates, "MAX_BYTES", len(data))
+    path = tmp_path / "padded.cert"
+    path.write_bytes(data)
+    assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_OK
+    path.write_bytes(data + b" ")
+    capsys.readouterr()
+    assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_PARSE
+    assert f"longer than {len(data)} bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("token", HOSTILE_TOKENS)

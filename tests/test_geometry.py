@@ -11,13 +11,14 @@ from conic_census import catalog
 from conic_census import geometry
 from conic_census import group
 from conic_census import pipeline
+from conic_census.certificates import make_certificate
 from conic_census.errors import CommonComponent, DegenerateConic, NotOnSurface
 from conic_census.field import I, ONE, P, SQRT2, SQRT10, ZERO, dot, dot_p, kelem, mod_p
 from conic_census.geometry import Conic, ZRING, intersection_number, point_on_plane_line
 from conic_census.linalg import mat_det
 from conic_census.pipeline import hypersurface_smooth
 from conic_census.poly import Poly, PolyRing, dense_monomials
-from oracles import divide_exact
+from oracles import divide_exact, ternary_poly
 
 
 z0, z1, z2, z3 = ZRING.gens()
@@ -230,7 +231,7 @@ def _quotient(c, f):
     a quotient, or x * Q_sigma_t(a) when a plane record a answers for the residual."""
     x, a, t = c._divided(f) or (None, None, 0)
     if a is None:
-        return x
+        return ternary_poly(x, c.pivot)
     return Conic.from_coeffs(geometry.galois_image(a.coeffs, t)).quadric * x
 
 
@@ -290,7 +291,7 @@ def _oracle_intersection(c1, c2):
 def test_section_quotient_matches_oracle_on_census(census_conics):
     f = catalog.surface()
     for c in census_conics:
-        q = c._section_quotient(f)
+        q = ternary_poly(c._section_quotient(f), c.pivot)
         assert q is not None
         assert q == _oracle_quotient(c, f)
         assert c.residual(f) == Conic(c.plane, q)
@@ -308,7 +309,7 @@ def test_section_quotient_off_surface_matches_oracle(census_conics):
         coeffs[k] = coeffs[k] + ONE
         d = Conic.from_coeffs(coeffs)
         want = _oracle_quotient(d, f)
-        assert d._section_quotient(f) == want
+        assert ternary_poly(d._section_quotient(f), d.pivot) == want
         assert d.on_surface(f) == (want is not None)
         off += want is None
     assert off > 0
@@ -444,7 +445,7 @@ def test_quotient_is_kept_per_surface(census_conics, fresh_plane_records, monkey
         f = catalog.surface()
         want = _oracle_quotient(c, f)
         assert c.on_surface(f)
-        # an equal form built again is the same surface: no second section
+        # catalog.surface() is one object: no second section
         assert c.residual(catalog.surface()) == Conic(c.plane, want)
         assert len(sections) == 1
         # a different quartic is worked out, not read from f's quotient
@@ -457,6 +458,12 @@ def test_quotient_is_kept_per_surface(census_conics, fresh_plane_records, monkey
         assert c.on_surface(f)
         assert c.residual(f) == Conic(c.plane, want)
         assert len(sections) == 4
+        # an equal form that is another object is divided anew, to the same answer
+        copy = Poly(ZRING, dict(f.terms))
+        assert copy == f and copy is not f
+        assert _quotient(c, copy) == want
+        assert c.residual(copy) == Conic(c.plane, want)
+        assert len(sections) == 5
         sections.clear()
 
 
@@ -525,6 +532,24 @@ def test_per_conic_on_surface_divides_once_per_galois_class(fresh_plane_records,
     assert len(sections) == 160
     assert all(c.residual(f).residual(f) == c for c in conics)
     assert len(sections) == 160
+
+
+def test_the_census_sequence_compares_no_surfaces(fresh_plane_records, monkeypatch):
+    """catalog.surface is one object per process, and geometry keys its
+    per-surface facts by identity: the census sequence (a per-conic loop on
+    fresh conics, plane_census on their certificate, kummer_report) makes no
+    Poly equality test."""
+    assert catalog.surface() is catalog.surface()
+    calls = []
+    eq = Poly.__eq__
+    monkeypatch.setattr(Poly, "__eq__", lambda *args: calls.append(1) or eq(*args))
+    conics = _census_copies()
+    f = catalog.surface()
+    assert all(c.is_irreducible() and c.on_surface(f) for c in conics)
+    cert = make_certificate("orbit-census", [(f"c{k}", c) for k, c in enumerate(conics)])
+    assert pipeline.plane_census(cert).ok
+    assert pipeline.kummer_report().ok
+    assert calls == []
 
 
 def test_transfer_only_under_automorphisms_that_fix_the_surface(
@@ -616,12 +641,13 @@ def test_the_record_answers_only_for_the_residual(
 
 def test_the_record_answers_only_for_its_surface(census_conics, fresh_plane_records, monkeypatch):
     """A record answers only for the surface its conic was divided by (the
-    same object or an equal form).  Another quartic, and 2f, are worked out
+    same object).  Another quartic, and 2f, are worked out
     for b, unless an earlier pair on a conjugate plane already recorded its
     own division by 2f, which answers for b since the automorphisms that
     fix f fix 2f."""
     sections = _count_sections(monkeypatch)
     f = catalog.surface()
+    f2 = 2 * f  # one object, so the records of conjugate planes answer for it
     fermat = z0**4 + z1**4 + z2**4 + z3**4
     divided_by_2f = set()
     counts = []
@@ -633,8 +659,8 @@ def test_the_record_answers_only_for_its_surface(census_conics, fresh_plane_reco
         assert _oracle_quotient(b, fermat) is None
         assert not b.on_surface(fermat)
         assert len(sections) == 1
-        assert _quotient(b, 2 * f) == _oracle_quotient(b, 2 * f)
-        assert b.residual(2 * f) == a
+        assert _quotient(b, f2) == _oracle_quotient(b, f2)
+        assert b.residual(f2) == a
         plane = b.coeffs[10:]
         conjugate = any(image in divided_by_2f for _, image in geometry.plane_conjugates(plane, f))
         assert len(sections) == (1 if conjugate else 2)
@@ -668,6 +694,25 @@ def test_residual_needs_a_quartic(fresh_plane_records):
             c1.residual(f)
         # only a quartic's division is recorded
         assert c1.coeffs[10:] not in geometry._DIVIDED
+
+
+def test_a_record_answers_only_with_a_quartic_quotient(census_conics, fresh_plane_records):
+    """A conic a recorded on the quartic keeps the quotient of the last
+    surface it was asked about.  After a cubic Q_a * L through it, that is
+    the linear form L, here the first three entries of b's quadric, so a
+    prefix compare would pass b: a record answers only with six entries, and
+    the plane's other conic b is divided itself and found off the cubic."""
+    f = catalog.surface()
+    for a, b in _plane_pairs(census_conics, 10, 43):
+        assert a.on_surface(f)  # divided and recorded
+        qb = [b.coeffs[k] for k in geometry._TERNARY_QUAD[b.pivot]]
+        others = [j for j in range(4) if j != b.pivot]
+        line = sum((x * ZRING.var(j) for x, j in zip(qb, others)), ZRING.zero())
+        cubic = a.plane * z0**2 + a.quadric * line
+        assert a.on_surface(cubic)
+        assert _oracle_quotient(b, cubic) is None
+        assert not b.on_surface(cubic)
+        assert b.residual(f) == a
 
 
 def test_section_matches_substitution_for_every_plane_shape():

@@ -15,8 +15,15 @@ from conic_census.certificates import make_certificate, read_certificate
 from conic_census.errors import ResourceBudgetExceeded, VerificationFailed
 from conic_census.field import ONE, ZERO, KElem, kelem
 from conic_census.geometry import Conic, ZRING
-from conic_census.groebner import Budget, SolveResult
-from conic_census.poly import ring_map
+from conic_census.groebner import (
+    Budget,
+    SolveResult,
+    buchberger,
+    elimination_ideal,
+    zero_dim_degree,
+)
+from conic_census.poly import compress_variables, ring_map
+from oracles import ternary_poly
 
 CENSUS800 = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "census800.cert"
 
@@ -250,6 +257,19 @@ def test_enumerate_case_iv():
     assert conics == []
 
 
+@pytest.mark.parametrize("case", ["ii", "iii"])
+def test_plane_basis_is_the_eliminated_lex_basis(case):
+    # enumerate_case reads the plane scheme degree from the lex basis
+    # eliminated to the plane parameters; a Buchberger run on it, the oracle,
+    # gives the same reduced basis back
+    (_, _, vmap, _, ring), _, Gl, _, _ = pipeline._ansatz_solution(case, None)
+    params = {vmap[ring.index(nm)] for nm in catalog.CASE_PARAMS[case]}
+    pg, pring, _ = compress_variables(elimination_ideal(Gl, keep=params))
+    G = buchberger(pg)
+    assert G.ring == pring and G.polys == tuple(pg)
+    assert zero_dim_degree(G) == catalog.EXPECTED_PLANES[case]
+
+
 def test_gram_report_on_packaged_basis():
     rep, rows = pipeline.gram_report()
     assert rep.ok
@@ -481,7 +501,10 @@ def _per_conic_on_surface(group):
     paired = (
         on_surface
         and len(group) == 2
-        and all(Conic(c.plane, q) == d for c, q, d in zip(group, quotients, group[::-1]))
+        and all(
+            Conic(c.plane, ternary_poly(q, c.pivot)) == d
+            for c, q, d in zip(group, quotients, group[::-1])
+        )
     )
     return on_surface, paired
 
@@ -603,9 +626,8 @@ def test_census_checks_one_group_per_galois_class(census_conics, monkeypatch):
 def test_surface_fixed_by_fewer_automorphisms_transfers_less(fresh_plane_records, monkeypatch):
     # every quartic through the census is a multiple of the surface; i*f has
     # coefficients fixed only by the automorphisms that fix i (t even)
-    f = catalog.surface()
-    i = KElem.from_text("0,1,0,0,0,0,0,0")
-    monkeypatch.setattr(pipeline, "_surface", lambda: f * i)
+    fi = catalog.surface() * KElem.from_text("0,1,0,0,0,0,0,0")
+    monkeypatch.setattr(catalog, "surface", lambda: fi)
     sections = _count_sections(monkeypatch)
     cert = read_certificate(CENSUS800)
     rep = pipeline.verify_certificate(cert)
@@ -642,8 +664,8 @@ def test_damaged_conjugate_group_is_checked_itself(monkeypatch):
     failed = [name for name, ok, _ in got if not ok]
     assert failed[0] == "all conics irreducible and on the surface"
     # the oracle: no automorphism fixes (i + s2 + s5) * f, and a section per conic
-    f = catalog.surface()
-    monkeypatch.setattr(pipeline, "_surface", lambda: f * KElem.from_text("0,1,1,0,1,0,0,0"))
+    f = catalog.surface() * KElem.from_text("0,1,1,0,1,0,0,0")
+    monkeypatch.setattr(catalog, "surface", lambda: f)
     monkeypatch.setattr(pipeline, "_coplanar_on_surface", _per_conic_on_surface)
     assert got == checks()
 
