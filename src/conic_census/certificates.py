@@ -49,6 +49,7 @@ from .group import GroupMatrix
 
 HEADER = "conic-census certificate 1"
 MAX_BYTES = 16 * 2**20  # the longest file read; census800.cert is 217,960 bytes
+CHUNK_BYTES = 2**16  # the most one read asks for
 
 # line keywords that terminate or structure the metadata block
 _RESERVED = ("conic", "count", "kind")
@@ -307,13 +308,22 @@ def parse_certificate(text: str) -> ConicCertificate:
 
 
 def read_certificate(path) -> ConicCertificate:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read(MAX_BYTES + 1)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"non-ASCII byte at offset {exc.start}") from None
-    if len(text) > MAX_BYTES:
+    """Parse the file at path: ASCII, at most MAX_BYTES bytes.  It is read
+    CHUNK_BYTES at a time and no further than MAX_BYTES + 1 bytes, so no
+    buffer the size of the cap is made."""
+    data = bytearray()
+    with open(path, "rb") as fh:
+        while len(data) <= MAX_BYTES:
+            chunk = fh.read(min(CHUNK_BYTES, MAX_BYTES + 1 - len(data)))
+            if not chunk:
+                break
+            data += chunk
+    if len(data) > MAX_BYTES:
         raise ParseError(f"certificate longer than {MAX_BYTES} bytes")
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte at offset {exc.start}") from None
     return parse_certificate(text)
 
 

@@ -10,7 +10,7 @@ class RingMismatch(CensusError):
 
 
 class SingularMatrix(CensusError):
-    """A linear change of variables is not invertible."""
+    """A group matrix is not invertible."""
 
 
 class ResourceBudgetExceeded(CensusError):

@@ -74,31 +74,31 @@ MAX_SIZE = 100000  # group elements, or conics listed by one BFS
 class GroupMatrix:
     """An exact invertible 4x4 matrix over K, hashable by its entries.
 
-    invertible caches the determinant test: None until require_invertible()
-    first runs, then its outcome.  A product of two matrices known to be
-    invertible is known to be invertible, since det(MN) = det(M) det(N).
+    Invertible by construction: GroupMatrix(rows), the one constructor
+    that takes entries, raises SingularMatrix when det = 0, and a product
+    of invertible matrices is invertible, since det(MN) = det(M) det(N), so
+    __mul__ and generate_group build their results with no test.
     """
 
-    __slots__ = ("rows", "key", "invertible", "_conic_map")
+    __slots__ = ("rows", "key", "_conic_map")
 
     def __init__(self, rows):
         rows = [[kelem(x) for x in r] for r in rows]
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("need a 4x4 matrix")
+        if not mat_det(rows):
+            raise SingularMatrix("group matrix is singular")
         self._set(rows)
 
     def _set(self, rows):
         # rows: 4 lists of 4 KElems
         self.rows = tuple(map(tuple, rows))
         self.key = tuple(chain.from_iterable(rows))
-        self.invertible = None
         self._conic_map = None
 
     def __mul__(self, other):
         p = GroupMatrix.__new__(GroupMatrix)
         p._set(mat_mul(self.rows, other.rows))
-        if self.invertible and other.invertible:
-            p.invertible = True
         return p
 
     def __eq__(self, other):
@@ -110,13 +110,6 @@ class GroupMatrix:
     def __repr__(self):
         return f"GroupMatrix({[[str(x) for x in r] for r in self.rows]})"
 
-    def require_invertible(self):
-        """Raise SingularMatrix if det = 0; the determinant is taken once."""
-        if self.invertible is None:
-            self.invertible = bool(mat_det(self.rows))
-        if not self.invertible:
-            raise SingularMatrix("group matrix is singular")
-
     def conic_map(self):
         """The action on conic coefficients: one (sources, factors) per output.
 
@@ -125,10 +118,9 @@ class GroupMatrix:
         source and factor 1 is stored as (i, None), the copy a[i].  Q(M*z)
         has coefficient sum a_ij (M_ik M_jl + M_il M_jk) on z_k*z_l (k < l)
         and sum a_ij M_ik M_jk on z_k^2, and the plane b goes to b*M.  Built
-        on the first call, after require_invertible(), and kept.
+        on the first call and kept.
         """
         if self._conic_map is None:
-            self.require_invertible()
             m = self.rows
             rows = [
                 [
@@ -167,17 +159,13 @@ class GroupMatrix:
 def generate_group(gens):
     """BFS closure of the generators; deterministic element order.
 
-    Raises SingularMatrix if a generator is singular; every element is then
-    known to be invertible.  Raises ResourceBudgetExceeded when the group
-    passes MAX_SIZE elements.  The BFS runs on 4-tuples of row positions
-    (see the module docstring), so the elements and their order are those
-    of the BFS on matrix products m * g, and each new element is built from
-    the shared row tuples.
+    Raises ResourceBudgetExceeded when the group passes MAX_SIZE elements.
+    The BFS runs on 4-tuples of row positions (see the module docstring),
+    so the elements and their order are those of the BFS on matrix
+    products m * g, and each new element is built from the shared row
+    tuples.
     """
-    gens = list(gens)
     identity = GroupMatrix.identity()
-    for m in [identity] + gens:
-        m.require_invertible()
     rows = list(identity.rows)
     index = {r: i for i, r in enumerate(rows)}  # row -> position
     edges = [(tuple(zip(*g.rows)), {}) for g in gens]  # (columns, row moves)
@@ -203,7 +191,6 @@ def generate_group(gens):
                     seen.add(q)
                     m = GroupMatrix.__new__(GroupMatrix)
                     m._set([rows[i] for i in q])
-                    m.invertible = True
                     order.append(m)
                     nxt.append(q)
                     if len(order) > MAX_SIZE:
@@ -280,15 +267,18 @@ def fixing_classes(classes, conics):
     return [m for m in classes if all(fixes_conic(m, c) for c in conics)]
 
 
+def scalar_factor(m):
+    """lambda if m is the scalar matrix lambda*I, else None; lambda is
+    nonzero, as m is invertible."""
+    lam = m.key[0]
+    scalar = all(x == (lam if k % 5 == 0 else K0) for k, x in enumerate(m.key))
+    return lam if scalar else None
+
+
 def _involutions(gens):
-    """For each generator g, whether g*g is a nonzero scalar matrix, so g
-    acts on conics as an involution: one 4x4 product per generator."""
-    out = []
-    for g in gens:
-        sq = (g * g).key
-        lam = sq[0]
-        out.append(bool(lam) and all(x == (lam if k % 5 == 0 else K0) for k, x in enumerate(sq)))
-    return out
+    """For each generator g, whether g*g is a scalar matrix, so g acts on
+    conics as an involution: one 4x4 product per generator."""
+    return [scalar_factor(g * g) is not None for g in gens]
 
 
 def _closure(gens, involutions, seeds, stop):

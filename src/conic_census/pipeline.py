@@ -48,6 +48,7 @@ from .group import (
     generate_group,
     label_orbits,
     projective_classes,
+    scalar_factor,
 )
 from .linalg import mat_det
 from .poly import (
@@ -847,12 +848,10 @@ def kummer_report(conics=None):
     rep.add(
         "projective transformations", len(C) == catalog.KUMMER_PROJECTIVE_ORDER, f"{len(C)}"
     )
-    lam = gens[1].key[0]
-    diagonal = tuple(lam if k % 5 == 0 else ZERO for k in range(16))  # lam * I, row-major
-    scalar_gen = gens[1].key == diagonal
+    lam = scalar_factor(gens[1])
     rep.add(
         "pointwise fixer is the scalar subgroup",
-        scalar_gen
+        lam is not None
         and len(kernel) == 1  # the fixer is the scalars of G, lift of them
         and len({lam**k for k in range(lift)}) == lift
         and lift == catalog.KUMMER_FIXER_ORDER,

@@ -28,9 +28,8 @@ poly_from_uni convert from and to a Poly in one variable.
 import functools
 from itertools import compress, product
 
-from .errors import RingMismatch, SingularMatrix
+from .errors import RingMismatch
 from .field import ZERO as K0, ONE as K1, KElem, dot, kelem
-from .linalg import mat_det
 
 
 class MonomialOrder:
@@ -394,20 +393,17 @@ def ring_map(p, target, images):
 def substitute_linear(p, matrix):
     """p(M*z): substitute the linear change of coordinates given by matrix.
 
-    matrix is an n x n nested list of KElem-coercible entries and must be
-    invertible (SingularMatrix otherwise).  Row i gives the linear form
-    substituted for variable i.  Each degree of p is substituted on its own
-    in dense form (dense_image), so a row with one nonzero entry only
-    renames and scales its variable and a signed permutation forms no
-    product.
+    matrix is an n x n nested list of KElem-coercible entries, singular or
+    not.  Row i gives the linear form substituted for variable i.  Each
+    degree of p is substituted on its own in dense form (dense_image), so a
+    row with one nonzero entry only renames and scales its variable and a
+    signed permutation forms no product.
     """
     ring = p.ring
     n = ring.n
     rows = [[kelem(x) for x in r] for r in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"matrix must be {n}x{n}")
-    if not mat_det(rows):
-        raise SingularMatrix("linear substitution matrix is singular")
     by_degree = {}
     for m, c in p.terms.items():
         by_degree.setdefault(sum(m), {})[m] = c

@@ -1,6 +1,7 @@
 """Certificate text format: round trips and rejection of malformed input."""
 
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -303,3 +304,31 @@ def test_canonical_metadata_still_parses():
     cert = read_certificate(CENSUS800)
     assert [c for _, c in cert.typed_values("seed")] == list(catalog.seed_conics())
     assert cert.typed_values("generator") == list(catalog.symmetry_generators())
+
+
+def test_read_peak_memory_is_a_few_file_sizes():
+    # one read asks for at most CHUNK_BYTES, so the peak is the file
+    # (217,960 bytes) a few times over and its records, not the 16 MiB cap
+    tracemalloc.start()
+    try:
+        read_certificate(CENSUS800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_crlf_file_reads_as_the_lf_file(tmp_path):
+    path = tmp_path / "crlf.cert"
+    path.write_bytes(CENSUS800.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_certificate(path) == read_certificate(CENSUS800)
+
+
+def test_non_ascii_byte_is_named_by_its_file_offset(tmp_path):
+    # past the first chunk, so the offset is counted over the whole file
+    data = bytearray(CENSUS800.read_bytes())
+    data[100000] = 0xE9
+    path = tmp_path / "latin1.cert"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="non-ASCII byte at offset 100000$"):
+        read_certificate(path)

@@ -248,6 +248,31 @@ def test_verify_rejects_a_file_past_the_size_cap(capsys, census, tmp_path, monke
     assert f"longer than {len(data)} bytes" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_crlf_file_past_the_byte_cap(capsys, census, tmp_path, monkeypatch):
+    # the cap counts bytes as stored: each CRLF line end is two of them
+    data = census.path.read_bytes()
+    monkeypatch.setattr(certificates, "MAX_BYTES", len(data))
+    path = tmp_path / "crlf.cert"
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_PARSE
+    assert f"longer than {len(data)} bytes" in capsys.readouterr().err
+
+
+def test_verify_singular_generator_exits_4(capsys, census, tmp_path):
+    # the first generator with its first row zeroed: 16 canonical fields of
+    # a singular matrix
+    lines = census.path.read_text().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if ln.startswith("generator "))
+    toks = lines[idx].split(" ")
+    toks[1:5] = [ZERO_FIELD] * 4
+    lines[idx] = " ".join(toks)
+    path = tmp_path / "singular.cert"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"malformed generator line: group matrix is singular (line {idx + 1})" in err
+
+
 @pytest.mark.parametrize("token", HOSTILE_TOKENS)
 def test_verify_hostile_token_exits_4(capsys, tmp_path, token):
     c1, c2, c3 = catalog.seed_conics()

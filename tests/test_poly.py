@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from conic_census import catalog
-from conic_census.errors import SingularMatrix
 from conic_census.field import I, ONE, SQRT2, SQRT5, ZERO, kelem
 from conic_census.linalg import mat_det
 from conic_census.poly import (
@@ -181,14 +180,10 @@ def test_substitute_linear_matches_ring_map(n, order):
     for kind in ("dense", "mixed", "sparse") * 4:
         rows = _random_matrix(rng, n, kind)
         p = _random_poly(rng, ring)
-        if not mat_det(rows):
-            with pytest.raises(SingularMatrix):
-                substitute_linear(p, rows)
-            continue
         got = substitute_linear(p, rows)
         assert got.ring == ring
         assert got == _ring_map_oracle(p, rows)
-        checked += 1
+        checked += bool(mat_det(rows))  # invertible matrices checked
     assert checked >= 10
 
 
@@ -196,8 +191,9 @@ def test_substitute_linear_singular_matrix(xyz):
     ring, x, y, z = xyz
     rows = [[ONE, I, SQRT2], [SQRT5, ZERO, ONE], [ONE + SQRT5, I, SQRT2 + ONE]]
     assert not mat_det(rows)  # row 3 = row 1 + row 2
-    with pytest.raises(SingularMatrix):
-        substitute_linear(x**2 + y, rows)
+    # p(M*z) is defined for any square M
+    p = x**2 + y
+    assert substitute_linear(p, rows) == _ring_map_oracle(p, rows)
 
 
 def test_symmetry_generators_preserve_the_surface():
