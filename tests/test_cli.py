@@ -235,7 +235,7 @@ def test_verify_missing_file(capsys, tmp_path):
 
 
 def test_verify_rejects_a_file_past_the_size_cap(capsys, census, tmp_path, monkeypatch):
-    # the reader takes at most MAX_BYTES + 1 characters, so memory stays
+    # the reader takes at most MAX_BYTES + 1 bytes, so memory stays
     # bounded; trailing blank text alone would otherwise verify
     data = census.path.read_bytes()
     monkeypatch.setattr(certificates, "MAX_BYTES", len(data))

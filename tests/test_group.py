@@ -9,7 +9,6 @@ from conic_census.certificates import KUMMER_FILE, load_packaged
 from conic_census.errors import ResourceBudgetExceeded, SingularMatrix, VerificationFailed
 from conic_census.field import I, ONE, SQRT10, ZERO, KElem, dot, kelem
 from conic_census.geometry import ZRING, Conic
-from conic_census.linalg import mat_det
 from conic_census.group import (
     GroupMatrix,
     act_on_conic,
@@ -21,6 +20,7 @@ from conic_census.group import (
     orbit_of_conic,
     projective_classes,
 )
+from conic_census.linalg import mat_det
 
 
 def test_matrix_algebra():
