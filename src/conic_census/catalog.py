@@ -23,6 +23,7 @@ from .poly import (
     poly_from_uni,
     ring_map,
     specialize,
+    uni_mul,
 )
 from .groebner import inline_linear
 
@@ -182,12 +183,9 @@ def degeneration_factors():
 
 
 def _factor_product(ring, i, factors):
-    """The product of coefficient lists (low to high) as polynomials in
-    variable i of ring."""
-    p = ring.one
-    for cs in factors:
-        p = p * poly_from_uni(ring, i, cs)
-    return p
+    """The product of coefficient lists (low to high), multiplied as lists,
+    as a polynomial in variable i of ring."""
+    return poly_from_uni(ring, i, functools.reduce(uni_mul, factors, [K1]))
 
 
 def degeneration_polynomial():
@@ -377,8 +375,7 @@ def conic_from_solution(case, values):
 def section_without_last_coordinate():
     """The z3 = 0 plane section of the surface, a ternary quartic."""
     ring = PolyRing(("z0", "z1", "z2"), DEGREVLEX)
-    z0, z1, z2 = ring.gens()
-    return ring_map(surface(), ring, [z0, z1, z2, ring.zero()])
+    return specialize(surface(), {3: 0}, ring, {0: 0, 1: 1, 2: 2})
 
 
 def parameter_factors(case):

@@ -328,9 +328,10 @@ def read_certificate(path) -> ConicCertificate:
 
 
 def load_packaged(name) -> ConicCertificate:
-    """Read one of the certificate files shipped inside the package."""
-    text = resources.files(__package__).joinpath("data", name).read_text("ascii")
-    return parse_certificate(text)
+    """Read one of the certificate files shipped inside the package, with
+    read_certificate like any other file."""
+    with resources.as_file(resources.files(__package__).joinpath("data", name)) as path:
+        return read_certificate(path)
 
 
 NS_BASIS_FILE = "ns_basis_20.cert"

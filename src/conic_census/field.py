@@ -400,11 +400,8 @@ ZERO = KElem(_ZERO8, 1, 0)
 ONE = KElem((1, 0, 0, 0, 0, 0, 0, 0), 1, 1)
 I = KElem((0, 1, 0, 0, 0, 0, 0, 0), 1, 2)
 SQRT2 = KElem((0, 0, 1, 0, 0, 0, 0, 0), 1, 4)
-I_SQRT2 = KElem((0, 0, 0, 1, 0, 0, 0, 0), 1, 8)
 SQRT5 = KElem((0, 0, 0, 0, 1, 0, 0, 0), 1, 16)
-I_SQRT5 = KElem((0, 0, 0, 0, 0, 1, 0, 0), 1, 32)
 SQRT10 = KElem((0, 0, 0, 0, 0, 0, 1, 0), 1, 64)
-I_SQRT10 = KElem((0, 0, 0, 0, 0, 0, 0, 1), 1, 128)
 
 
 # -- square roots via the quadratic tower ------------------------------------

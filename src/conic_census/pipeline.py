@@ -15,7 +15,6 @@ from .catalog import XRING
 from .certificates import (
     KUMMER_FILE,
     NS_BASIS_FILE,
-    ConicCertificate,
     load_packaged,
     make_certificate,
     read_certificate,
@@ -549,7 +548,7 @@ def fiber_survey(budget=None, census=None):
     """
     rep = Report("conic pencil fibers")
     locus = singular_parameter_locus(budget=budget)
-    expected = catalog.degeneration_polynomial().monic()
+    expected = catalog.degeneration_polynomial()
     rep.add("singular parameter locus", locus == expected, str(locus))
     prod = catalog.nodal_parameter_polynomial() * catalog.split_parameter_polynomial()
     rep.add(
@@ -764,7 +763,9 @@ def dot_graph(rows):
 def gram_report(conics=None, dot_out=None):
     """Intersection Gram matrix of the 20 spanning conics with determinant.
 
-    Checks self-intersections -2, off-diagonal entries in {0, 1}, the
+    Checks that the conics are irreducible and on the surface (the
+    intersection numbers assume it, so a failure stops the report there),
+    then self-intersections -2, off-diagonal entries in {0, 1}, the
     expected matrix (entrywise, else up to a reported relabelling), the
     determinant, and invariance under the symmetry generators.
     """
@@ -772,6 +773,8 @@ def gram_report(conics=None, dot_out=None):
     if conics is None:
         conics = load_packaged(NS_BASIS_FILE).conics
     n = len(conics)
+    rep.add("all conics irreducible and on the surface", _conics_valid(conics)[0], f"{n} checked")
+    rep.require()
     rows = gram_matrix(conics)
     rep.add("self intersections are -2", all(rows[i][i] == -2 for i in range(n)))
     rep.add(
@@ -875,8 +878,8 @@ def kummer_report(conics=None):
 # -- certificate verification ------------------------------------------------
 
 
-def verify_certificate(source):
-    """Re-verify a certificate file from its contents alone.
+def verify_certificate(path):
+    """Re-verify the certificate file at path from its contents alone.
 
     Checks canonical parsing (done by the reader), irreducibility and
     surface containment of every conic (_conics_valid: one plane section
@@ -886,13 +889,13 @@ def verify_certificate(source):
     automorphism of K that fixes the surface passes with its verdict),
     agreement of the declared orbit counts with the labels and of the
     declared stabilizer orders with the catalog (compared, not
-    recomputed), and, for a full census, the plane pairing and
-    seed/generator metadata.  The group-action spot check acts with a fixed
-    sample of 32 (conic, generator) pairs, conic k*n//32 with generator
-    k mod len(generators) for k < 32, so re-running on an unmodified file
-    is deterministic.
+    recomputed), that each seed conic is a record of its own orbit label,
+    and, for a full census, the plane pairing and generator metadata.  The
+    group-action spot check acts with a fixed sample of 32 (conic,
+    generator) pairs, conic k*n//32 with generator k mod len(generators)
+    for k < 32, so re-running on an unmodified file is deterministic.
     """
-    cert = source if isinstance(source, ConicCertificate) else read_certificate(source)
+    cert = read_certificate(path)
     rep = Report("certificate verification")
     conics = cert.conics
     rep.add("parsed in canonical form", True, f"{len(conics)} conics, kind {cert.kind}")
@@ -920,7 +923,10 @@ def verify_certificate(source):
     seeds = cert.typed_values("seed")
     census = cert.keys()
     if seeds:
-        rep.add("seed conics listed in the census", all(c in census for _, c in seeds))
+        rep.add(
+            "seed conics listed in the census",
+            all(census.get(c) == label for label, c in seeds),
+        )
 
     if cert.kind == "orbit-census" and len(conics) == catalog.CENSUS_SIZE:
         rep.add(

@@ -201,19 +201,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _check_same_ring(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m)
-            if v is None:
-                out[m] = -c
-            else:
-                v = v - c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return Poly(self.ring, out)
+        return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)

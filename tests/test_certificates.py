@@ -1,16 +1,19 @@
 """Certificate text format: round trips and rejection of malformed input."""
 
+import importlib.resources
 import pathlib
 import tracemalloc
 
 import pytest
 
-from conic_census import catalog
+from conic_census import catalog, certificates
 from conic_census.certificates import (
     GENERATOR_FIELDS,
     HEADER,
+    KUMMER_FILE,
     _parse_conic_line,
     certificate_text,
+    load_packaged,
     make_certificate,
     parse_certificate,
     read_certificate,
@@ -332,3 +335,13 @@ def test_non_ascii_byte_is_named_by_its_file_offset(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(ParseError, match="non-ASCII byte at offset 100000$"):
         read_certificate(path)
+
+
+def test_packaged_certificates_go_through_the_reader(monkeypatch):
+    # a shipped file is read as any --in file is, so the byte cap holds for it
+    shipped = importlib.resources.files("conic_census").joinpath("data", KUMMER_FILE)
+    size = len(shipped.read_bytes())
+    assert load_packaged(KUMMER_FILE).label_counts() == {"K": 16}
+    monkeypatch.setattr(certificates, "MAX_BYTES", size - 1)
+    with pytest.raises(ParseError, match=f"longer than {size - 1} bytes"):
+        load_packaged(KUMMER_FILE)

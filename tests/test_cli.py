@@ -9,7 +9,7 @@ from importlib import resources
 from conic_census import catalog, certificates, cli
 from conic_census.certificates import KUMMER_FILE, certificate_text, make_certificate
 from conic_census.field import KElem, ONE, kelem
-from conic_census.geometry import Conic
+from conic_census.geometry import ZRING, Conic
 
 # tokens outside the certificate grammar, one of them a non-ASCII digit
 HOSTILE_TOKENS = ("1e6000", "3_000", " 3 ", "\u0663")
@@ -82,6 +82,32 @@ def test_gram_machine_output(capsys):
     assert doc["report"]["ok"] is True
     assert doc["det"] == -160
     assert len(doc["matrix"]) == 20
+
+
+def _gram_inputs():
+    """Conics gram must reject before measuring them: two off the surface,
+    and a line pair in z0 = 0 through the common line z0 = z1 = 0 of the
+    planes of the two conics."""
+    z0, z1, z2, z3 = ZRING.gens()
+    far = Conic(z1, z0**2 + 2 * z2**2 + 3 * z3**2)
+    return {
+        "off-surface": [Conic(z0, z1**2 + z2**2 + z3**2), far],
+        "line-pair": [Conic(z0, z1 * z2), far],
+    }
+
+
+@pytest.mark.parametrize("name", ["off-surface", "line-pair"])
+def test_gram_checks_its_conics_before_measuring_them(capsys, tmp_path, name):
+    conics = _gram_inputs()[name]
+    path = tmp_path / f"{name}.cert"
+    path.write_text(certificate_text(make_certificate("demo", list(zip(["A", "B"], conics)))))
+    assert cli.main(["gram", "--in", str(path)]) == cli.EXIT_VERIFICATION
+    lines = capsys.readouterr().out.splitlines()
+    # the report stops at the failed check: no intersection number is computed
+    assert lines == [
+        "intersection Gram matrix",
+        "  FAIL all conics irreducible and on the surface: 2 checked",
+    ]
 
 
 def test_kummer(capsys):
@@ -367,6 +393,19 @@ def test_verify_count_with_underscore_exits_4(capsys, tmp_path):
     path.write_text(text.replace("count 16\n", "count 1_6\n"))
     assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_PARSE
     assert "count takes one integer (line 3)" in capsys.readouterr().err
+
+
+def test_verify_seed_line_must_name_its_own_orbit(capsys, tmp_path, census):
+    # the seed C1 and seed C3 lines with their labels swapped: both conics
+    # are records of the census, but of the other label
+    lines = census.path.read_text().split("\n")
+    at = {ln.split()[1]: k for k, ln in enumerate(lines) if ln.startswith("seed ")}
+    i, j = at["C1"], at["C3"]
+    lines[i], lines[j] = "seed C3 " + lines[i][8:], "seed C1 " + lines[j][8:]
+    path = tmp_path / "swapped.cert"
+    path.write_text("\n".join(lines))
+    assert cli.main(["verify", "--in", str(path)]) == cli.EXIT_VERIFICATION
+    assert "  FAIL seed conics listed in the census" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("forged", ["C3 8", "C1 13"])

@@ -6,9 +6,6 @@ import pytest
 
 from conic_census.field import (
     I,
-    I_SQRT2,
-    I_SQRT5,
-    I_SQRT10,
     ONE,
     SQRT2,
     SQRT5,
@@ -18,6 +15,12 @@ from conic_census.field import (
     kelem,
     sqrt_in_k,
 )
+
+# the basis elements i*s2, i*s5, i*s10 from their coordinates, so the
+# products below check the multiplication table
+I_SQRT2 = KElem.from_text("0,0,0,1,0,0,0,0")
+I_SQRT5 = KElem.from_text("0,0,0,0,0,1,0,0")
+I_SQRT10 = KElem.from_text("0,0,0,0,0,0,0,1")
 
 
 def test_generator_squares():

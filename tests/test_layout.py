@@ -1,5 +1,5 @@
 """The package holds only code the program runs: every def has a caller,
-and every dataclass field a reader.
+and every dataclass field and module-level name a reader.
 
 A function or class defined in src/conic_census counts as called when its
 name appears in some module of the package as a name, an attribute or an
@@ -12,7 +12,10 @@ called (x.name(...) calls a method of that name): a field that is only set
 holds nothing the program reads.  A parameter with a default counts as
 passed when some call in the package passes it by keyword, by ** or by
 position, a call of a class standing for a call of its __init__: a default
-no call overrides is a constant, or an option that only tests set.
+no call overrides is a constant, or an option that only tests set.  A
+name bound at module level counts as read when some module of the package
+loads it as a name, an attribute or an imported alias: a constant that only
+tests or tools read belongs with them.
 """
 
 import ast
@@ -32,12 +35,12 @@ def _trees():
 
 
 def _used_names(trees):
-    """(names, attributes): every name, attribute and imported alias, and
-    the attributes and class-body names alone, which may call a method."""
+    """(names, attributes): every name loaded, attribute and imported alias,
+    and the attributes and class-body names alone, which may call a method."""
     used, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -239,3 +242,50 @@ def test_every_default_in_the_package_is_passed_somewhere():
     assert ALLOWED_DEFAULTS <= defaults
     passed = _passed(trees)
     assert not any(param in passed.get(function, ()) for function, param in ALLOWED_DEFAULTS)
+
+
+# module-level names with no reader in the package, each for a reason outside it
+ALLOWED_GLOBALS = {
+    "__all__",  # from conic_census import * reads it
+    "__version__",  # package metadata
+}
+
+
+def _module_names(trees):
+    """(module, name, line) of every name bound by a statement at module level."""
+
+    def targets(stmt):
+        if isinstance(stmt, ast.Assign):
+            return stmt.targets
+        if isinstance(stmt, (ast.AnnAssign, ast.AugAssign, ast.For)):
+            return [stmt.target]
+        return []
+
+    return {
+        (module, node.id, stmt.lineno)
+        for module, tree in trees.items()
+        for stmt in tree.body
+        for target in targets(stmt)
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name)
+    }
+
+
+def test_a_module_name_counts_as_read_when_loaded():
+    tree = ast.parse("A = 1\nB, C = 2, 3\nD: int = A\nfor E in (): pass\nx.C\n")
+    loaded = _used_names({"m.py": tree})[0]
+    unread = sorted(name for _, name, _ in _module_names({"m.py": tree}) if name not in loaded)
+    assert unread == ["B", "D", "E"]
+
+
+def test_every_module_name_in_the_package_has_a_reader():
+    trees = _trees()
+    loaded = _used_names(trees)[0]
+    names = _module_names(trees)
+    unread = sorted(
+        f"{module}:{line} {name}"
+        for module, name, line in names
+        if name not in loaded and name not in ALLOWED_GLOBALS
+    )
+    assert unread == []
+    assert ALLOWED_GLOBALS <= {name for _, name, _ in names}

@@ -11,7 +11,7 @@ import pytest
 import reference_tables
 
 from conic_census import catalog, geometry, group, pipeline
-from conic_census.certificates import make_certificate, read_certificate
+from conic_census.certificates import make_certificate, read_certificate, write_certificate
 from conic_census.errors import ResourceBudgetExceeded, VerificationFailed
 from conic_census.field import ONE, ZERO, KElem, kelem
 from conic_census.geometry import Conic, ZRING
@@ -476,18 +476,18 @@ def test_verify_sections_and_parses_each_once(census, fresh_plane_records, monke
         if ln.startswith(("generator ", "seed "))
     )
     assert (len(records), meta) == (329, 106)
-    for _ in range(2):  # each read parses anew
-        texts.clear()
-        cert = read_certificate(str(census.path))
-        assert len(texts) == len(records) + meta
+    read_certificate(str(census.path))
+    assert len(texts) == len(records) + meta
     texts.clear()
-    pipeline.verify_certificate(cert)
+    pipeline.verify_certificate(str(census.path))
     # one section per Galois class of planes: a pair's second conic follows
     # from the division, and the conjugate planes from the automorphisms of K
     assert len(sections) == 160
     # one residual conic per class, shared by the surface and pairing checks
     assert len(built) == 160
-    assert texts == []  # the generator and seed lines are not parsed again
+    # one read of its own, which parses anew: each distinct record text and
+    # each generator and seed field once, and no line a second time
+    assert len(texts) == len(records) + meta
 
 
 # -- oracle: the per-conic path, one section and one division per conic ------
@@ -537,7 +537,7 @@ def _off_surface(c):
 
 
 @pytest.mark.parametrize("edit", ["moved", "off_surface", "three_on_a_plane"])
-def test_verify_checks_match_the_per_conic_path(census, monkeypatch, edit):
+def test_verify_checks_match_the_per_conic_path(census, monkeypatch, tmp_path, edit):
     cert = census.certificate
     entries = list(cert.entries)
     # the second record of its plane, so its pair is divided by the honest quadric
@@ -552,7 +552,8 @@ def test_verify_checks_match_the_per_conic_path(census, monkeypatch, edit):
         entries[k] = (label, _off_surface(c))
     else:  # a copy of a conic of another plane: that plane carries three
         entries[k] = (label, next(d for _, d in entries if d.coeffs[10:] != c.coeffs[10:]))
-    bad = make_certificate(cert.kind, entries, cert.meta)
+    bad = tmp_path / "bad.cert"
+    write_certificate(make_certificate(cert.kind, entries, cert.meta), bad)
 
     def checks():
         with pytest.raises(VerificationFailed) as err:
@@ -629,14 +630,14 @@ def test_surface_fixed_by_fewer_automorphisms_transfers_less(fresh_plane_records
     fi = catalog.surface() * KElem.from_text("0,1,0,0,0,0,0,0")
     monkeypatch.setattr(catalog, "surface", lambda: fi)
     sections = _count_sections(monkeypatch)
-    cert = read_certificate(CENSUS800)
-    rep = pipeline.verify_certificate(cert)
+    rep = pipeline.verify_certificate(CENSUS800)
     assert rep.ok
+    cert = read_certificate(CENSUS800)
     classes = _plane_classes({c.coeffs[10:] for c in cert.conics}, (0, 2, 4, 6))
     assert len(sections) == len(classes) == 280
 
 
-def test_damaged_conjugate_group_is_checked_itself(monkeypatch):
+def test_damaged_conjugate_group_is_checked_itself(monkeypatch, tmp_path):
     cert = read_certificate(CENSUS800)
     entries = list(cert.entries)
     # the first plane whose Galois class holds an earlier plane: its group
@@ -651,7 +652,8 @@ def test_damaged_conjugate_group_is_checked_itself(monkeypatch):
     damaged = _off_surface(c)
     assert damaged.coeffs[10:] == c.coeffs[10:]
     entries[k] = (label, damaged)
-    bad = make_certificate(cert.kind, entries, cert.meta)
+    bad = tmp_path / "damaged.cert"
+    write_certificate(make_certificate(cert.kind, entries, cert.meta), bad)
 
     def checks():
         with pytest.raises(VerificationFailed) as err:
@@ -670,7 +672,7 @@ def test_damaged_conjugate_group_is_checked_itself(monkeypatch):
     assert got == checks()
 
 
-def test_damaged_planes_are_checked_first(fresh_plane_records, monkeypatch):
+def test_damaged_planes_are_checked_first(fresh_plane_records, monkeypatch, tmp_path):
     # the last record whose move leaves the census moved to a plane of its
     # own: its plane and its former partner's are the only groups not of
     # two, so they are checked first and the pairing walk is skipped
@@ -681,7 +683,8 @@ def test_damaged_planes_are_checked_first(fresh_plane_records, monkeypatch):
     assert k > 700
     label, c = entries[k]
     entries[k] = (label, _moved(c))
-    bad = make_certificate(cert.kind, entries, cert.meta)
+    bad = tmp_path / "moved.cert"
+    write_certificate(make_certificate(cert.kind, entries, cert.meta), bad)
     sections = _count_sections(monkeypatch)
     with pytest.raises(VerificationFailed) as err:
         pipeline.verify_certificate(bad)

@@ -13,7 +13,7 @@ recomputes all intersection numbers, and re-derives the group data.
 
 from fractions import Fraction
 
-from conic_census.field import I, I_SQRT2, I_SQRT5, I_SQRT10, SQRT2, SQRT5, SQRT10, kelem
+from conic_census.field import I, SQRT2, SQRT5, SQRT10, kelem
 from conic_census.geometry import Conic
 
 
@@ -24,9 +24,9 @@ def _f(a, b):
 _S2 = SQRT2
 _S5 = SQRT5
 _S10 = SQRT10
-_IS2 = I_SQRT2
-_IS5 = I_SQRT5
-_IS10 = I_SQRT10
+_IS2 = I * SQRT2
+_IS5 = I * SQRT5
+_IS10 = I * SQRT10
 
 
 def _conic(row):
