@@ -12,63 +12,4 @@ set, and the 16-conic Kummer configuration, and emits re-checkable
 certificates for all of it.
 """
 
-from .certificates import ConicCertificate, read_certificate, write_certificate
-from .errors import (
-    CensusError,
-    ParseError,
-    ResourceBudgetExceeded,
-    VerificationFailed,
-)
-from .field import KElem, kelem
-from .geometry import Conic, intersection_number
-from .groebner import Budget, buchberger
-from .group import GroupMatrix
-from .pipeline import (
-    Report,
-    analyze_nodal_fiber,
-    enumerate_case,
-    factor_fiber,
-    fiber_survey,
-    gram_report,
-    kummer_report,
-    orbit_census,
-    plane_census,
-    singular_parameter_locus,
-    verify_certificate,
-    verify_components,
-)
-from .poly import Poly, PolyRing
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Budget",
-    "CensusError",
-    "Conic",
-    "ConicCertificate",
-    "GroupMatrix",
-    "KElem",
-    "ParseError",
-    "Poly",
-    "PolyRing",
-    "Report",
-    "ResourceBudgetExceeded",
-    "VerificationFailed",
-    "analyze_nodal_fiber",
-    "buchberger",
-    "enumerate_case",
-    "factor_fiber",
-    "fiber_survey",
-    "gram_report",
-    "intersection_number",
-    "kelem",
-    "kummer_report",
-    "orbit_census",
-    "plane_census",
-    "read_certificate",
-    "singular_parameter_locus",
-    "verify_certificate",
-    "verify_components",
-    "write_certificate",
-    "__version__",
-]

@@ -219,10 +219,11 @@ def main(argv=None):
             # the Groebner work spent before the stop
             for line in GroebnerTrace(**exc.stats).lines():
                 print(f"  {line}", file=sys.stderr)
-        hint = "raise --budget-pairs and --budget-terms to continue"
-        if args.command == "enumerate" and args.case == "i":
-            hint += "; case (i) needs a far larger budget and hours of runtime"
-        print(hint, file=sys.stderr)
+        if hasattr(args, "budget_pairs"):  # a stage that takes the budget flags
+            hint = "raise --budget-pairs and --budget-terms to continue"
+            if args.command == "enumerate" and args.case == "i":
+                hint += "; case (i) needs a far larger budget and hours of runtime"
+            print(hint, file=sys.stderr)
         return EXIT_BUDGET
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -87,6 +87,7 @@ from .errors import (
 )
 from .field import P, ZERO as K0, ONE as K1, dot, dot_p, mod_p, sqrt_in_k
 from .poly import (
+    DEGREVLEX,
     LEX,
     Poly,
     specialize,
@@ -175,7 +176,7 @@ class _Pack:
 
     def __init__(self, ring):
         self.ring = ring
-        self.drl = ring.order.kind == "degrevlex"
+        self.drl = ring.order == DEGREVLEX
         self.end = "little" if self.drl else "big"  # byte order of D
         self.low = int.from_bytes(b"\1" * ring.n, "big")  # R
         self.guard = self.low << 7  # H
@@ -577,9 +578,9 @@ def elimination_ideal(G, keep):
     ring = G.ring
     keep = set(keep)
     n = ring.n
-    if not (ring.order.kind == "lex" and keep and keep == set(range(min(keep), n))):
+    if not (ring.order == LEX and keep and keep == set(range(min(keep), n))):
         raise OrderNotEliminating(
-            f"order {ring.order!r} does not eliminate the complement of {sorted(keep)}"
+            f"order {ring.order} does not eliminate the complement of {sorted(keep)}"
         )
     drop = set(range(n)) - keep
     return [g for g in G if not (g.variables() & drop)]
@@ -894,7 +895,7 @@ def solve_zero_dim(G, hints=()):
     repertoire could not split, so points are never silently dropped.
     """
     ring = G.ring
-    if ring.order.kind != "lex":
+    if ring.order != LEX:
         raise OrderNotLex("solve_zero_dim requires a lex basis")
     if G.is_trivial():
         return SolveResult([], [])

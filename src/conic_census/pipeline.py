@@ -20,7 +20,7 @@ from .certificates import (
     read_certificate,
     write_certificate,
 )
-from .errors import NonPrincipal, VerificationFailed
+from .errors import NonPrincipal, ResourceBudgetExceeded, VerificationFailed
 from .field import ONE, ZERO, kelem
 from .geometry import (
     Conic,
@@ -716,15 +716,21 @@ def gram_matrix(conics):
     return rows
 
 
+RELABEL_NODES = 100_000  # partial relabellings _permutation_match may try
+
+
 def _permutation_match(got, want):
-    """Search for a vertex relabelling identifying two symmetric matrices."""
+    """Search for a vertex relabelling identifying two symmetric matrices,
+    trying at most RELABEL_NODES partial relabellings."""
     n = len(got)
     sig_g = [tuple(sorted(row)) for row in got]
     sig_w = [tuple(sorted(row)) for row in want]
     perm = [None] * n  # perm[i] = image of row i of got inside want
     used = [False] * n
+    nodes = 0
 
     def extend(i):
+        nonlocal nodes
         if i == n:
             return True
         for j in range(n):
@@ -735,6 +741,9 @@ def _permutation_match(got, want):
                 for k in range(n)
             ):
                 continue
+            nodes += 1
+            if nodes > RELABEL_NODES:
+                raise ResourceBudgetExceeded(f"relabelling search exceeded {RELABEL_NODES} nodes")
             perm[i] = j
             used[j] = True
             if extend(i + 1):

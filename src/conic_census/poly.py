@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials over K (Q is the rational sub-case).
 
 Monomials are exponent tuples; a polynomial is a dict monomial -> KElem in a
-PolyRing that fixes variable names and a monomial order, lex or degrevlex.
-Term iteration is always in
-decreasing monomial order.  Polynomials are immutable by convention: term
-dicts are never mutated after construction.
+PolyRing that fixes variable names and a monomial order, which is its name,
+LEX or DEGREVLEX.  Term iteration is always in decreasing monomial order.
+Polynomials are immutable by convention: term dicts are never mutated after
+construction.
 
 Linear substitutions run in dense form: a form of degree d in n variables
 is the list of its coefficients on the degree-d monomials, largest first in
@@ -32,37 +32,13 @@ from .errors import RingMismatch
 from .field import ZERO as K0, ONE as K1, KElem, dot, kelem
 
 
-class MonomialOrder:
-    """A monomial order, "lex" or "degrevlex": key(m) grows with the monomial."""
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind):
-        if kind not in ("lex", "degrevlex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    def key_fn(self):
-        if self.kind == "lex":
-            return lambda m: m
-        return _drl_key
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return self.kind
-
-
 def _drl_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-LEX = MonomialOrder("lex")
-DEGREVLEX = MonomialOrder("degrevlex")
+LEX = "lex"
+DEGREVLEX = "degrevlex"
+_ORDER_KEYS = {LEX: lambda m: m, DEGREVLEX: _drl_key}  # grows with the monomial
 
 
 class PolyRing:
@@ -73,8 +49,10 @@ class PolyRing:
     def __init__(self, names, order=DEGREVLEX):
         self.names = tuple(names)
         self.n = len(self.names)
+        if order not in _ORDER_KEYS:
+            raise ValueError(f"unknown monomial order {order!r}")
         self.order = order
-        self.key = order.key_fn()
+        self.key = _ORDER_KEYS[order]
         self.zero_mono = (0,) * self.n
 
     def __eq__(self, other):
@@ -88,7 +66,7 @@ class PolyRing:
         return hash((self.names, self.order))
 
     def __repr__(self):
-        return f"K[{', '.join(self.names)}; {self.order!r}]"
+        return f"K[{', '.join(self.names)}; {self.order}]"
 
     def with_order(self, order):
         return self if order == self.order else PolyRing(self.names, order)

@@ -15,7 +15,9 @@ position, a call of a class standing for a call of its __init__: a default
 no call overrides is a constant, or an option that only tests set.  A
 name bound at module level counts as read when some module of the package
 loads it as a name, an attribute or an imported alias: a constant that only
-tests or tools read belongs with them.
+tests or tools read belongs with them.  The package module itself imports
+nothing, since a re-exported alias would count as a reader of its name;
+callers import each name from the module that defines it.
 """
 
 import ast
@@ -246,7 +248,6 @@ def test_every_default_in_the_package_is_passed_somewhere():
 
 # module-level names with no reader in the package, each for a reason outside it
 ALLOWED_GLOBALS = {
-    "__all__",  # from conic_census import * reads it
     "__version__",  # package metadata
 }
 
@@ -289,3 +290,13 @@ def test_every_module_name_in_the_package_has_a_reader():
     )
     assert unread == []
     assert ALLOWED_GLOBALS <= {name for _, name, _ in names}
+
+
+def test_the_package_module_imports_nothing():
+    # an alias in __init__ would read every name it re-exports, so a name no
+    # module calls would still pass the rules above
+    tree = _trees()["__init__.py"]
+    imports = [
+        node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports == []

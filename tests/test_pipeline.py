@@ -300,6 +300,25 @@ def test_permutation_match():
     assert pipeline._permutation_match(broken, want) is None
 
 
+def test_permutation_match_stops_at_its_node_cap():
+    # the expected degree sequence on a graph that is not the expected one:
+    # refuting it visits 640,517 partial relabellings without the cap
+    edges = [
+        (0, 12), (0, 16), (1, 15), (1, 17), (2, 10), (3, 13), (3, 15), (3, 16),
+        (4, 9), (4, 10), (5, 14), (5, 19), (6, 9), (6, 18), (7, 13), (7, 18),
+        (8, 9), (8, 16), (10, 13), (11, 12), (12, 13), (12, 19),
+    ]
+    got = [[-2 if i == j else 0 for j in range(20)] for i in range(20)]
+    for i, j in edges:
+        got[i][j] = got[j][i] = 1
+    want = [list(r) for r in catalog.expected_ns_gram()]
+    degrees = sorted(sorted(row) for row in got)
+    assert degrees == sorted(sorted(row) for row in want)
+    cap = f"relabelling search exceeded {pipeline.RELABEL_NODES} nodes"
+    with pytest.raises(ResourceBudgetExceeded, match=cap):
+        pipeline._permutation_match(got, want)
+
+
 def test_dot_graph():
     rows = [[-2, 1, 0], [1, -2, 0], [0, 0, -2]]
     text = pipeline.dot_graph(rows)

@@ -41,6 +41,13 @@ def test_ring_equality_includes_order():
     assert a.with_order(LEX) == b
 
 
+def test_an_order_is_its_name():
+    with pytest.raises(ValueError, match="deglex"):
+        PolyRing(("x",), "deglex")
+    assert repr(PolyRing(("x", "y"), LEX)) == "K[x, y; lex]"
+    assert repr(PolyRing(("x", "y"))) == "K[x, y; degrevlex]"
+
+
 def test_arithmetic(xyz):
     ring, x, y, z = xyz
     p = (x + y) ** 2
@@ -172,9 +179,9 @@ def _random_poly(rng, ring, degrees=(0, 1, 2, 3, 4)):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("order", [LEX, DEGREVLEX], ids=repr)
+@pytest.mark.parametrize("order", [LEX, DEGREVLEX])
 def test_substitute_linear_matches_ring_map(n, order):
-    rng = random.Random(17 * n + len(repr(order)))
+    rng = random.Random(17 * n + len(order))
     ring = PolyRing(tuple(f"x{i}" for i in range(n)), order)
     checked = 0
     for kind in ("dense", "mixed", "sparse") * 4:
