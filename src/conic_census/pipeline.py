@@ -719,12 +719,33 @@ def gram_matrix(conics):
 RELABEL_NODES = 100_000  # partial relabellings _permutation_match may try
 
 
+def _refined_colours(got, want):
+    """Colour refinement of two symmetric matrices under one shared naming:
+    each row's colour is refined by the multiset of (entry, colour) pairs
+    along it until the number of colours stops growing.  A relabelling
+    identifying the matrices maps every row to a row of the same colour."""
+    n = len(got)
+    colours, count = ([0] * n, [0] * n), 1
+    while True:
+        sigs = [
+            [(c[i], tuple(sorted(zip(rows[i], c)))) for i in range(n)]
+            for rows, c in zip((got, want), colours)
+        ]
+        names = {s: k for k, s in enumerate(sorted(set(sigs[0]) | set(sigs[1])))}
+        colours = tuple([names[s] for s in sig] for sig in sigs)
+        if len(names) == count:
+            return colours
+        count = len(names)
+
+
 def _permutation_match(got, want):
     """Search for a vertex relabelling identifying two symmetric matrices,
-    trying at most RELABEL_NODES partial relabellings."""
+    trying rows only against rows of their refined colour and at most
+    RELABEL_NODES partial relabellings."""
     n = len(got)
-    sig_g = [tuple(sorted(row)) for row in got]
-    sig_w = [tuple(sorted(row)) for row in want]
+    sig_g, sig_w = _refined_colours(got, want)
+    if sorted(sig_g) != sorted(sig_w):
+        return None
     perm = [None] * n  # perm[i] = image of row i of got inside want
     used = [False] * n
     nodes = 0

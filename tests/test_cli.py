@@ -111,16 +111,16 @@ def test_gram_checks_its_conics_before_measuring_them(capsys, tmp_path, name):
 
 
 def test_gram_relabelling_stop_is_a_budget_exit(monkeypatch, capsys, tmp_path):
-    # the reversed basis matches after 1,450 partial relabellings; below that
+    # the reversed basis matches after 20 partial relabellings; below that
     # the search stops with exit 3 and no hint about flags gram does not take
     basis = certificates.load_packaged(certificates.NS_BASIS_FILE)
     labels = [lab for lab, _ in basis.entries]
     path = tmp_path / "reversed.cert"
     path.write_text(certificate_text(make_certificate("demo", list(zip(labels, basis.conics[::-1])))))
-    monkeypatch.setattr(cli.pipeline, "RELABEL_NODES", 1000)
+    monkeypatch.setattr(cli.pipeline, "RELABEL_NODES", 10)
     assert cli.main(["gram", "--in", str(path)]) == cli.EXIT_BUDGET
     err = capsys.readouterr().err
-    assert err == "resource budget exceeded: relabelling search exceeded 1000 nodes\n"
+    assert err == "resource budget exceeded: relabelling search exceeded 10 nodes\n"
 
 
 def test_kummer(capsys):

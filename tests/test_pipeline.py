@@ -300,9 +300,9 @@ def test_permutation_match():
     assert pipeline._permutation_match(broken, want) is None
 
 
-def test_permutation_match_stops_at_its_node_cap():
+def test_permutation_match_refutes_by_colour_refinement(monkeypatch):
     # the expected degree sequence on a graph that is not the expected one:
-    # refuting it visits 640,517 partial relabellings without the cap
+    # sorted rows alone took 640,517 partial relabellings to refute it
     edges = [
         (0, 12), (0, 16), (1, 15), (1, 17), (2, 10), (3, 13), (3, 15), (3, 16),
         (4, 9), (4, 10), (5, 14), (5, 19), (6, 9), (6, 18), (7, 13), (7, 18),
@@ -314,9 +314,32 @@ def test_permutation_match_stops_at_its_node_cap():
     want = [list(r) for r in catalog.expected_ns_gram()]
     degrees = sorted(sorted(row) for row in got)
     assert degrees == sorted(sorted(row) for row in want)
+    monkeypatch.setattr(pipeline, "RELABEL_NODES", 0)
+    assert pipeline._permutation_match(got, want) is None
+
+
+def test_permutation_match_finds_a_hard_reordering():
+    # sorted rows alone needed more than 100,000 partial relabellings here
+    p = [4, 18, 0, 14, 3, 5, 1, 17, 8, 10, 9, 6, 19, 11, 15, 13, 7, 16, 12, 2]
+    want = [list(r) for r in catalog.expected_ns_gram()]
+    got = [[want[p[i]][p[j]] for j in range(20)] for i in range(20)]
+    perm = pipeline._permutation_match(got, want)
+    assert all(got[i][j] == want[perm[i]][perm[j]] for i in range(20) for j in range(20))
+
+
+def test_permutation_match_stops_at_its_node_cap():
+    # one 20-cycle against two 10-cycles: both 2-regular, so refinement
+    # leaves one colour and the search must refute every relabelling
+    def cycles(step):
+        steps = (step, 20 - step)
+        return [[-2 if i == j else int((i - j) % 20 in steps) for j in range(20)] for i in range(20)]
+
+    p = [2, 12, 10, 1, 5, 15, 14, 7, 18, 0, 8, 11, 6, 16, 4, 9, 3, 13, 17, 19]
+    one = cycles(1)
+    got = [[one[p[i]][p[j]] for j in range(20)] for i in range(20)]
     cap = f"relabelling search exceeded {pipeline.RELABEL_NODES} nodes"
     with pytest.raises(ResourceBudgetExceeded, match=cap):
-        pipeline._permutation_match(got, want)
+        pipeline._permutation_match(got, cycles(2))
 
 
 def test_dot_graph():
