@@ -342,10 +342,11 @@ def gauge_fixed_system(case):
     cA).  In case i it contains a4*b4 - (c^4 - 6c^2 + 1) instead: on the
     planes with c = +-1 +- sqrt 2 one of a4, b4 is zero, and a conic with
     a4 = 0 has no gauge-fixed solution, so a factorization there appears
-    once or not at all (the missing sub-case is ROADMAP item 3).  The case
-    parameters are protected from inlining.  Returns (polys, ring, var_map,
-    substitutions, outer_ring) where var_map maps outer ring indices to the
-    compressed ring and substitutions restore a4 and the inlined variables.
+    once or not at all (ROADMAP defers the missing sub-case, under "Exactly
+    800 by one length count over F_P").  The case parameters are protected
+    from inlining.  Returns (polys, ring, var_map, substitutions,
+    outer_ring) where var_map maps outer ring indices to the compressed ring
+    and substitutions restore a4 and the inlined variables.
     """
     ring, eqs = ansatz_equations(case)
     a4 = ring.index("a4")

@@ -18,8 +18,6 @@ from .errors import (
     VerificationFailed,
 )
 from .groebner import DEFAULT_BUDGET, Budget, GroebnerTrace
-from .linalg import mat_det
-from .field import kelem
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2
@@ -168,7 +166,7 @@ def _cmd_enumerate(args):
 def _cmd_gram(args):
     conics = read_certificate(args.infile).conics if args.infile else None
     rep, rows = pipeline.gram_report(conics=conics, dot_out=args.dot)
-    det = mat_det([[kelem(v) for v in row] for row in rows]).as_fraction()
+    det = next(detail for name, _, detail in rep.checks if name == "determinant")
     _emit(args, rep, matrix=rows, det=int(det))
     if args.format == "text":
         for row in rows:

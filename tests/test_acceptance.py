@@ -77,26 +77,31 @@ def test_singular_locus_and_components():
 def test_fiber_classification(census):
     f = catalog.surface()
     keys = census.certificate.keys()
-    c3 = catalog.seed_conics()[2]
-    seen_c3 = False
-    for alpha in catalog.split_parameters():
-        fac = pipeline.factor_fiber(alpha)
-        assert fac.kind == "split"
-        assert len(fac.conics) == 2
-        for c in fac.conics:
-            assert c.is_irreducible()
-            assert c.on_surface(f)
-            assert c in keys
-        assert fac.conics[0].residual(f) == fac.conics[1]
-        if c3 in fac.conics:
-            seen_c3 = True
-    assert seen_c3
-    for alpha in catalog.nodal_parameters():
-        rep = pipeline.analyze_nodal_fiber(alpha)
-        assert rep.ok, rep.render()
-    assert pipeline.factor_fiber(ZERO).kind == "smooth"
-    survey = pipeline.fiber_survey()
+    survey = pipeline.fiber_survey(census=keys)
     assert survey.ok, survey.render()
+    checks = {name: (ok, detail) for name, ok, detail in survey.checks}
+    split = catalog.split_parameters()
+    assert [checks[f"split fiber t = {alpha}"] for alpha in split] == [
+        (True, "two mutual-residual conics in the census")
+    ] * 8
+    # the split fibers' conics: the case (iii) conics, two on each plane
+    # z2 - alpha*z3
+    _, conics = pipeline.enumerate_case("iii", census=keys)
+    assert len(conics) == 16
+    assert {c.coeffs[10:] for c in conics} == {(ZERO, ZERO, ONE, -alpha) for alpha in split}
+    for c in conics:
+        assert c.is_irreducible()
+        assert c.on_surface(f)
+        assert c in keys
+        other = c.residual(f)
+        assert other != c and other in conics and other.coeffs[10:] == c.coeffs[10:]
+    assert catalog.seed_conics()[2] in conics
+    assert checks["seed conic C3 appears in its fiber"][0]
+    nodal = catalog.nodal_parameters()
+    assert [checks[f"nodal fiber t = {alpha}"] for alpha in nodal] == [
+        (True, "node at (0 : 0 : 1)")
+    ] * 4
+    assert checks["fiber t = 0 is smooth"][0]
     print("PASS fibers: 8 split (16 conics in census, C3 found), 4 nodal with node (0:0:1)")
 
 

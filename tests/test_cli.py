@@ -84,6 +84,19 @@ def test_gram_machine_output(capsys):
     assert len(doc["matrix"]) == 20
 
 
+def test_gram_reports_the_determinant_of_any_basis(capsys, tmp_path):
+    # the 16 Kummer conics are pairwise disjoint: Gram matrix -2 I, det 2^16,
+    # reported though only a 20-conic basis has an expected determinant
+    path = tmp_path / "kummer.cert"
+    path.write_text(kummer_text())
+    assert cli.main(["gram", "--in", str(path)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "  pass determinant: 65536" in lines
+    assert lines[-1] == "det = 65536"
+    assert cli.main(["gram", "--in", str(path), "--format", "machine"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["det"] == 65536
+
+
 def _gram_inputs():
     """Conics gram must reject before measuring them: two off the surface,
     and a line pair in z0 = 0 through the common line z0 = z1 = 0 of the

@@ -169,18 +169,27 @@ def test_verify_components_detects_wrong_component(monkeypatch):
     assert err.value.report.first_failure() == "branch-1 contains the singular locus ideal"
 
 
-def test_factor_fiber_split():
+def _checks(rep):
+    """Check name -> (passed, detail) of a report."""
+    return {name: (ok, detail) for name, ok, detail in rep.checks}
+
+
+def test_fiber_survey_splits_the_fiber_of_c3(census):
     # C3 lies on z2 + a*z3 = 0 with a = split_parameters()[0]: the fiber t = -a
     alpha = -catalog.split_parameters()[0]
-    fac = pipeline.factor_fiber(alpha)
-    assert fac.kind == "split"
-    assert len(fac.conics) == 2
+    keys = census.certificate.keys()
+    _, conics = pipeline.enumerate_case("iii", census=keys)
+    pair = [c for c in conics if c.coeffs[10:] == (ZERO, ZERO, ONE, -alpha)]
+    assert len(pair) == 2
     f = catalog.surface()
-    for c in fac.conics:
+    for c in pair:
         assert c.is_irreducible()
         assert c.on_surface(f)
-    assert fac.conics[0].residual(f) == fac.conics[1]
-    assert catalog.seed_conics()[2] in fac.conics
+    assert pair[0].residual(f) == pair[1]
+    assert catalog.seed_conics()[2] in pair
+    checks = _checks(pipeline.fiber_survey(census=keys))
+    assert checks[f"split fiber t = {alpha}"] == (True, "two mutual-residual conics in the census")
+    assert checks["seed conic C3 appears in its fiber"] == (True, "")
 
 
 def test_split_fibers_read_one_case_iii_solve(monkeypatch, fresh_ansatz):
@@ -195,7 +204,7 @@ def test_split_fibers_read_one_case_iii_solve(monkeypatch, fresh_ansatz):
     assert hints == [catalog.solver_hints("iii")] + [None] * 12
 
 
-def test_factor_fiber_needs_the_whole_case_iii_solve(monkeypatch, fresh_ansatz):
+def test_fiber_survey_needs_the_whole_case_iii_solve(monkeypatch, fresh_ansatz):
     solve = pipeline.solve_system
 
     def one_point_short(*args, **kwargs):
@@ -204,25 +213,67 @@ def test_factor_fiber_needs_the_whole_case_iii_solve(monkeypatch, fresh_ansatz):
 
     monkeypatch.setattr(pipeline, "solve_system", one_point_short)
     with pytest.raises(VerificationFailed, match="did not solve completely"):
-        pipeline.factor_fiber(catalog.split_parameters()[0])
+        pipeline.fiber_survey()
+
+
+def test_split_fiber_missing_a_conic_fails_its_line(monkeypatch, census):
+    # the complete case (iii) solve with its first conic left out: that
+    # conic's plane fails its own line and the other seven pass
+    system, G, Gl, sol, conics = pipeline._ansatz_solution("iii", None)
+    monkeypatch.setattr(
+        pipeline, "_ansatz_solution", lambda case, budget: (system, G, Gl, sol, conics[1:])
+    )
+    with pytest.raises(VerificationFailed) as err:
+        pipeline.fiber_survey(census=census.certificate.keys())
+    name = f"split fiber t = {-conics[0].coeffs[13]}"  # the plane z2 - t*z3
+    rep = err.value.report
+    assert rep.first_failure() == name
+    split = {n: ok for n, (ok, _) in _checks(rep).items() if n.startswith("split fiber t = ")}
+    assert len(split) == 8
+    assert [n for n, ok in split.items() if not ok] == [name]
 
 
 def test_split_fiber_conics_are_the_case_iii_conics_on_its_plane(census):
-    _, conics = pipeline.enumerate_case("iii", census=census.certificate.keys())
+    keys = census.certificate.keys()
+    _, conics = pipeline.enumerate_case("iii", census=keys)
     by_plane = {}
     for c in conics:
         by_plane.setdefault(c.key[10:14], set()).add(c.key)
-    for alpha in catalog.split_parameters():
-        plane = tuple(v.to_text() for v in (ZERO, ZERO, ONE, -alpha))  # z2 - alpha*z3
-        fac = pipeline.factor_fiber(alpha)
-        assert [c.key[10:14] for c in fac.conics] == [plane, plane]
-        assert {c.key for c in fac.conics} == by_plane[plane]
+    # z2 - alpha*z3 for each split parameter alpha, and no other plane
+    planes = {
+        tuple(v.to_text() for v in (ZERO, ZERO, ONE, -alpha)) for alpha in catalog.split_parameters()
+    }
+    assert set(by_plane) == planes
+    assert all(len(pair) == 2 for pair in by_plane.values())
+    checks = _checks(pipeline.fiber_survey(census=keys))
+    assert all(checks[f"split fiber t = {alpha}"][0] for alpha in catalog.split_parameters())
 
 
-def test_factor_fiber_nodal_and_smooth():
-    assert pipeline.factor_fiber(catalog.nodal_parameters()[0]).kind == "nodal"
-    assert pipeline.factor_fiber(ZERO).kind == "smooth"
-    assert pipeline.factor_fiber(ONE).kind == "smooth"
+def test_fiber_survey_nodal_and_smooth(census):
+    checks = _checks(pipeline.fiber_survey(census=census.certificate.keys()))
+    for alpha in catalog.nodal_parameters():
+        assert checks[f"nodal fiber t = {alpha}"] == (True, "node at (0 : 0 : 1)")
+    assert checks["fiber t = 0 is smooth"] == (True, "")
+    locus = pipeline.singular_parameter_locus()
+    assert locus.evaluate([ZERO]) and locus.evaluate([ONE])  # t = 0, 1 are smooth
+    # a nodal line needs a nodal root: a split parameter is refused
+    with pytest.raises(VerificationFailed, match="not a root of the nodal"):
+        pipeline.analyze_nodal_fiber(catalog.split_parameters()[0])
+
+
+def test_smooth_fiber_line_reads_the_computed_locus(monkeypatch, census):
+    # a locus with the extra root t = 0 fails the smooth line as well as the
+    # two comparisons with the catalog's polynomials
+    locus = pipeline.singular_parameter_locus()
+    x = locus.ring.gens()[0]
+    monkeypatch.setattr(pipeline, "singular_parameter_locus", lambda budget=None: locus * x)
+    with pytest.raises(VerificationFailed) as err:
+        pipeline.fiber_survey(census=census.certificate.keys())
+    assert [n for n, (ok, _) in _checks(err.value.report).items() if not ok] == [
+        "singular parameter locus",
+        "locus factors into the nodal and split parts",
+        "fiber t = 0 is smooth",
+    ]
 
 
 def test_analyze_nodal_fiber():
